@@ -15,6 +15,7 @@
 #include "core/dataset_cache.h"
 #include "core/pipeline.h"
 #include "core/speech_region.h"
+#include "core/streaming.h"
 #include "dsp/fft.h"
 #include "dsp/filter.h"
 #include "dsp/pitch.h"
@@ -41,6 +42,26 @@ std::vector<double> noise_signal(std::size_t n, std::uint64_t seed = 1) {
   std::vector<double> x(n);
   for (double& v : x) v = rng.normal();
   return x;
+}
+
+/// A 3-class logistic head over the 24 Table-II features, fit on
+/// seeded Gaussian rows: cheap to build, and its predict costs what a
+/// served emotion head's does.
+std::shared_ptr<const ml::Classifier> table_model(std::uint64_t seed) {
+  util::Rng rng{seed};
+  ml::Dataset d;
+  d.class_count = 3;
+  for (int c = 0; c < 3; ++c) {
+    for (int i = 0; i < 12; ++i) {
+      std::vector<double> row(24);
+      for (double& v : row) v = rng.normal() + 1.5 * c;
+      d.x.push_back(std::move(row));
+      d.y.push_back(c);
+    }
+  }
+  auto model = std::make_shared<ml::LogisticRegression>();
+  model->fit(d);
+  return model;
 }
 
 void BM_FftPow2(benchmark::State& state) {
@@ -153,6 +174,43 @@ void BM_SpeechRegionDetection(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 42000);
 }
 BENCHMARK(BM_SpeechRegionDetection);
+
+void BM_StreamingPush(benchmark::State& state) {
+  // Steady-state StreamingAttack::push: one 512-sample chunk per
+  // iteration (time / 512 = per-sample cost) into a session whose 10 s
+  // noise window is already full. Arg 0 is silence, so every sample
+  // pays only detection; Arg 1 carries a 0.5 s tone every 2 s, so
+  // regions close (featurize + predict) about once per 840 samples.
+  constexpr std::size_t kSamples = 42000;  // 100 s at 420 Hz
+  constexpr std::size_t kWarm = 4200;
+  constexpr std::size_t kChunk = 512;
+  constexpr double kRate = 420.0;
+  const bool bursts = state.range(0) != 0;
+  auto x = noise_signal(kSamples, 11);
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    x[i] = 9.81 + 0.003 * x[i];
+    if (bursts && i >= kWarm && (i - kWarm) % 840 < 210) {
+      x[i] += 0.1 * std::sin(2.0 * std::numbers::pi * 100.0 *
+                             static_cast<double>(i) / kRate);
+    }
+  }
+  core::StreamingConfig cfg;
+  cfg.detector = core::tabletop_detector_config();
+  core::StreamingAttack attack{cfg, kRate, table_model(310)};
+  (void)attack.push(std::span<const double>{x.data(), kWarm});
+  std::size_t pos = kWarm;
+  std::size_t events = 0;
+  for (auto _ : state) {
+    if (pos + kChunk > kSamples) pos = kWarm;
+    events +=
+        attack.push(std::span<const double>{x.data() + pos, kChunk}).size();
+    pos += kChunk;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(kChunk));
+  state.counters["events_per_chunk"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_StreamingPush)->Arg(0)->Arg(1);
 
 void BM_ExtractAndCrossValidate(benchmark::State& state) {
   // End-to-end hot path at a given thread count (Arg): per-region
@@ -497,19 +555,7 @@ void BM_ServeThroughput(benchmark::State& state) {
     }
     traces.push_back(std::move(x));
   }
-  util::Rng rng{310};
-  ml::Dataset d;
-  d.class_count = 3;
-  for (int c = 0; c < 3; ++c) {
-    for (int i = 0; i < 12; ++i) {
-      std::vector<double> row(24);
-      for (double& v : row) v = rng.normal() + 1.5 * c;
-      d.x.push_back(std::move(row));
-      d.y.push_back(c);
-    }
-  }
-  auto model = std::make_shared<ml::LogisticRegression>();
-  model->fit(d);
+  const auto model = table_model(310);
 
   for (auto _ : state) {
     auto registry = std::make_shared<serve::ModelRegistry>();

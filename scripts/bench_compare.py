@@ -46,7 +46,10 @@ import tempfile
 from pathlib import Path
 
 # Kernel benchmarks tracked by the baseline. Fixture-heavy end-to-end
-# benchmarks (serving, synthesis) are too noisy for a regression gate.
+# benchmarks (synthesis, multi-threaded serving) are too noisy for a
+# regression gate; the single-threaded serve drain (BM_ServeThroughput/1)
+# and the per-sample streaming step (BM_StreamingPush) are gated because
+# streaming detection is the serve drain's dominant layer.
 # google-benchmark filters are partial-match regexes, so entries whose
 # name prefixes an untracked reference variant (BM_TreeTrainReference,
 # BM_PitchTrackNaive, ...) are anchored with `/` or `$`.
@@ -57,7 +60,8 @@ KERNEL_FILTER = (
     "BM_TreeTrain/|BM_ForestTrain$|BM_ForestTrainBinned$|BM_PitchTrack$|"
     "BM_DatasetBuildHit$|BM_DatasetDiskHit|"
     "BM_SpanOverhead$|BM_HistogramRecord|"
-    "BM_MetricsReplyEncode$|BM_PromText$"
+    "BM_MetricsReplyEncode$|BM_PromText$|"
+    "BM_StreamingPush/|BM_ServeThroughput/1$"
 )
 
 

@@ -35,12 +35,80 @@ void StreamingConfig::validate() const {
   stft.validate();
 }
 
+namespace {
+
+// Every sample count is at least 1: at low sample rates the truncation
+// of seconds * rate can reach 0, and a gap of 0 samples in particular
+// closes a region on the first sub-threshold sample (below_count_ >= 0
+// holds even while the signal is active).
+std::size_t samples_of(double seconds, double rate) {
+  return std::max<std::size_t>(1, static_cast<std::size_t>(seconds * rate));
+}
+
+// Validates before any member derives a sample count from the config.
+StreamingConfig validated(StreamingConfig config, double rate) {
+  config.validate();
+  if (rate <= 0.0) throw util::ConfigError{"StreamingAttack: rate <= 0"};
+  return config;
+}
+
+}  // namespace
+
+namespace detail {
+
+NoiseFloor::NoiseFloor(std::size_t capacity, double threshold_k,
+                       double min_ratio)
+    : capacity_{capacity},
+      threshold_k_{threshold_k},
+      min_ratio_{min_ratio},
+      ring_(capacity) {
+  // A window of `capacity_` consecutive indices holds at most
+  // ceil(capacity_ / kStride) of one class, and push() erases before it
+  // inserts, so these reservations are never outgrown.
+  for (std::vector<double>& phase : phases_) {
+    phase.reserve((capacity_ + kStride - 1) / kStride);
+  }
+}
+
+void NoiseFloor::push(double value) {
+  if (count_ >= capacity_) {
+    std::vector<double>& old = phases_[(count_ - capacity_) % kStride];
+    old.erase(std::lower_bound(old.begin(), old.end(), ring_[ring_pos_]));
+  }
+  ring_[ring_pos_] = value;
+  ring_pos_ = ring_pos_ + 1 == capacity_ ? 0 : ring_pos_ + 1;
+  std::vector<double>& phase = phases_[count_ % kStride];
+  phase.insert(std::upper_bound(phase.begin(), phase.end(), value), value);
+  ++count_;
+}
+
+double NoiseFloor::threshold() const {
+  if (count_ == 0) return 0.0;
+  // The front's class holds ceil(size() / kStride) values: the
+  // decimated window.
+  const std::vector<double>& sample = phases_[(count_ - size()) % kStride];
+  const double q25 = sample[sample.size() / 4];
+  const double q50 = sample[sample.size() / 2];
+  const double spread = std::max(q50 - q25, 1e-9);
+  return std::max(q25 + threshold_k_ * spread, min_ratio_ * q25);
+}
+
+void NoiseFloor::reset() {
+  for (std::vector<double>& phase : phases_) phase.clear();
+  ring_pos_ = 0;
+  count_ = 0;
+}
+
+}  // namespace detail
+
 StreamingAttack::StreamingAttack(StreamingConfig config, double sample_rate_hz,
                                  std::shared_ptr<const ml::Classifier> classifier)
-    : config_{config}, rate_{sample_rate_hz}, classifier_{std::move(classifier)} {
-  config_.validate();
-  if (rate_ <= 0.0) throw util::ConfigError{"StreamingAttack: rate <= 0"};
-
+    : config_{validated(std::move(config), sample_rate_hz)},
+      rate_{sample_rate_hz},
+      noise_{samples_of(config_.noise_window_s, rate_),
+             config_.detector.threshold_k, config_.detector.min_ratio},
+      classifier_{std::move(classifier)},
+      raw_history_(samples_of(config_.history_s, rate_)) {
   if (config_.detector.detection_highpass_hz > 0.0) {
     hpf_ = dsp::BiquadCascade::butterworth_highpass(
         config_.detector.highpass_order,
@@ -51,36 +119,10 @@ StreamingAttack::StreamingAttack(StreamingConfig config, double sample_rate_hz,
   // moving-RMS window length.
   env_alpha_ = std::exp(-1.0 / (config_.detector.envelope_window_s * rate_));
 
-  // Each count is at least 1: at low sample rates the truncation of
-  // seconds * rate can reach 0, and gap_samples_ == 0 in particular
-  // closes a region on the first sub-threshold sample (below_count_ >= 0
-  // holds even while the signal is active).
-  const auto samples_of = [this](double seconds) {
-    return std::max<std::size_t>(1, static_cast<std::size_t>(seconds * rate_));
-  };
-  history_capacity_ = samples_of(config_.history_s);
-  noise_capacity_ = samples_of(config_.noise_window_s);
-  min_region_samples_ = samples_of(config_.detector.min_region_s);
-  gap_samples_ = samples_of(config_.detector.merge_gap_s);
-  max_region_samples_ = samples_of(config_.max_region_s);
+  min_region_samples_ = samples_of(config_.detector.min_region_s, rate_);
+  gap_samples_ = samples_of(config_.detector.merge_gap_s, rate_);
+  max_region_samples_ = samples_of(config_.max_region_s, rate_);
   pad_samples_ = static_cast<std::size_t>(config_.detector.pad_s * rate_);
-}
-
-double StreamingAttack::noise_floor() const {
-  if (noise_window_.empty()) return 0.0;
-  // Quantile over a decimated copy (every 8th sample) keeps this cheap
-  // while matching the offline detector's robust floor estimate.
-  std::vector<double> sample;
-  sample.reserve(noise_window_.size() / 8 + 1);
-  for (std::size_t i = 0; i < noise_window_.size(); i += 8) {
-    sample.push_back(noise_window_[i]);
-  }
-  std::sort(sample.begin(), sample.end());
-  const double q25 = sample[sample.size() / 4];
-  const double q50 = sample[sample.size() / 2];
-  const double spread = std::max(q50 - q25, 1e-9);
-  return std::max(q25 + config_.detector.threshold_k * spread,
-                  config_.detector.min_ratio * q25);
 }
 
 EmotionEvent StreamingAttack::close_region(std::size_t start, std::size_t end,
@@ -92,7 +134,7 @@ EmotionEvent StreamingAttack::close_region(std::size_t start, std::size_t end,
 
   // Slice the raw history for feature extraction. Both bounds clamp
   // against history_start_ before subtracting: a padded region that has
-  // (partly or fully) been evicted from raw_history_ would otherwise
+  // (partly or fully) been evicted from the history would otherwise
   // wrap the unsigned difference and slice the entire history. A fully
   // evicted region simply yields an unclassified event below.
   const std::size_t lo =
@@ -101,11 +143,20 @@ EmotionEvent StreamingAttack::close_region(std::size_t start, std::size_t end,
   const std::size_t hi =
       event.end_sample > history_start_
           ? std::min<std::size_t>(event.end_sample - history_start_,
-                                  raw_history_.size())
+                                  history_size_)
           : 0;
   if (classifier_ && hi > lo + 4) {
-    std::vector<double> region(raw_history_.begin() + static_cast<std::ptrdiff_t>(lo),
-                               raw_history_.begin() + static_cast<std::ptrdiff_t>(hi));
+    // The slice is contiguous in the ring or wraps once past its end.
+    const std::size_t capacity = raw_history_.size();
+    const std::size_t first =
+        (history_pos_ + capacity - history_size_ + lo) % capacity;
+    const std::size_t head = std::min(hi - lo, capacity - first);
+    std::vector<double> region(hi - lo);
+    const auto ring = raw_history_.begin();
+    std::copy_n(ring + static_cast<std::ptrdiff_t>(first), head,
+                region.begin());
+    std::copy_n(ring, region.size() - head,
+                region.begin() + static_cast<std::ptrdiff_t>(head));
     // The classifier's input view depends on the task it was trained
     // for: Table-II features for the classical heads, the spectrogram
     // image for fingerprint matching. Both are computed exactly like
@@ -145,9 +196,11 @@ EmotionEvent StreamingAttack::close_region(std::size_t start, std::size_t end,
 
 void StreamingAttack::process_sample(double raw, std::vector<EmotionEvent>& out) {
   // Raw history for feature extraction.
-  raw_history_.push_back(raw);
-  if (raw_history_.size() > history_capacity_) {
-    raw_history_.pop_front();
+  raw_history_[history_pos_] = raw;
+  history_pos_ = history_pos_ + 1 == raw_history_.size() ? 0 : history_pos_ + 1;
+  if (history_size_ < raw_history_.size()) {
+    ++history_size_;
+  } else {
     ++history_start_;
   }
 
@@ -164,17 +217,15 @@ void StreamingAttack::process_sample(double raw, std::vector<EmotionEvent>& out)
   envelope_sq_ = env_alpha_ * envelope_sq_ + (1.0 - env_alpha_) * x * x;
   const double envelope = std::sqrt(envelope_sq_);
 
-  noise_window_.push_back(envelope);
-  if (noise_window_.size() > noise_capacity_) noise_window_.pop_front();
+  noise_.push(envelope);
 
   // Need enough noise context before detecting at all.
-  if (noise_window_.size() < noise_capacity_ / 4) {
+  if (noise_.size() < noise_.capacity() / 4) {
     ++absolute_;
     return;
   }
 
-  const double threshold = noise_floor();
-  const bool active = envelope > threshold;
+  const bool active = envelope > noise_.threshold();
 
   if (!in_region_) {
     if (active) {
@@ -204,6 +255,10 @@ void StreamingAttack::process_sample(double raw, std::vector<EmotionEvent>& out)
 }
 
 std::vector<EmotionEvent> StreamingAttack::push(std::span<const double> samples) {
+  if (!std::all_of(samples.begin(), samples.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    throw util::DataError{"StreamingAttack::push: non-finite sample"};
+  }
   OBS_SPAN_ARG("streaming.push", "samples", samples.size());
   // Per-window wall-time budget: each push() is one sensor window in a
   // real deployment, so the distribution of its cost (not just a mean)
@@ -222,9 +277,10 @@ void StreamingAttack::reset() {
   dc_estimate_ = 0.0;
   dc_initialized_ = false;
   envelope_sq_ = 0.0;
-  raw_history_.clear();
+  history_pos_ = 0;
+  history_size_ = 0;
   history_start_ = 0;
-  noise_window_.clear();
+  noise_.reset();
   pending_.clear();
   absolute_ = 0;
   events_ = 0;

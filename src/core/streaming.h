@@ -9,9 +9,9 @@
 // region using a pre-trained classifier.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -75,6 +75,52 @@ struct PendingWindow {
   std::vector<double> input;
 };
 
+namespace detail {
+
+/// Adaptive detection threshold over a sliding window of envelope
+/// values. The floor is q25 + threshold_k * (q50 - q25), but at least
+/// min_ratio * q25, with the quantiles read from every 8th value of the
+/// window counted from its oldest one.
+///
+/// Every 8th value from the front is exactly the window's values whose
+/// absolute index is congruent to the front's index mod 8. So the
+/// window is kept as 8 sorted phase classes (one per absolute index
+/// mod 8) fed from a ring of the raw values: push() makes one sorted
+/// insert and one erase, allocates nothing, and threshold() reads both
+/// quantiles by index from the front's class. The values it selects
+/// are those a copy-and-sort of the decimated window selects, so the
+/// threshold is bit-identical to it. Values must be finite (an erase
+/// must find the evicted value again); StreamingAttack::push checks.
+class NoiseFloor {
+ public:
+  static constexpr std::size_t kStride = 8;
+
+  /// `capacity` >= 1 values.
+  NoiseFloor(std::size_t capacity, double threshold_k, double min_ratio);
+
+  /// Appends one envelope value, evicting the oldest once full.
+  void push(double value);
+  /// The current floor; 0 while the window is empty.
+  [[nodiscard]] double threshold() const;
+  [[nodiscard]] std::size_t size() const noexcept {
+    return count_ < capacity_ ? count_ : capacity_;
+  }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  /// Empties the window, keeping every buffer's storage.
+  void reset();
+
+ private:
+  std::size_t capacity_;
+  double threshold_k_;
+  double min_ratio_;
+  std::vector<double> ring_;  ///< window values, oldest at ring_pos_ once full
+  std::size_t ring_pos_ = 0;  ///< slot the next value is written to
+  std::size_t count_ = 0;     ///< values pushed since construction/reset
+  std::array<std::vector<double>, kStride> phases_;  ///< sorted classes
+};
+
+}  // namespace detail
+
 class StreamingAttack {
  public:
   /// `classifier` must already be trained on the 24 Table-II features
@@ -84,7 +130,9 @@ class StreamingAttack {
                   std::shared_ptr<const ml::Classifier> classifier);
 
   /// Feeds a chunk of raw accelerometer samples; returns the events
-  /// completed within this chunk (possibly none).
+  /// completed within this chunk (possibly none). Throws
+  /// util::DataError, before any state changes, if a sample is NaN or
+  /// infinite: one such sample would poison the envelope for good.
   std::vector<EmotionEvent> push(std::span<const double> samples);
 
   /// Flushes a region still open at end-of-stream, if any.
@@ -133,10 +181,10 @@ class StreamingAttack {
   /// `defer` queues the window instead of predicting inline.
   EmotionEvent close_region(std::size_t start, std::size_t end, bool defer,
                             std::size_t slot);
-  [[nodiscard]] double noise_floor() const;
 
   StreamingConfig config_;
   double rate_;
+  detail::NoiseFloor noise_;
   std::shared_ptr<const ml::Classifier> classifier_;
   FeatureRoute route_ = FeatureRoute::kTableFeatures;
   bool deferred_ = false;
@@ -149,12 +197,12 @@ class StreamingAttack {
   double envelope_sq_ = 0.0;   ///< running mean-square for the envelope
   double env_alpha_ = 0.0;
 
-  std::deque<double> raw_history_;    ///< unfiltered samples for features
-  std::size_t history_capacity_ = 0;
-  std::size_t history_start_ = 0;     ///< absolute index of history front
-
-  std::deque<double> noise_window_;   ///< envelope samples for the floor
-  std::size_t noise_capacity_ = 0;
+  /// Ring of unfiltered samples for features; the oldest of the
+  /// history_size_ live ones sits history_size_ slots behind history_pos_.
+  std::vector<double> raw_history_;
+  std::size_t history_pos_ = 0;    ///< slot the next sample is written to
+  std::size_t history_size_ = 0;
+  std::size_t history_start_ = 0;  ///< absolute index of history front
 
   std::size_t absolute_ = 0;
   std::size_t events_ = 0;

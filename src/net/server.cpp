@@ -56,7 +56,8 @@ NetServer::Counters::Counters(obs::Registry& registry)
       bytes_out{registry.counter("net.bytes_out")},
       drain_ticks{registry.counter("net.drain_ticks")},
       reads_paused{registry.counter("net.reads_paused")},
-      reads_resumed{registry.counter("net.reads_resumed")} {}
+      reads_resumed{registry.counter("net.reads_resumed")},
+      loop_stall_ns{registry.histogram("net.loop_stall_ns")} {}
 
 NetServer::NetServer(NetServerConfig config, serve::ServeService& service)
     : config_{std::move(config)},
@@ -134,6 +135,9 @@ void NetServer::run() {
       if (errno == EINTR) continue;
       break;  // unrecoverable epoll failure: shut down below
     }
+    // Everything below runs on this one thread, drains included: while
+    // it does, no connection is read, acked or scraped.
+    const std::uint64_t woke_ns = obs::trace_now_ns();
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == wake_.get()) {
@@ -165,6 +169,7 @@ void NetServer::run() {
       }
       if ((events[i].events & EPOLLIN) != 0) connection_readable(conn);
     }
+    stats_.loop_stall_ns.record(obs::trace_now_ns() - woke_ns);
   }
   graceful_shutdown();
 }

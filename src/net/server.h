@@ -154,6 +154,7 @@ class NetServer {
     obs::Counter& drain_ticks;
     obs::Counter& reads_paused;
     obs::Counter& reads_resumed;
+    obs::Histogram& loop_stall_ns;  ///< handler time per epoll wakeup
     explicit Counters(obs::Registry& registry);
   } stats_;
 };

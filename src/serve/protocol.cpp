@@ -1,6 +1,8 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -217,6 +219,12 @@ Message decode_payload(std::string_view payload) {
       ChunkPushMsg m;
       m.stream_id = c.u64();
       m.samples = c.f64_array();
+      // A NaN or inf sample would poison the session's envelope for
+      // good; refuse it as a corrupt frame.
+      if (!std::all_of(m.samples.begin(), m.samples.end(),
+                       [](double v) { return std::isfinite(v); })) {
+        throw util::DataError{"serve::decode: non-finite sample"};
+      }
       msg = std::move(m);
       break;
     }

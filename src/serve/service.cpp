@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <iterator>
 #include <utility>
 
@@ -30,6 +31,12 @@ Status ServeService::push(std::uint64_t stream_id,
                           std::vector<double> samples) {
   OBS_SPAN_ARG("serve.push", "stream", stream_id);
   counters_.requests.add(1);
+  if (!std::all_of(samples.begin(), samples.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    // StreamingAttack::push would throw on the drain thread; refuse the
+    // chunk here, before it takes queue room.
+    return Status::kError;
+  }
   PushRequest request;
   request.stream_id = stream_id;
   request.samples = std::move(samples);

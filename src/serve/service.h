@@ -90,7 +90,8 @@ class ServeService {
   // ---- typed API -----------------------------------------------------
   /// Enqueues a chunk for `stream_id`. kOverloaded when the stream's
   /// shard queue is full — the caller should drain (or back off) and
-  /// retry; nothing was enqueued.
+  /// retry; nothing was enqueued. kError, also with nothing enqueued,
+  /// when a sample is NaN or infinite.
   Status push(std::uint64_t stream_id, std::vector<double> samples);
 
   /// Enqueues an end-of-stream flush (emits the final open region, if

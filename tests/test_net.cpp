@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <optional>
 #include <thread>
@@ -435,6 +436,8 @@ TEST(NetServerTest, LoopbackRoundTripMatchesInProcess) {
   EXPECT_EQ(metrics.counter("net.connections_closed_corrupt"), 0u);
   EXPECT_GT(metrics.counter("net.frames_in"), 0u);
   EXPECT_GT(metrics.counter("net.events_routed"), 0u);
+  // One loop-stall sample per epoll wakeup.
+  EXPECT_GT(metrics.histogram("net.loop_stall_ns").count, 0u);
 }
 
 TEST(NetServerTest, OverloadAckCarriesRetryAfter) {
@@ -511,14 +514,22 @@ TEST(NetServerTest, CorruptClientIsIsolated) {
   good.send(serve::ChunkPushMsg{1, std::vector<double>(64, 9.81)});
   EXPECT_EQ(std::get<serve::AckMsg>(*good.recv()).status, Status::kOk);
 
-  // A peer that sends an absurd frame length, or a frame of a retired
-  // type (4 and 5 were the stats pair), gets a kError ack and a close —
-  // and nobody else notices.
+  // A peer that sends an absurd frame length, a frame of a retired
+  // type (4 and 5 were the stats pair), or a chunk carrying a NaN or
+  // infinite sample gets a kError ack and a close — and nobody else
+  // notices (the good client shares stream 1 with the poisoned chunks).
   std::vector<std::string> corrupt_inputs = {std::string(8, '\xff')};
   for (const char type : {4, 5}) {
     std::string frame = serve::encode_one(serve::StreamFinishMsg{1});
     frame[4] = type;
     corrupt_inputs.push_back(frame);
+  }
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> samples(64, 9.81);
+    samples[3] = bad;
+    corrupt_inputs.push_back(
+        serve::encode_one(serve::ChunkPushMsg{1, std::move(samples)}));
   }
   for (const std::string& bytes : corrupt_inputs) {
     net::BlockingClient bad{port};
@@ -534,15 +545,15 @@ TEST(NetServerTest, CorruptClientIsIsolated) {
   }
   good.send(serve::MetricsRequestMsg{});
   const auto reply = std::get<serve::MetricsReplyMsg>(*good.recv());
-  EXPECT_EQ(reply.snapshot.counter("serve.accepted"), 4u);
+  EXPECT_EQ(reply.snapshot.counter("serve.accepted"), 6u);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds{10};
-  while (counter(fx, "net.connections_closed_corrupt") < 3 &&
+  while (counter(fx, "net.connections_closed_corrupt") < 5 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds{1});
   }
-  EXPECT_EQ(counter(fx, "net.connections_closed_corrupt"), 3u);
+  EXPECT_EQ(counter(fx, "net.connections_closed_corrupt"), 5u);
 }
 
 TEST(NetServerTest, GracefulStopFlushesOpenSessions) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <optional>
 #include <thread>
@@ -804,6 +805,66 @@ TEST(ServeServiceTest, ReplyTypesSentToServerGetErrorAck) {
     ++errors;
   }
   EXPECT_EQ(errors, 2u);
+}
+
+TEST(ServeServiceTest, NonFiniteSamplesAreRejectedBeforeTheSession) {
+  // One NaN sample used to poison a session's envelope for good (no
+  // more events, ever). The wire decoder treats a non-finite sample as
+  // a corrupt frame; the typed push() refuses the chunk with kError
+  // before it is queued, so the stream carries on as if never sent.
+  const std::vector<double> bad_values = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  for (const double bad : bad_values) {
+    const std::string frame =
+        serve::encode_one(serve::ChunkPushMsg{1, {9.81, bad, 9.81}});
+    serve::FrameReader reader{frame};
+    EXPECT_THROW((void)reader.next(), util::DataError);
+  }
+
+  auto registry = std::make_shared<ModelRegistry>();
+  const auto model = make_model(3, 7);
+  registry->add("m", model);
+  ServeService service{service_config(2), registry};
+
+  // Over the wire: earlier frames keep their acks, the offender gets
+  // kError and ends the batch (the transport closes that connection).
+  std::string bytes;
+  serve::encode(bytes, serve::ChunkPushMsg{1, {9.81, 9.81}});
+  serve::encode(bytes, serve::ChunkPushMsg{2, {9.81, bad_values[0]}});
+  serve::encode(bytes, serve::ChunkPushMsg{3, {9.81}});  // never reached
+  const serve::HandleResult result = service.handle_frames(bytes);
+  EXPECT_TRUE(result.corrupt);
+  EXPECT_EQ(result.frames, 1u);
+  serve::FrameReader acks{result.reply};
+  EXPECT_EQ(std::get<serve::AckMsg>(*acks.next()).status, Status::kOk);
+  EXPECT_EQ(std::get<serve::AckMsg>(*acks.next()).status, Status::kError);
+  EXPECT_FALSE(acks.next().has_value());
+
+  // In process: a poisoned chunk mid-stream is refused and the stream's
+  // events stay bit-identical to a standalone run that never saw it.
+  const auto trace = default_trace(11);
+  constexpr std::size_t kChunk = 500;
+  for (std::size_t i = 0; i < trace.size(); i += kChunk) {
+    if (i == 10 * kChunk) {
+      for (const double bad : bad_values) {
+        std::vector<double> poisoned = slice(trace, i, i + kChunk);
+        poisoned[kChunk / 2] = bad;
+        EXPECT_EQ(service.push(7, std::move(poisoned)), Status::kError);
+      }
+    }
+    const std::size_t hi = std::min(i + kChunk, trace.size());
+    ASSERT_EQ(service.push(7, slice(trace, i, hi)), Status::kOk);
+    service.drain();
+  }
+  ASSERT_EQ(service.finish_stream(7), Status::kOk);
+  service.drain();
+  std::vector<core::EmotionEvent> served;
+  for (serve::EventMsg& msg : service.take_events()) {
+    if (msg.stream_id == 7) served.push_back(std::move(msg.event));
+  }
+  expect_same_events(served, standalone_events(trace, kChunk, model));
 }
 
 TEST(ServeServiceTest, AdaptiveRetryTracksWindowedDrainLatency) {

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <limits>
 #include <numbers>
 
 #include "audio/corpus.h"
 #include "core/attack.h"
+#include "features/features.h"
 #include "ml/logistic.h"
 #include "phone/recorder.h"
 #include "util/error.h"
@@ -113,6 +116,24 @@ class StubClassifier final : public ml::Classifier {
     return std::make_unique<StubClassifier>();
   }
   [[nodiscard]] std::string name() const override { return "stub"; }
+};
+
+/// Returns its input as the "distribution", exposing the classifier
+/// input an event was computed from.
+class EchoClassifier final : public ml::Classifier {
+ public:
+  void fit(const ml::Dataset&) override {}
+  [[nodiscard]] int predict(std::span<const double>) const override {
+    return 0;
+  }
+  [[nodiscard]] std::vector<double> predict_proba(
+      std::span<const double> x) const override {
+    return {x.begin(), x.end()};
+  }
+  [[nodiscard]] std::unique_ptr<ml::Classifier> clone() const override {
+    return std::make_unique<EchoClassifier>();
+  }
+  [[nodiscard]] std::string name() const override { return "echo"; }
 };
 
 TEST(StreamingTest, EvictedHistoryYieldsUnclassifiedEvent) {
@@ -321,6 +342,154 @@ TEST(StreamingTest, ResetReproducesFreshInstanceBitForBit) {
   for (std::size_t i = 0; i < replay.size(); ++i) {
     EXPECT_EQ(replay[i].start_sample, runs[1][i].start_sample);
     EXPECT_EQ(replay[i].end_sample, runs[1][i].end_sample);
+  }
+}
+
+// Copy-and-sort reference for detail::NoiseFloor: what
+// StreamingAttack computed per sample before the phase-class windows —
+// every 8th value of the window from its front, copied and sorted.
+class ReferenceFloor {
+ public:
+  ReferenceFloor(std::size_t capacity, double threshold_k, double min_ratio)
+      : capacity_{capacity}, threshold_k_{threshold_k}, min_ratio_{min_ratio} {}
+
+  void push(double value) {
+    window_.push_back(value);
+    if (window_.size() > capacity_) window_.pop_front();
+  }
+  void reset() { window_.clear(); }
+  [[nodiscard]] std::size_t size() const { return window_.size(); }
+
+  [[nodiscard]] double threshold() const {
+    if (window_.empty()) return 0.0;
+    std::vector<double> sample;
+    for (std::size_t i = 0; i < window_.size(); i += 8) {
+      sample.push_back(window_[i]);
+    }
+    std::sort(sample.begin(), sample.end());
+    const double q25 = sample[sample.size() / 4];
+    const double q50 = sample[sample.size() / 2];
+    const double spread = std::max(q50 - q25, 1e-9);
+    return std::max(q25 + threshold_k_ * spread, min_ratio_ * q25);
+  }
+
+ private:
+  std::size_t capacity_;
+  double threshold_k_;
+  double min_ratio_;
+  std::deque<double> window_;
+};
+
+TEST(NoiseFloorTest, MatchesCopyAndSortReferenceOnEverySample) {
+  // Capacities 1-8 (each phase class holds at most one value), sizes
+  // that are not multiples of 8, and the default 10 s window at 420 Hz
+  // (4200) next to 4203. Each stream runs through the filling phase,
+  // three full windows of steady state, a reset() at a random point
+  // mid-stream, and a second filling phase.
+  std::vector<std::size_t> capacities = {1, 2, 3, 4, 5, 6, 7, 8,
+                                         9, 17, 63, 64, 4200, 4203};
+  util::Rng rng{2024};
+  for (const std::size_t capacity : capacities) {
+    // Continuous values, heavy ties (5 distinct levels), and a mix of
+    // long tied runs with continuous bursts.
+    for (int shape = 0; shape < 3; ++shape) {
+      SCOPED_TRACE("capacity=" + std::to_string(capacity) +
+                   " shape=" + std::to_string(shape));
+      const double k = 3.0;
+      const double ratio = 1.8;
+      core::detail::NoiseFloor floor{capacity, k, ratio};
+      ReferenceFloor reference{capacity, k, ratio};
+      EXPECT_EQ(floor.threshold(), 0.0);
+
+      const std::size_t total = 3 * capacity + 40;
+      const std::size_t reset_at = capacity + rng.uniform_int(total / 2 + 1);
+      double level = 0.01;
+      for (std::size_t i = 0; i < total; ++i) {
+        if (i == reset_at) {
+          floor.reset();
+          reference.reset();
+          ASSERT_EQ(floor.size(), 0u);
+        }
+        double v = 0.0;
+        if (shape == 0) {
+          v = std::abs(rng.normal()) * 0.01;
+        } else if (shape == 1) {
+          v = 0.01 * static_cast<double>(rng.uniform_int(5));
+        } else {
+          if (rng.uniform() < 0.02) level = rng.uniform(0.0, 0.05);
+          v = rng.uniform() < 0.7 ? level : rng.uniform(0.0, 0.05);
+        }
+        floor.push(v);
+        reference.push(v);
+        ASSERT_EQ(floor.size(), reference.size()) << "sample " << i;
+        ASSERT_EQ(floor.threshold(), reference.threshold()) << "sample " << i;
+      }
+    }
+  }
+}
+
+TEST(StreamingTest, NonFiniteSampleThrowsBeforeAnyStateChange) {
+  // One NaN used to make the envelope NaN for good: every later
+  // comparison against the floor was false and the session went
+  // silent. push() now refuses the whole chunk before touching state,
+  // so the instance carries on exactly like one that never saw it.
+  const double rate = 420.0;
+  const auto x = trace_with_bursts(
+      16800, rate, {{8000, 8700}, {12000, 12800}}, 8);
+  StreamingAttack clean{default_config(), rate, nullptr};
+  const auto want = clean.push(x);
+  ASSERT_EQ(want.size(), 2u);
+
+  StreamingAttack attack{default_config(), rate, nullptr};
+  const std::size_t half = x.size() / 2;
+  auto got = attack.push(std::span<const double>{x.data(), half});
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const auto from = x.begin() + static_cast<std::ptrdiff_t>(half);
+    std::vector<double> chunk(from, from + 64);
+    chunk[17] = bad;
+    EXPECT_THROW((void)attack.push(chunk), util::DataError);
+    EXPECT_EQ(attack.samples_seen(), half);
+  }
+  const auto rest = attack.push(
+      std::span<const double>{x.data() + half, x.size() - half});
+  got.insert(got.end(), rest.begin(), rest.end());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].start_sample, want[i].start_sample);
+    EXPECT_EQ(got[i].end_sample, want[i].end_sample);
+  }
+}
+
+TEST(StreamingTest, RegionSliceMatchesTraceAcrossHistoryWrap) {
+  // The raw history is a ring of history_s (12 s = 5040 samples); these
+  // regions close after it has wrapped several times, four of them
+  // straddling the ring's end. The echo head hands back its input, so
+  // each event carries the features of the slice it was given, which
+  // must be those of the same slice of the original trace.
+  const double rate = 420.0;
+  const auto x = trace_with_bursts(
+      30000, rate,
+      {{4800, 5300}, {9900, 10400}, {15000, 15500}, {20100, 20700},
+       {26000, 26500}},
+      9);
+  const auto model = std::make_shared<EchoClassifier>();
+  StreamingAttack attack{default_config(), rate, model};
+  std::vector<core::EmotionEvent> events;
+  for (std::size_t i = 0; i < x.size(); i += 333) {
+    const std::size_t hi = std::min(i + 333, x.size());
+    const auto chunk = attack.push(
+        std::span<const double>{x.data() + i, hi - i});
+    events.insert(events.end(), chunk.begin(), chunk.end());
+  }
+  ASSERT_EQ(events.size(), 5u);
+  for (const core::EmotionEvent& e : events) {
+    SCOPED_TRACE("start=" + std::to_string(e.start_sample));
+    const std::vector<double> region(
+        x.begin() + static_cast<std::ptrdiff_t>(e.start_sample),
+        x.begin() + static_cast<std::ptrdiff_t>(e.end_sample));
+    EXPECT_EQ(e.probabilities, features::extract_features(region, rate));
   }
 }
 
