@@ -66,8 +66,4 @@ void BlockingClient::set_recv_timeout(std::uint32_t ms) {
   }
 }
 
-void BlockingClient::shutdown_send() noexcept {
-  if (fd_.valid()) (void)::shutdown(fd_.get(), SHUT_WR);
-}
-
 }  // namespace emoleak::net

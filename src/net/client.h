@@ -36,9 +36,6 @@ class BlockingClient {
   /// instead of blocking forever (0 restores indefinite blocking).
   void set_recv_timeout(std::uint32_t ms);
 
-  /// Half-close: tells the server this client is done writing.
-  void shutdown_send() noexcept;
-
   /// Hard-closes the socket (a mid-stream disconnect, from the
   /// server's point of view).
   void close() noexcept { fd_.reset(); }

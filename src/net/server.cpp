@@ -17,26 +17,28 @@ namespace emoleak::net {
 
 namespace {
 
+constexpr std::size_t kReadChunk = 64 * 1024;  ///< bytes per read() call
+/// Pause reading from a connection whose un-flushed replies exceed
+/// this; resume below half. Caps per-connection memory against a peer
+/// that writes but never reads.
+constexpr std::size_t kMaxWriteBuffer = 8u << 20;
+constexpr std::chrono::milliseconds kShutdownFlush{1000};  ///< stop() budget
+
 /// One overloaded ack, pre-encoded: what a peer beyond max_connections
 /// receives (best-effort) before its socket closes.
-std::string reject_ack(std::uint32_t retry_after_ms) {
+std::string reject_ack() {
   return serve::encode_one(
-      serve::AckMsg{serve::Status::kOverloaded, retry_after_ms});
+      serve::AckMsg{serve::Status::kOverloaded, serve::kRetryAfterMs});
 }
 
 }  // namespace
 
 void NetServerConfig::validate() const {
-  if (backlog < 1) throw util::ConfigError{"net: backlog must be >= 1"};
   if (max_connections == 0) {
     throw util::ConfigError{"net: max_connections must be >= 1"};
   }
   if (drain_interval_ms == 0) {
     throw util::ConfigError{"net: drain_interval_ms must be >= 1"};
-  }
-  if (read_chunk == 0) throw util::ConfigError{"net: read_chunk must be >= 1"};
-  if (max_write_buffer < 4096) {
-    throw util::ConfigError{"net: max_write_buffer must be >= 4096"};
   }
 }
 
@@ -64,7 +66,7 @@ NetServer::NetServer(NetServerConfig config, serve::ServeService& service)
       service_{service},
       stats_{service.metrics_registry()} {
   config_.validate();
-  listener_ = make_listener(config_.port, config_.backlog);
+  listener_ = make_listener(config_.port);
   port_ = listener_.port;
 }
 
@@ -186,7 +188,7 @@ void NetServer::accept_ready() {
     if (connections_.size() >= config_.max_connections) {
       // Admission control at the transport layer, same shape as the
       // shard queues: one overloaded ack (best-effort), then close.
-      const std::string ack = reject_ack(service_.retry_after_ms());
+      const std::string ack = reject_ack();
       (void)::send(peer.get(), ack.data(), ack.size(), MSG_NOSIGNAL);
       stats_.connections_rejected.add(1);
       continue;  // Fd destructor closes
@@ -215,13 +217,13 @@ void NetServer::connection_readable(Connection& conn) {
   OBS_SPAN("net.read");
   for (int round = 0; round < 4; ++round) {
     const std::size_t old_size = conn.inbuf.size();
-    conn.inbuf.resize(old_size + config_.read_chunk);
+    conn.inbuf.resize(old_size + kReadChunk);
     const ssize_t got =
-        ::read(conn.fd.get(), conn.inbuf.data() + old_size, config_.read_chunk);
+        ::read(conn.fd.get(), conn.inbuf.data() + old_size, kReadChunk);
     if (got > 0) {
       conn.inbuf.resize(old_size + static_cast<std::size_t>(got));
       stats_.bytes_in.add(static_cast<std::uint64_t>(got));
-      if (static_cast<std::size_t>(got) < config_.read_chunk) break;
+      if (static_cast<std::size_t>(got) < kReadChunk) break;
       continue;
     }
     conn.inbuf.resize(old_size);
@@ -300,10 +302,10 @@ void NetServer::update_interest(Connection& conn) {
   const std::size_t backlog = conn.outbuf.size() - conn.out_off;
   // Write-buffer backpressure: a peer that writes requests but never
   // reads replies gets paused, not buffered without bound.
-  if (!conn.paused && backlog > config_.max_write_buffer) {
+  if (!conn.paused && backlog > kMaxWriteBuffer) {
     conn.paused = true;
     stats_.reads_paused.add(1);
-  } else if (conn.paused && backlog < config_.max_write_buffer / 2) {
+  } else if (conn.paused && backlog < kMaxWriteBuffer / 2) {
     conn.paused = false;
     stats_.reads_resumed.add(1);
   }
@@ -404,10 +406,9 @@ void NetServer::graceful_shutdown() {
     if (pending_finishes_.empty() && processed == 0) break;
   }
 
-  // 3. Drain the write buffers within the configured budget, driven by
-  //    EPOLLOUT — peers reading slowly get shutdown_flush_ms, not forever.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds{config_.shutdown_flush_ms};
+  // 3. Drain the write buffers within the flush budget, driven by
+  //    EPOLLOUT — peers reading slowly get kShutdownFlush, not forever.
+  const auto deadline = std::chrono::steady_clock::now() + kShutdownFlush;
   for (;;) {
     bool backlog = false;
     for (const auto& [fd, conn] : connections_) {

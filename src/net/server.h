@@ -11,8 +11,8 @@
 //                   TCP boundaries are retained, corrupt frames close
 //                   only the offending connection) and a write buffer
 //                   flushed by EPOLLOUT; a connection whose peer stops
-//                   reading is paused (EPOLLIN off) above
-//                   max_write_buffer instead of buffering unboundedly
+//                   reading is paused (EPOLLIN off) above 8 MiB of
+//                   un-flushed replies instead of buffering unboundedly
 //   affinity        stream id -> connection, recorded from the frames a
 //                   connection writes; drained events route back to the
 //                   last writer. A mid-stream disconnect finishes the
@@ -24,11 +24,12 @@
 //                   parallel, bit-identical events) and routes the
 //                   completed events
 //   backpressure    ServeService maps a full shard queue to
-//                   Status::kOverloaded; the ack carries retry_after_ms
-//                   so clients back off instead of the server queueing
+//                   Status::kOverloaded; the ack carries
+//                   serve::kRetryAfterMs so clients back off instead of
+//                   the server queueing
 //   shutdown        stop() finishes every live stream, drains until the
 //                   batcher is dry, routes the final events, flushes
-//                   write buffers within shutdown_flush_ms, then closes
+//                   write buffers within a 1 s budget, then closes
 //
 // Single event-loop thread; drains fan out internally over the service
 // thread pool. start()/stop() are safe from any thread. Transport
@@ -53,15 +54,8 @@ namespace emoleak::net {
 
 struct NetServerConfig {
   std::uint16_t port = 0;        ///< 0 = ephemeral; read back via port()
-  int backlog = 128;
   std::size_t max_connections = 1024;
   std::uint32_t drain_interval_ms = 1;   ///< batch cadence (timerfd)
-  std::size_t read_chunk = 64 * 1024;    ///< bytes per read() call
-  /// Pause reading from a connection whose un-flushed replies exceed
-  /// this; resume below half. Caps per-connection memory against a
-  /// peer that writes but never reads.
-  std::size_t max_write_buffer = 8u << 20;
-  std::uint32_t shutdown_flush_ms = 1000;  ///< graceful-stop write budget
 
   void validate() const;
 };
@@ -81,16 +75,13 @@ class NetServer {
   void start();
 
   /// Graceful shutdown: flush open sessions, deliver pending events,
-  /// drain write buffers (bounded by shutdown_flush_ms), close
+  /// drain write buffers (bounded by a 1 s budget), close
   /// everything, join the loop thread. Idempotent.
   void stop();
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] bool running() const noexcept {
     return running_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] const NetServerConfig& config() const noexcept {
-    return config_;
   }
 
  private:

@@ -23,7 +23,7 @@ void Fd::reset() noexcept {
   }
 }
 
-Listener make_listener(std::uint16_t port, int backlog) {
+Listener make_listener(std::uint16_t port) {
   Fd fd{::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0)};
   if (!fd.valid()) throw errno_error("net: socket");
 
@@ -40,7 +40,7 @@ Listener make_listener(std::uint16_t port, int backlog) {
              sizeof addr) != 0) {
     throw errno_error("net: bind");
   }
-  if (::listen(fd.get(), backlog) != 0) throw errno_error("net: listen");
+  if (::listen(fd.get(), 128) != 0) throw errno_error("net: listen");
 
   // Resolve the ephemeral port the kernel picked for port 0.
   sockaddr_in bound{};

@@ -60,8 +60,9 @@ struct Listener {
 };
 
 /// Non-blocking listener on 127.0.0.1:`port` (0 = ephemeral) with
-/// SO_REUSEADDR. Throws NetError on failure.
-[[nodiscard]] Listener make_listener(std::uint16_t port, int backlog = 128);
+/// SO_REUSEADDR and a listen() backlog of 128. Throws NetError on
+/// failure.
+[[nodiscard]] Listener make_listener(std::uint16_t port);
 
 /// Sets O_NONBLOCK. Throws NetError on failure.
 void set_nonblocking(int fd);

@@ -83,12 +83,6 @@ class ServeCounters {
     e2e_latency_ns_.record(ns);
   }
 
-  /// Full-history drain-latency snapshot, for the SLO tracker's
-  /// windowed deltas (see serve/slo.h).
-  [[nodiscard]] obs::HistogramSnapshot drain_latency_snapshot() const {
-    return drain_latency_ns_.snapshot();
-  }
-
   /// The service-local registry backing these counters; exposed so
   /// callers can render all serve metrics as text in one place.
   [[nodiscard]] obs::Registry& registry() noexcept { return registry_; }

@@ -14,7 +14,6 @@ namespace emoleak::serve {
 void ServeConfig::validate() const {
   session.validate();
   batcher.validate();
-  slo.validate();
 }
 
 ServeService::ServeService(ServeConfig config,
@@ -22,9 +21,25 @@ ServeService::ServeService(ServeConfig config,
     : config_{std::move(config)},
       registry_{std::move(registry)},
       sessions_{config_.session, registry_, counters_},
-      batcher_{config_.batcher},
-      slo_{config_.slo} {
+      batcher_{config_.batcher} {
   config_.validate();
+}
+
+Status ServeService::admit(PushRequest request) {
+  if (!request.start) {
+    request.arrival_ns = obs::trace_now_ns();
+    request.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  const std::uint64_t flow = request.flow;
+  if (!batcher_.submit(std::move(request))) {
+    counters_.rejected_overload.add(1);
+    return Status::kOverloaded;
+  }
+  // Flow begins only for admitted work — a rejected request never
+  // crosses a thread, so there is nothing to link.
+  if (flow != 0) OBS_FLOW_BEGIN("serve.flow", flow);
+  counters_.accepted.add(1);
+  return Status::kOk;
 }
 
 Status ServeService::push(std::uint64_t stream_id,
@@ -40,18 +55,7 @@ Status ServeService::push(std::uint64_t stream_id,
   PushRequest request;
   request.stream_id = stream_id;
   request.samples = std::move(samples);
-  request.arrival_ns = obs::trace_now_ns();
-  request.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t flow = request.flow;
-  if (!batcher_.submit(std::move(request))) {
-    counters_.rejected_overload.add(1);
-    return Status::kOverloaded;
-  }
-  // Flow begins only for admitted work — a rejected chunk never crosses
-  // a thread, so there is nothing to link.
-  OBS_FLOW_BEGIN("serve.flow", flow);
-  counters_.accepted.add(1);
-  return Status::kOk;
+  return admit(std::move(request));
 }
 
 Status ServeService::finish_stream(std::uint64_t stream_id) {
@@ -60,16 +64,7 @@ Status ServeService::finish_stream(std::uint64_t stream_id) {
   PushRequest request;
   request.stream_id = stream_id;
   request.finish = true;
-  request.arrival_ns = obs::trace_now_ns();
-  request.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t flow = request.flow;
-  if (!batcher_.submit(std::move(request))) {
-    counters_.rejected_overload.add(1);
-    return Status::kOverloaded;
-  }
-  OBS_FLOW_BEGIN("serve.flow", flow);
-  counters_.accepted.add(1);
-  return Status::kOk;
+  return admit(std::move(request));
 }
 
 Status ServeService::start_stream(std::uint64_t stream_id,
@@ -84,12 +79,7 @@ Status ServeService::start_stream(std::uint64_t stream_id,
   request.stream_id = stream_id;
   request.start = true;
   request.model_name = std::move(model_name);
-  if (!batcher_.submit(std::move(request))) {
-    counters_.rejected_overload.add(1);
-    return Status::kOverloaded;
-  }
-  counters_.accepted.add(1);
-  return Status::kOk;
+  return admit(std::move(request));
 }
 
 void ServeService::bind_session(SessionManager::Session& session) {
@@ -193,11 +183,6 @@ std::size_t ServeService::drain() {
     const auto t1 = std::chrono::steady_clock::now();
     counters_.record_drain_latency(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
-    // Still under drain_mutex_ — the tracker's window state has exactly
-    // one writer; the ack paths read the estimate through an atomic.
-    if (config_.slo.adaptive_retry) {
-      slo_.observe(counters_.drain_latency_snapshot());
-    }
   }
   return processed;
 }
@@ -231,34 +216,28 @@ void ServeService::run_batched_classify() {
   }
   std::vector<double> rows;
   for (const Group& group : groups) {
-    const std::size_t cap =
-        config_.max_batch == 0 ? group.members.size() : config_.max_batch;
-    for (std::size_t b0 = 0; b0 < group.members.size(); b0 += cap) {
-      const std::size_t count = std::min(cap, group.members.size() - b0);
-      rows.clear();
-      rows.reserve(count * group.dim);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::vector<double>& input =
-            pending[group.members[b0 + i]].window.input;
-        rows.insert(rows.end(), input.begin(), input.end());
-      }
-      const std::vector<double> probs =
-          group.model->predict_proba_batch(rows, group.dim, count);
-      const std::size_t classes = probs.size() / count;
-      for (std::size_t i = 0; i < count; ++i) {
-        const SessionManager::PendingEntry& entry =
-            pending[group.members[b0 + i]];
-        core::EmotionEvent& event = entry.session->outbox[entry.window.slot];
-        const auto first = probs.begin() +
-                           static_cast<std::ptrdiff_t>(i * classes);
-        const auto last = first + static_cast<std::ptrdiff_t>(classes);
-        event.probabilities.assign(first, last);
-        event.predicted_class =
-            static_cast<int>(std::max_element(first, last) - first);
-        if (event.flow != 0) OBS_FLOW_STEP("serve.flow", event.flow);
-      }
-      counters_.record_batch(count);
+    const std::size_t count = group.members.size();
+    rows.clear();
+    rows.reserve(count * group.dim);
+    for (const std::size_t m : group.members) {
+      const std::vector<double>& input = pending[m].window.input;
+      rows.insert(rows.end(), input.begin(), input.end());
     }
+    const std::vector<double> probs =
+        group.model->predict_proba_batch(rows, group.dim, count);
+    const std::size_t classes = probs.size() / count;
+    for (std::size_t i = 0; i < count; ++i) {
+      const SessionManager::PendingEntry& entry = pending[group.members[i]];
+      core::EmotionEvent& event = entry.session->outbox[entry.window.slot];
+      const auto first =
+          probs.begin() + static_cast<std::ptrdiff_t>(i * classes);
+      const auto last = first + static_cast<std::ptrdiff_t>(classes);
+      event.probabilities.assign(first, last);
+      event.predicted_class =
+          static_cast<int>(std::max_element(first, last) - first);
+      if (event.flow != 0) OBS_FLOW_STEP("serve.flow", event.flow);
+    }
+    counters_.record_batch(count);
   }
 }
 
@@ -323,9 +302,7 @@ HandleResult ServeService::handle_frames(std::string_view bytes) {
           const auto ack = [this, &result](Status status) {
             AckMsg a{status};
             if (status == Status::kOverloaded) {
-              // Static config constant, or the SLO tracker's rolling
-              // drain-p99 estimate when adaptive backpressure is on.
-              a.retry_after_ms = retry_after_ms();
+              a.retry_after_ms = kRetryAfterMs;
               ++result.overloaded;
             }
             encode(result.reply, a);

@@ -35,30 +35,20 @@
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
 #include "serve/session_manager.h"
-#include "serve/slo.h"
 #include "util/parallel.h"
 
 namespace emoleak::serve {
+
+/// Back-off advertised in overload acks (AckMsg::retry_after_ms) and in
+/// the transport's connection-cap reject: roughly one drain tick, the
+/// earliest a retry can find queue room.
+inline constexpr std::uint32_t kRetryAfterMs = 1;
 
 struct ServeConfig {
   SessionConfig session;
   BatcherConfig batcher;
   /// Thread budget for drain cycles (0 = all cores, 1 = serial).
   util::Parallelism parallelism;
-  /// Back-off advertised in overload acks (AckMsg::retry_after_ms):
-  /// roughly one drain tick — the earliest a retry can find queue room.
-  std::uint32_t retry_after_ms = 1;
-  /// Rows per batched predict call (0 = unbounded). Sessions defer
-  /// region classification to a per-drain-tick batch step that groups
-  /// windows by (model, input width) and runs one predict_proba_batch
-  /// per group (DESIGN.md §13). Smaller caps bound per-call latency and
-  /// produce ragged final batches; parity holds at any value.
-  std::size_t max_batch = 0;
-  /// SLO-driven adaptive backpressure (serve/slo.h). With
-  /// `slo.adaptive_retry` off (the default) overload acks carry the
-  /// static retry_after_ms above, byte-identical to the legacy wire.
-  SloConfig slo;
-
   void validate() const;
 };
 
@@ -141,24 +131,6 @@ class ServeService {
   /// take_events() as encoded Event frames.
   [[nodiscard]] std::string poll_events();
 
-  [[nodiscard]] const ServeConfig& config() const noexcept { return config_; }
-  [[nodiscard]] ModelRegistry& registry() noexcept { return *registry_; }
-  [[nodiscard]] std::uint64_t tick() const noexcept {
-    return tick_.load(std::memory_order_relaxed);
-  }
-
-  /// Back-off advertised in overload acks. The static config constant,
-  /// or the SLO tracker's rolling drain-p99 estimate when
-  /// `config.slo.adaptive_retry` is on. Lock-free, any thread.
-  [[nodiscard]] std::uint32_t retry_after_ms() const noexcept {
-    return config_.slo.adaptive_retry
-               ? slo_.retry_after_ms(config_.retry_after_ms)
-               : config_.retry_after_ms;
-  }
-
-  /// The SLO tracker (estimates populate only with adaptive_retry on).
-  [[nodiscard]] const SloTracker& slo() const noexcept { return slo_; }
-
   /// The registry behind this service's metrics — serve.* counters and
   /// histograms, plus whatever the transport (net.*) registers into it.
   /// kMetricsRequest serves a snapshot of this merged with the
@@ -172,12 +144,17 @@ class ServeService {
   [[nodiscard]] obs::RegistrySnapshot metrics_snapshot() const;
 
  private:
+  /// The one admission path behind push/finish_stream/start_stream:
+  /// stamps push and finish requests with an arrival time and a flow id
+  /// (starts carry neither), submits to the stream's shard, and counts
+  /// serve.accepted or serve.rejected_overload.
+  Status admit(PushRequest request);
   void process(PushRequest& request);
   /// Batch-classifies every deferred window collected this tick:
-  /// groups by (captured model, input width), chunks by max_batch, one
-  /// predict_proba_batch per chunk, results scattered back to each
-  /// session's outbox by slot. Runs under drain_mutex_ after the shard
-  /// barrier, so no shard task is touching any session.
+  /// groups by (captured model, input width), one predict_proba_batch
+  /// per group, results scattered back to each session's outbox by
+  /// slot. Runs under drain_mutex_ after the shard barrier, so no shard
+  /// task is touching any session.
   void run_batched_classify();
   /// (Re)binds a session to its model_name: resolves the registry,
   /// swings the classifier + feature route, caches the per-task counter
@@ -189,10 +166,9 @@ class ServeService {
   ServeCounters counters_;  ///< before sessions_, which records into it
   SessionManager sessions_;
   RequestBatcher batcher_;
-  SloTracker slo_;
   std::mutex drain_mutex_;          ///< one drain cycle at a time
   std::atomic<std::uint64_t> tick_{0};  ///< logical clock, 1 per drain
-  /// Flow-id mint for causal tracing: each admitted push/finish/start
+  /// Flow-id mint for causal tracing: each admitted push/finish
   /// gets a unique nonzero id, and the events its windows produce
   /// inherit it — linking one request's spans across the event-loop
   /// thread, pool workers, and the drain tick in the exported trace.

@@ -69,12 +69,6 @@ SessionManager::Session* SessionManager::acquire(std::uint64_t stream_id,
   return raw;
 }
 
-SessionManager::Session* SessionManager::find(std::uint64_t stream_id) {
-  std::lock_guard<std::mutex> lock{mutex_};
-  const auto it = sessions_.find(stream_id);
-  return it == sessions_.end() ? nullptr : it->second.get();
-}
-
 void SessionManager::retire(std::unique_ptr<Session> session) {
   // Bounded pool: keeping more parked sessions than the table can hold
   // live would just hoard history buffers.

@@ -11,8 +11,8 @@
 // (the table mutex covers lookup/creation), but a given Session object
 // is only ever touched by the shard that owns its stream id while a
 // drain is running — the batcher's sharding provides that exclusivity,
-// not this class. begin_tick()/evict_idle() must be called outside any
-// drain (ServeService does so from the single drain() caller).
+// not this class. evict_idle() must be called outside any drain
+// (ServeService does so from the single drain() caller).
 #pragma once
 
 #include <cstdint>
@@ -80,9 +80,6 @@ class SessionManager {
   /// because eviction never runs concurrently with shard processing.
   [[nodiscard]] Session* acquire(std::uint64_t stream_id, std::uint64_t tick);
 
-  /// Existing session or nullptr; never creates.
-  [[nodiscard]] Session* find(std::uint64_t stream_id);
-
   /// Flushes the open region (if any) into the outbox and retires the
   /// session into the free pool. Returns false for an unknown stream.
   /// `flow`/`arrival_ns` stamp the flushed final event with the finish
@@ -110,9 +107,6 @@ class SessionManager {
   /// independent of shard scheduling and thread count. Call only from
   /// the drain cycle (no shard task may be running).
   [[nodiscard]] std::vector<PendingEntry> take_pending();
-
-  [[nodiscard]] const SessionConfig& config() const noexcept { return config_; }
-  [[nodiscard]] ModelRegistry& registry() noexcept { return *registry_; }
 
  private:
   void retire(std::unique_ptr<Session> session);

@@ -82,12 +82,4 @@ template <typename Fn>
   return out;
 }
 
-/// Maps fn over a container's elements, preserving element order.
-template <typename Container, typename Fn>
-[[nodiscard]] auto parallel_map_items(const Parallelism& par,
-                                      const Container& items, Fn&& fn) {
-  return parallel_map(par, items.size(),
-                      [&](std::size_t i) { return fn(items[i]); });
-}
-
 }  // namespace emoleak::util

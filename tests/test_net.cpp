@@ -444,7 +444,6 @@ TEST(NetServerTest, OverloadAckCarriesRetryAfter) {
   serve::ServeConfig cfg = service_config(1);
   cfg.batcher.shard_count = 1;
   cfg.batcher.queue_capacity = 2;
-  cfg.retry_after_ms = 7;
   net::NetServerConfig net_cfg;
   net_cfg.drain_interval_ms = 200;  // long: queue fills before a drain
   ServerFixture fx{cfg, net_cfg};
@@ -466,7 +465,10 @@ TEST(NetServerTest, OverloadAckCarriesRetryAfter) {
   }
   ASSERT_TRUE(overloaded.has_value());
   EXPECT_EQ(overloaded->status, Status::kOverloaded);
-  EXPECT_EQ(overloaded->retry_after_ms, 7u);
+  // Pinned: a different back-off changes the overload-ack bytes every
+  // client sees.
+  static_assert(serve::kRetryAfterMs == 1);
+  EXPECT_EQ(overloaded->retry_after_ms, serve::kRetryAfterMs);
   EXPECT_LE(ok, 2u);  // nothing queued beyond the shard capacity
 
   // Backing off by retry_after_ms (plus the long drain tick) makes the
@@ -610,11 +612,9 @@ TEST(NetServerTest, GracefulStopFlushesOpenSessions) {
 }
 
 TEST(NetServerTest, ConnectionCapRejectsWithRetryAfter) {
-  serve::ServeConfig cfg = service_config(1);
-  cfg.retry_after_ms = 11;
   net::NetServerConfig net_cfg;
   net_cfg.max_connections = 2;
-  ServerFixture fx{cfg, net_cfg};
+  ServerFixture fx{service_config(1), net_cfg};
   const std::uint16_t port = fx.server->port();
 
   net::BlockingClient a{port};
@@ -631,7 +631,7 @@ TEST(NetServerTest, ConnectionCapRejectsWithRetryAfter) {
   c.set_recv_timeout(10000);
   const auto ack = std::get<serve::AckMsg>(*c.recv());
   EXPECT_EQ(ack.status, Status::kOverloaded);
-  EXPECT_EQ(ack.retry_after_ms, 11u);
+  EXPECT_EQ(ack.retry_after_ms, serve::kRetryAfterMs);
   EXPECT_FALSE(c.recv().has_value());  // then closed
   EXPECT_EQ(counter(fx, "net.connections_rejected"), 1u);
 }

@@ -402,18 +402,17 @@ TEST(ServeServiceTest, BatchingIsDeterministicAcrossThreadCounts) {
 }
 
 // The batched forward must be bit-identical to a standalone
-// StreamingAttack at every batch size and thread count. max_batch = 0
-// is unbounded (whole group in one forward), 1 degenerates to per-window
-// batches, 3 over 8 ready streams forces ragged 3/3/2 chunks, and 8
-// matches the stream count exactly. The 4-round interleave between
-// drains makes windows ready mid-tick at staggered offsets.
+// StreamingAttack at every thread count. Each drain runs one forward
+// per (model, width) group, so windows that close in the same tick
+// share a multi-row batch. The 4-round interleave between drains makes
+// windows ready mid-tick at staggered offsets.
 TEST(ServeServiceTest, BatchedForwardBitParityAcrossBatchSizesAndThreads) {
   const auto model = make_model(3, 7);
   constexpr std::size_t kStreams = 8;
   constexpr std::size_t kChunk = 256;
 
   // Shorter trace than default_trace (two bursts past the 2.5 s noise
-  // warm-up) keeps the 12-config sweep inside a sane test budget.
+  // warm-up) keeps the thread-count sweep inside a sane test budget.
   std::vector<std::vector<double>> traces;
   std::vector<std::vector<core::EmotionEvent>> reference;
   std::size_t expected_events = 0;
@@ -462,26 +461,22 @@ TEST(ServeServiceTest, BatchedForwardBitParityAcrossBatchSizesAndThreads) {
   };
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t max_batch : {0u, 1u, 3u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " max_batch=" + std::to_string(max_batch));
-      serve::ServeConfig cfg = service_config(threads);
-      cfg.max_batch = max_batch;
-      const obs::RegistrySnapshot metrics = run_service(cfg);
-      EXPECT_EQ(metrics.counter("serve.rejected_overload"), 0u);
-      EXPECT_EQ(metrics.counter("serve.events_emitted"), expected_events);
-      // Every classified window went through the batch step: pending
-      // lists are flushed each drain, so the finishes (their own tick)
-      // find nothing to resolve solo.
-      EXPECT_EQ(metrics.counter("serve.windows_batched"), expected_events);
-      EXPECT_EQ(metrics.counter("serve.windows_solo"), 0u);
-      const obs::HistogramSnapshot& batch =
-          metrics.histogram("serve.batch_size");
-      EXPECT_GT(batch.count, 0u);
-      if (max_batch > 0) {
-        EXPECT_LE(batch.quantile(0.99), static_cast<double>(max_batch));
-      }
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const obs::RegistrySnapshot metrics = run_service(service_config(threads));
+    EXPECT_EQ(metrics.counter("serve.rejected_overload"), 0u);
+    EXPECT_EQ(metrics.counter("serve.events_emitted"), expected_events);
+    // Every classified window went through the batch step: pending
+    // lists are flushed each drain, so the finishes (their own tick)
+    // find nothing to resolve solo.
+    EXPECT_EQ(metrics.counter("serve.windows_batched"), expected_events);
+    EXPECT_EQ(metrics.counter("serve.windows_solo"), 0u);
+    // Parity must cover multi-row forwards, not only one-window
+    // batches: the largest recorded batch (exact below 8 rows) has
+    // more than one row.
+    const obs::HistogramSnapshot& batch =
+        metrics.histogram("serve.batch_size");
+    EXPECT_GT(batch.count, 0u);
+    EXPECT_GT(batch.quantile(1.0), 1.0);
   }
 }
 
@@ -865,47 +860,6 @@ TEST(ServeServiceTest, NonFiniteSamplesAreRejectedBeforeTheSession) {
     if (msg.stream_id == 7) served.push_back(std::move(msg.event));
   }
   expect_same_events(served, standalone_events(trace, kChunk, model));
-}
-
-TEST(ServeServiceTest, AdaptiveRetryTracksWindowedDrainLatency) {
-  auto registry = std::make_shared<ModelRegistry>();
-  registry->add("m", make_model(3, 7));
-
-  // Off (the default): the advertised back-off is the static config
-  // value, so the wire behavior is byte-identical to the legacy path.
-  serve::ServeConfig off_cfg = service_config(1);
-  off_cfg.retry_after_ms = 9;
-  ServeService off_service{off_cfg, registry};
-  EXPECT_EQ(off_service.retry_after_ms(), 9u);
-
-  serve::ServeConfig cfg = service_config(1);
-  cfg.retry_after_ms = 9;
-  cfg.slo.adaptive_retry = true;
-  cfg.slo.window_drains = 2;
-  cfg.slo.min_retry_ms = 1;
-  cfg.slo.max_retry_ms = 50;
-  ServeService service{cfg, registry};
-
-  // Before any window completes the tracker falls back to the static
-  // value rather than advertising a made-up estimate.
-  EXPECT_EQ(service.retry_after_ms(), 9u);
-
-  const std::vector<double> chunk(256, 9.81);
-  for (int round = 0; round < 6; ++round) {
-    ASSERT_EQ(service.push(1, chunk), Status::kOk);
-    service.drain();
-  }
-  // Windows have closed: the estimate derives from the rolling drain
-  // p99 and respects the configured clamp.
-  EXPECT_GT(service.slo().windowed_p99_ns(), 0u);
-  EXPECT_GE(service.retry_after_ms(), cfg.slo.min_retry_ms);
-  EXPECT_LE(service.retry_after_ms(), cfg.slo.max_retry_ms);
-
-  // Config validation rejects a degenerate clamp.
-  serve::SloConfig bad;
-  bad.min_retry_ms = 100;
-  bad.max_retry_ms = 10;
-  EXPECT_THROW(bad.validate(), util::ConfigError);
 }
 
 TEST(ServeServiceTest, ConcurrentProducersAndDrainsAreClean) {
