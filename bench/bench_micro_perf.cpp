@@ -533,6 +533,36 @@ void BM_Conv2DBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2DBackward);
 
+void BM_CnnTrainStep(benchmark::State& state) {
+  // One training step of the fast spectrogram CNN at batch 32: forward,
+  // loss, backward and an Adam update. Conv2D fans each batch out over
+  // the shared pool at the default parallelism, as CnnClassifier::fit
+  // does; on a single-core host this is the serial step.
+  nn::Sequential model =
+      nn::build_spectrogram_cnn(32, 32, 7, nn::CnnConfig::fast());
+  model.set_parallelism(util::Parallelism{});
+  constexpr std::size_t kBatch = 32;
+  nn::Tensor x{{kBatch, 32, 32, 1}};
+  util::Rng rng{15};
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(rng.normal());
+  }
+  std::vector<int> labels(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) labels[i] = static_cast<int>(i % 7);
+  nn::Adam optimizer{model.parameters(), 1e-3};
+  nn::Tensor grad;
+  for (auto _ : state) {
+    const nn::Tensor& logits = model.forward_ref(x, /*training=*/true);
+    (void)nn::softmax_cross_entropy(logits, labels, grad);
+    const nn::Tensor gx = model.backward(grad);
+    optimizer.step();
+    benchmark::DoNotOptimize(gx.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_CnnTrainStep);
+
 void BM_ServeThroughput(benchmark::State& state) {
   // End-to-end serving-layer throughput: N concurrent streams of
   // burst-bearing accelerometer data pushed as 512-sample chunks and

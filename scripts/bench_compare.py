@@ -56,7 +56,7 @@ from pathlib import Path
 KERNEL_FILTER = (
     "BM_FftPow2|BM_Rfft|BM_FftBluestein|BM_Stft|BM_Gemm|"
     "BM_FeatureExtraction|BM_TimefreqCnnForward|BM_SpectrogramCnnForward|"
-    "BM_BatchedCnnForward|BM_Conv2DBackward|"
+    "BM_BatchedCnnForward|BM_Conv2DBackward|BM_CnnTrainStep$|"
     "BM_TreeTrain/|BM_ForestTrain$|BM_ForestTrainBinned$|BM_PitchTrack$|"
     "BM_DatasetBuildHit$|BM_DatasetDiskHit|"
     "BM_SpanOverhead$|BM_HistogramRecord|"

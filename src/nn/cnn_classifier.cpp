@@ -66,6 +66,7 @@ std::vector<double> CnnClassifier::forward_batch(std::span<const double> rows,
   if (dim != dim_ || rows.size() != dim * count) {
     throw util::DataError{"CnnClassifier: rows/dim/count mismatch"};
   }
+  if (count == 0) return {};  // like ml::Classifier's default
   if (arch_ == Arch::kTimefreq) {
     input_.resize({count, 1, dim_, 1});
   } else {

@@ -39,9 +39,9 @@ class CnnClassifier final : public ml::Classifier {
     return arch_ == Arch::kTimefreq ? "CnnTimefreq" : "CnnSpectrogram";
   }
 
-  /// Thread fan-out for multi-row predict_proba_batch calls (defaults
-  /// to the hardware count; single-row predicts and training always
-  /// run serial). Bit-identical results at any setting — see
+  /// Thread fan-out for fit() and multi-row predict_proba_batch calls
+  /// (defaults to the hardware count; single-row predicts run serial).
+  /// Bit-identical weights and probabilities at any setting — see
   /// Layer::set_parallelism.
   void set_parallelism(util::Parallelism par);
 

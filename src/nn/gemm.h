@@ -1,14 +1,18 @@
-// Dense float kernels backing the CNN layers: a cache-blocked GEMM
-// (three storage variants), im2col/col2im lowering for convolution, and
-// a retained naive convolution used as the reference in parity tests.
+// Dense float kernels backing the CNN layers: a cache-blocked,
+// register-tiled GEMM (three storage variants), im2col/col2im lowering
+// for convolution, and a retained naive convolution used as the
+// reference in parity tests.
 //
-// Determinism contract: every kernel sums the contraction axis in
-// strictly ascending order for each output element, independent of the
-// blocking parameters. Results are therefore bit-identical across runs
-// and thread counts: when a layer fans a batch out over the pool
-// (Conv2D inference, see Layer::set_parallelism), each output element
-// is still produced by exactly one task with the same k order, so the
-// split only changes speed, never numerics.
+// Determinism contract: every output element is the result of separate
+// IEEE steps c <- c + a*b (a multiply, then an add; never fused), with
+// p ascending from 0 to k-1, starting from the existing C value
+// (`accumulate`) or from +0. That holds independent of the blocking
+// parameters, the register tile and the ISA clone the loader picks.
+// Results are therefore bit-identical across runs, machines and thread
+// counts: when a layer fans a batch out over the pool (Conv2D, see
+// Layer::set_parallelism), each output element is still produced by
+// exactly one task with the same sequence, so the split only changes
+// speed, never numerics.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +49,15 @@ void im2col(const float* in, std::size_t h, std::size_t w, std::size_t c,
             std::size_t kh, std::size_t kw, std::size_t stride_h,
             std::size_t stride_w, std::size_t pad_h, std::size_t pad_w,
             std::size_t oh, std::size_t ow, float* col);
+
+/// The `c` columns of im2col's patch matrix that belong to kernel tap
+/// (ki, kj): row r = output position, zeros where the tap falls in the
+/// padding. `col` must hold (oh*ow) x c floats. A weight gradient split
+/// by tap reads these instead of the whole patch matrix.
+void im2col_tap(const float* in, std::size_t h, std::size_t w, std::size_t c,
+                std::size_t ki, std::size_t kj, std::size_t stride_h,
+                std::size_t stride_w, std::size_t pad_h, std::size_t pad_w,
+                std::size_t oh, std::size_t ow, float* col);
 
 /// Adjoint of im2col: scatter-adds the patch matrix back into the image
 /// (which the caller must have zeroed). Overlapping taps accumulate.

@@ -22,6 +22,15 @@ void he_uniform_init(Tensor& w, std::size_t fan_in, util::Rng& rng) {
   }
 }
 
+/// out[j] += m[r][j] for r ascending: the per-element order of a serial
+/// bias-gradient sum. `restrict` lets the compiler vectorize across j.
+void add_column_sums(const float* __restrict m, std::size_t rows,
+                     std::size_t cols, float* __restrict out) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < cols; ++j) out[j] += m[r * cols + j];
+  }
+}
+
 void check_rank4(const Tensor& x, const char* who) {
   if (x.rank() != 4) throw util::DataError{std::string{who} + ": expected NHWC tensor"};
 }
@@ -49,7 +58,7 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
   he_uniform_init(weight_.value, kh_ * kw_ * in_c_, rng);
 }
 
-const Tensor& Conv2D::forward(const Tensor& x, bool training) {
+const Tensor& Conv2D::forward(const Tensor& x, bool /*training*/) {
   check_rank4(x, "Conv2D");
   if (x.dim(3) != in_c_) throw util::DataError{"Conv2D: channel mismatch"};
   input_ = x;
@@ -69,13 +78,13 @@ const Tensor& Conv2D::forward(const Tensor& x, bool training) {
   const bool pointwise = kh_ == 1 && kw_ == 1 && pad_h == 0 && pad_w == 0;
   const float* bias = bias_.value.data();
   const float* wt = weight_.value.data();
-  // Multi-image inference fans contiguous image blocks out over the
-  // shared pool (set_parallelism). Bit-exact at any task/thread count:
-  // every output element is produced by exactly one task, and the GEMM
-  // kernels accumulate k in ascending order regardless of the M split.
-  // Training and single-image batches always take the serial path.
+  // Multi-image batches fan contiguous image blocks out over the shared
+  // pool (set_parallelism), in training and inference alike. Bit-exact
+  // at any task/thread count: every output element is produced by
+  // exactly one task, and the GEMM kernels accumulate k in ascending
+  // order regardless of the M split. Single images run serial.
   const util::Parallelism par =
-      (training || n < 2) ? util::Parallelism::serial_only() : par_;
+      n < 2 ? util::Parallelism::serial_only() : par_;
   if (pointwise) {
     // The batch is one contiguous (n*rows)×kcols patch matrix already.
     const std::size_t tasks = par.serial() ? 1 : std::min(n, par.resolved());
@@ -132,34 +141,66 @@ const Tensor& Conv2D::backward(const Tensor& grad_out) {
   const std::size_t oh = grad_out.dim(1), ow = grad_out.dim(2);
   const std::size_t pad_h = same_ ? (kh_ - 1) / 2 : 0;
   const std::size_t pad_w = same_ ? (kw_ - 1) / 2 : 0;
-
-  gin_.resize({n, h, w, in_c_});
-  gin_.fill(0.0f);
-  weight_.grad.fill(0.0f);
-  bias_.grad.fill(0.0f);
-
   const std::size_t rows = oh * ow;
   const std::size_t kcols = kh_ * kw_ * in_c_;
+  const float* g = grad_out.data();
+
+  gin_.resize({n, h, w, in_c_});
+  weight_.grad.fill(0.0f);
+  bias_.grad.fill(0.0f);
+  add_column_sums(g, n * rows, out_c_, bias_.grad.data());
+
+  // Both passes below fan out over the pool and stay bit-identical to
+  // the serial loop at any thread count: each output element is written
+  // by exactly one task, with the same k-ascending sum as serial.
+  const util::Parallelism par =
+      n < 2 ? util::Parallelism::serial_only() : par_;
   const util::Workspace::Scope scope{ws_};
-  const std::span<float> col = ws_.take<float>(rows * kcols);
-  const std::span<float> dcol = ws_.take<float>(rows * kcols);
-  for (std::size_t b = 0; b < n; ++b) {
-    const float* g = grad_out.data() + b * rows * out_c_;
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t oc = 0; oc < out_c_; ++oc) {
-        bias_.grad[oc] += g[r * out_c_ + oc];
+
+  // dX, split by image: dCol = dOut · Wᵀ on the register-tiled GEMM
+  // against a transposed weight copy, scattered back by col2im. Each
+  // task owns one image's dCol.
+  const std::span<float> wt = ws_.take<float>(out_c_ * kcols);
+  for (std::size_t t = 0; t < kcols; ++t) {
+    for (std::size_t oc = 0; oc < out_c_; ++oc) {
+      wt[oc * kcols + t] = weight_.value[t * out_c_ + oc];
+    }
+  }
+  const std::size_t image_tasks =
+      par.serial() ? 1 : std::min(n, par.resolved());
+  const std::span<float> dcol = ws_.take<float>(image_tasks * rows * kcols);
+  util::parallel_for(par, image_tasks, [&](std::size_t t) {
+    float* dc = dcol.data() + t * rows * kcols;
+    for (std::size_t b = n * t / image_tasks; b < n * (t + 1) / image_tasks;
+         ++b) {
+      gemm(rows, kcols, out_c_, g + b * rows * out_c_, wt.data(), dc,
+           /*accumulate=*/false);
+      float* gx = &gin_.at4(b, 0, 0, 0);
+      std::fill(gx, gx + h * w * in_c_, 0.0f);
+      col2im(dc, h, w, in_c_, kh_, kw_, 1, 1, pad_h, pad_w, oh, ow, gx);
+    }
+  });
+
+  // dW, split by kernel tap: tap (ki, kj) owns weight rows
+  // [(ki*kw + kj)*Cin, +Cin) and sums colᵀ · dOut over every (image,
+  // output row) in order, reading its patch columns image by image.
+  const std::size_t taps = kh_ * kw_;
+  const std::size_t tap_tasks =
+      par.serial() ? 1 : std::min(taps, par.resolved());
+  const std::span<float> tcol = ws_.take<float>(tap_tasks * rows * in_c_);
+  util::parallel_for(par, tap_tasks, [&](std::size_t t) {
+    float* tc = tcol.data() + t * rows * in_c_;
+    for (std::size_t tap = taps * t / tap_tasks;
+         tap < taps * (t + 1) / tap_tasks; ++tap) {
+      float* gw = weight_.grad.data() + tap * in_c_ * out_c_;
+      for (std::size_t b = 0; b < n; ++b) {
+        im2col_tap(&x.at4(b, 0, 0, 0), h, w, in_c_, tap / kw_, tap % kw_, 1, 1,
+                   pad_h, pad_w, oh, ow, tc);
+        gemm_at(in_c_, out_c_, rows, tc, g + b * rows * out_c_, gw,
+                /*accumulate=*/true);
       }
     }
-    // dW += colᵀ · dOut ; dCol = dOut · Wᵀ, scattered back to dX.
-    im2col(&x.at4(b, 0, 0, 0), h, w, in_c_, kh_, kw_, 1, 1, pad_h, pad_w, oh,
-           ow, col.data());
-    gemm_at(kcols, out_c_, rows, col.data(), g, weight_.grad.data(),
-            /*accumulate=*/true);
-    gemm_bt(rows, kcols, out_c_, g, weight_.value.data(), dcol.data(),
-            /*accumulate=*/false);
-    col2im(dcol.data(), h, w, in_c_, kh_, kw_, 1, 1, pad_h, pad_w, oh, ow,
-           &gin_.at4(b, 0, 0, 0));
-  }
+  });
   return gin_;
 }
 
@@ -180,8 +221,16 @@ const Tensor& ReLU::backward(const Tensor& grad_out) {
     throw util::DataError{"ReLU::backward: shape mismatch"};
   }
   gin_.resize(grad_out.shape());
-  for (std::size_t i = 0; i < grad_out.size(); ++i) {
-    gin_[i] = out_[i] > 0.0f ? grad_out[i] : 0.0f;
+  // Branch-free: both loads are unconditional, so the select vectorizes
+  // to compare + blend. The mask of a ReLU output is data-dependent; a
+  // branch on it mispredicts about half the time.
+  const float* out = out_.data();
+  const float* g = grad_out.data();
+  float* gi = gin_.data();
+  const std::size_t size = grad_out.size();
+  for (std::size_t i = 0; i < size; ++i) {
+    const float gv = g[i];
+    gi[i] = out[i] > 0.0f ? gv : 0.0f;
   }
   return gin_;
 }
@@ -241,6 +290,8 @@ const Tensor& MaxPool2D::backward(const Tensor& grad_out) {
   gin_.fill(0.0f);
   const float* src = in_.data();
   float* gi = gin_.data();
+  claimed_.resize(c);
+  std::uint32_t* claimed = claimed_.data();
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t i = 0; i < oh; ++i) {
       const std::size_t i0 = i * ph_;
@@ -249,21 +300,26 @@ const Tensor& MaxPool2D::backward(const Tensor& grad_out) {
         const std::size_t j0 = j * pw_;
         const std::size_t j1 = std::min(w, j0 + pw_);
         const std::size_t oidx = ((b * oh + i) * ow + j) * c;
-        for (std::size_t ch = 0; ch < c; ++ch) {
-          const float best = out_[oidx + ch];
-          // Route to the first tap that achieved the max, matching the
-          // strict-greater argmax scan order (ii-major, then jj).
-          for (std::size_t ii = i0; ii < i1; ++ii) {
-            bool routed = false;
-            for (std::size_t jj = j0; jj < j1; ++jj) {
-              const std::size_t idx = ((b * h + ii) * w + jj) * c + ch;
-              if (src[idx] == best) {
-                gi[idx] += grad_out[oidx + ch];
-                routed = true;
-                break;
-              }
+        const float* best = out_.data() + oidx;
+        const float* go = grad_out.data() + oidx;
+        // Route each channel to the first tap that achieved the max, in
+        // the strict-greater argmax scan order (ii-major, then jj). The
+        // taps are visited in that order with every channel at once, so
+        // the inner loop is a branch-free, vectorizable select.
+        std::fill(claimed, claimed + c, 0u);
+        for (std::size_t ii = i0; ii < i1; ++ii) {
+          for (std::size_t jj = j0; jj < j1; ++jj) {
+            const std::size_t idx = ((b * h + ii) * w + jj) * c;
+            const float* tap = src + idx;
+            float* gtap = gi + idx;
+            for (std::size_t ch = 0; ch < c; ++ch) {
+              const std::uint32_t take =
+                  static_cast<std::uint32_t>(tap[ch] == best[ch]) &
+                  ~claimed[ch];
+              const float gv = go[ch];
+              gtap[ch] += take != 0 ? gv : 0.0f;
+              claimed[ch] |= take;
             }
-            if (routed) break;
           }
         }
       }
@@ -407,6 +463,9 @@ std::vector<Parameter*> BatchNorm::parameters() { return {&gamma_, &beta_}; }
 // ---------------------------------------------------------------- Flatten
 
 const Tensor& Flatten::forward(const Tensor& x, bool /*training*/) {
+  if (x.rank() == 0 || x.dim(0) == 0) {
+    throw util::DataError{"Flatten: empty batch"};
+  }
   in_shape_.assign(x.shape().begin(), x.shape().end());
   const std::size_t n = x.dim(0);
   out_ = x;  // copy-assign reuses capacity

@@ -50,12 +50,13 @@ class Layer {
   /// Learnable parameters (empty for stateless layers).
   [[nodiscard]] virtual std::vector<Parameter*> parameters() { return {}; }
 
-  /// Opts the layer into data-parallel *inference*: layers whose batch
-  /// rows are independent (Conv2D) may fan a multi-image forward out
-  /// over the shared pool. Bit-exactness is unconditional — each output
-  /// element is produced by exactly one task with the same k-ascending
-  /// accumulation — so this only changes speed, never results.
-  /// Training passes and single-image batches always run serial.
+  /// Opts the layer into data-parallel execution over the shared pool.
+  /// Conv2D fans a multi-image batch out in forward (training and
+  /// inference, per image) and backward (dX per image, dW per kernel
+  /// tap). Bit-exactness is unconditional — each output element is
+  /// produced by exactly one task with the same k-ascending sequence as
+  /// the serial pass — so this only changes speed, never results.
+  /// Single-image batches always run serial.
   virtual void set_parallelism(const util::Parallelism& /*par*/) {}
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -66,8 +67,10 @@ class Layer {
 
 /// 2-D convolution, NHWC, stride 1, 'same' zero padding (Keras
 /// padding="same", which the paper's time-frequency CNN uses) or
-/// 'valid'. Lowered to im2col + blocked GEMM (see nn/gemm.h); the
-/// naive direct loop survives in gemm.h as the parity-test reference.
+/// 'valid'. Lowered to im2col + blocked GEMM (see nn/gemm.h); backward
+/// computes dX = col2im(dOut·Wᵀ) per image against a transposed weight
+/// copy and dW per kernel tap from that tap's patch columns. The naive
+/// direct loop survives in gemm.h as the parity-test reference.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel_h,
@@ -93,7 +96,7 @@ class Conv2D final : public Layer {
   Parameter bias_;    ///< [Cout]
   Tensor input_;      ///< cached for backward
   Tensor out_, gin_;
-  util::Workspace ws_;  ///< im2col patch matrices
+  util::Workspace ws_;  ///< patch matrices, Wᵀ, per-task dCol/tap columns
 };
 
 class ReLU final : public Layer {
@@ -121,6 +124,7 @@ class MaxPool2D final : public Layer {
   std::size_t ph_, pw_;
   Tensor in_;  ///< retained input; backward re-derives the argmax from it
   Tensor out_, gin_;
+  std::vector<std::uint32_t> claimed_;  ///< backward: 1 = channel routed
 };
 
 /// Inverted dropout: scales kept activations by 1/(1-rate) in training,

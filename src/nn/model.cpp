@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "util/error.h"
@@ -85,8 +86,9 @@ std::vector<Parameter*> Sequential::parameters() {
 
 void Sequential::gather(const Tensor& x, std::span<const std::size_t> indices,
                         Tensor& out) {
-  const std::size_t row_size = x.size() / x.dim(0);
   std::vector<std::size_t> shape = x.shape();
+  const std::size_t row_size = std::accumulate(
+      shape.begin() + 1, shape.end(), std::size_t{1}, std::multiplies<>{});
   shape[0] = indices.size();
   out.resize(shape);
   for (std::size_t i = 0; i < indices.size(); ++i) {
@@ -103,6 +105,7 @@ History Sequential::train(const Tensor& x, const std::vector<int>& labels,
   if (config.epochs < 1 || config.batch_size < 1) {
     throw util::ConfigError{"Sequential::train: bad epochs/batch size"};
   }
+  if (labels.empty()) throw util::DataError{"Sequential::train: empty input"};
   for (const int y : labels) {
     if (y < 0 || y >= class_count) {
       throw util::DataError{"Sequential::train: label out of range"};

@@ -60,8 +60,9 @@ class Sequential {
   Tensor backward(const Tensor& grad);
 
   /// Propagates a parallelism knob to every layer that supports
-  /// data-parallel inference (see Layer::set_parallelism). Results are
-  /// bit-identical at any thread count; training stays serial.
+  /// data-parallel execution (see Layer::set_parallelism): inference
+  /// and train() alike. Results, trained weights included, are
+  /// bit-identical at any thread count.
   void set_parallelism(const util::Parallelism& par);
 
   [[nodiscard]] std::vector<Parameter*> parameters();

@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "ml/logistic.h"
+#include "nn/cnn_classifier.h"
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace {
 
@@ -138,6 +142,66 @@ TEST(AttackTest, CnnRejectsTinyDatasets) {
   tiny.y.resize(5);
   EXPECT_THROW((void)evaluate_timefreq_cnn(tiny, CnnRunConfig{}),
                emoleak::util::DataError);
+}
+
+/// Trains a CnnClassifier at `threads` and returns predict_proba of
+/// every training row, concatenated.
+std::vector<double> cnn_train_probabilities(
+    emoleak::nn::CnnClassifier::Arch arch, const emoleak::ml::Dataset& data,
+    std::size_t threads) {
+  emoleak::nn::TrainConfig train;
+  train.epochs = 2;
+  train.batch_size = 16;
+  emoleak::nn::CnnClassifier cnn{arch, data.dim(),
+                                 emoleak::nn::CnnConfig::fast(), train};
+  cnn.set_parallelism(emoleak::util::Parallelism{.threads = threads});
+  cnn.fit(data);
+  std::vector<double> out;
+  for (const std::vector<double>& row : data.x) {
+    const std::vector<double> p = cnn.predict_proba(row);
+    out.insert(out.end(), p.begin(), p.end());
+  }
+  return out;
+}
+
+TEST(AttackTest, CnnClassifierFitIsBitIdenticalAtAnyThreadCount) {
+  // Conv2D training fans batches out over the pool; the trained model
+  // must not depend on the thread count, for either architecture.
+  using Arch = emoleak::nn::CnnClassifier::Arch;
+  const ExtractedData data = small_capture(0.06);
+  emoleak::ml::Dataset images;
+  images.x = data.spectrograms;
+  images.y = data.features.y;
+  images.class_count = data.features.class_count;
+  const std::pair<Arch, const emoleak::ml::Dataset*> heads[] = {
+      {Arch::kTimefreq, &data.features}, {Arch::kSpectrogram, &images}};
+  for (const auto& [arch, set] : heads) {
+    const std::vector<double> serial = cnn_train_probabilities(arch, *set, 1);
+    ASSERT_EQ(serial.size(),
+              set->size() * static_cast<std::size_t>(set->class_count));
+    for (const std::size_t threads : {2, 4}) {
+      const std::vector<double> parallel =
+          cnn_train_probabilities(arch, *set, threads);
+      ASSERT_EQ(parallel.size(), serial.size());
+      EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
+                            serial.size() * sizeof(double)),
+                0)
+          << "arch=" << static_cast<int>(arch) << " threads=" << threads;
+    }
+  }
+}
+
+TEST(AttackTest, CnnClassifierZeroRowBatchIsEmpty) {
+  // Like ml::Classifier's default: no rows in, no probabilities out
+  // (the zero batch used to reach Flatten's division by the batch size).
+  const ExtractedData data = small_capture(0.04);
+  emoleak::nn::TrainConfig train;
+  train.epochs = 1;
+  emoleak::nn::CnnClassifier cnn{emoleak::nn::CnnClassifier::Arch::kTimefreq,
+                                 data.features.dim(),
+                                 emoleak::nn::CnnConfig::fast(), train};
+  cnn.fit(data.features);
+  EXPECT_TRUE(cnn.predict_proba_batch({}, data.features.dim(), 0).empty());
 }
 
 TEST(AttackTest, CrossValidationPathWorks) {

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "nn/gemm.h"
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace {
@@ -201,6 +203,21 @@ TEST(MaxPool2DTest, GradientRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gi[2], 0.0f);
 }
 
+TEST(MaxPool2DTest, TiedMaximaRouteToFirstTapPerChannel) {
+  // Two channels: channel 0 ties at taps 1 and 3, channel 1 at taps 0
+  // and 2. Each routes to its first tied tap in (row, col) scan order.
+  MaxPool2D pool{2, 2};
+  Tensor x{{1, 2, 2, 2}, {1.0f, 4.0f, 5.0f, 0.0f, 2.0f, 4.0f, 5.0f, 3.0f}};
+  (void)pool.forward(x, true);
+  Tensor g{{1, 1, 1, 2}, {7.0f, 9.0f}};
+  const Tensor gi = pool.backward(g);
+  const std::vector<float> want = {0.0f, 9.0f, 7.0f, 0.0f,
+                                   0.0f, 0.0f, 0.0f, 0.0f};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(gi[i], want[i]) << "i=" << i;
+  }
+}
+
 TEST(MaxPool2DTest, InputSmallerThanPoolClampedToOne) {
   MaxPool2D pool{1, 8};
   const Tensor x = random_tensor({1, 1, 3, 2}, 10);
@@ -345,6 +362,13 @@ TEST(FlattenTest, FlattensAndRestores) {
   EXPECT_TRUE(back.same_shape(x));
 }
 
+TEST(FlattenTest, EmptyBatchThrows) {
+  // The row width is size / batch: a zero batch used to divide by zero.
+  Flatten flat;
+  EXPECT_THROW((void)flat.forward(Tensor{{0, 3, 4, 5}}, false),
+               emoleak::util::DataError);
+}
+
 TEST(DenseTest, ComputesAffineMap) {
   Dense dense{2, 1, 20};
   dense.parameters()[0]->value[0] = 2.0f;  // w[0][0]
@@ -381,18 +405,6 @@ TEST(DenseTest, ZeroDimsThrow) {
 // tests pin it against the retained naive direct convolution across
 // kernel/channel/padding/stride combinations, forward and backward.
 
-void naive_matmul(std::size_t m, std::size_t n, std::size_t k,
-                  const std::vector<float>& a, const std::vector<float>& b,
-                  std::vector<float>& c) {
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) acc += a[i * k + p] * b[p * n + j];
-      c[i * n + j] = acc;
-    }
-  }
-}
-
 std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
   Rng rng{seed};
   std::vector<float> v(n);
@@ -400,66 +412,109 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-TEST(GemmTest, MatchesNaiveAcrossAwkwardSizes) {
-  // Sizes straddle the register tile (4 rows) and both block sizes.
-  const std::size_t dims[][3] = {{1, 1, 1},   {3, 5, 7},    {4, 4, 64},
-                                 {5, 9, 65},  {7, 300, 70}, {17, 13, 129},
-                                 {64, 32, 9}, {33, 257, 3}};
-  for (const auto& [m, n, k] : dims) {
-    const std::vector<float> a = random_vec(m * k, m * 1000 + k);
-    const std::vector<float> b = random_vec(k * n, n * 1000 + k);
-    std::vector<float> want(m * n), got(m * n);
-    naive_matmul(m, n, k, a, b, want);
-    emoleak::nn::gemm(m, n, k, a.data(), b.data(), got.data());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_NEAR(got[i], want[i], 1e-4f * (1.0f + std::abs(want[i])))
-          << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+// ----------------------------------------------------- GEMM determinism
+//
+// nn/gemm.h promises an exact per-element sequence: separate IEEE steps
+// c <- c + a*b, p ascending, from C (accumulate) or +0. These tests hold
+// every kernel to it bit for bit against plain loops.
+
+/// Storage of the GEMM operands: C = A·B, Aᵀ·B (A stored k x m) or
+/// A·Bᵀ (B stored n x k).
+enum class Layout { kPlain, kAt, kBt };
+
+std::vector<float> reference_gemm(Layout layout, std::size_t m, std::size_t n,
+                                  std::size_t k, const std::vector<float>& a,
+                                  const std::vector<float>& b,
+                                  std::vector<float> c, bool accumulate) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = accumulate ? c[i * n + j] : 0.0f;
+      for (std::size_t p = 0; p < k; ++p) {
+        const float av = layout == Layout::kAt ? a[p * m + i] : a[i * k + p];
+        const float bv = layout == Layout::kBt ? b[j * k + p] : b[p * n + j];
+        const float prod = av * bv;
+        acc = acc + prod;
+      }
+      c[i * n + j] = acc;
     }
+  }
+  return c;
+}
+
+void run_gemm(Layout layout, std::size_t m, std::size_t n, std::size_t k,
+              const std::vector<float>& a, const std::vector<float>& b,
+              std::vector<float>& c, bool accumulate) {
+  namespace nn = emoleak::nn;
+  switch (layout) {
+    case Layout::kPlain:
+      nn::gemm(m, n, k, a.data(), b.data(), c.data(), accumulate);
+      break;
+    case Layout::kAt:
+      nn::gemm_at(m, n, k, a.data(), b.data(), c.data(), accumulate);
+      break;
+    case Layout::kBt:
+      nn::gemm_bt(m, n, k, a.data(), b.data(), c.data(), accumulate);
+      break;
   }
 }
 
+bool bitwise_equal(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// Sizes straddle the 6-row register tile, the 16- and 8-column tiles
+// and their scalar tail, the 256-deep k panel and the 256-wide n panel.
+constexpr std::size_t kGemmDims[][3] = {
+    {1, 1, 1},    {3, 5, 7},     {6, 16, 256},  {7, 17, 257}, {5, 9, 65},
+    {13, 25, 255}, {12, 24, 513}, {7, 300, 70},  {17, 13, 129}, {64, 32, 9},
+    {33, 257, 3}, {11, 8, 1}};
+
+void expect_layout_matches_reference(Layout layout, bool accumulate) {
+  for (const auto& [m, n, k] : kGemmDims) {
+    const std::vector<float> a = random_vec(m * k, m * 1000 + k);
+    const std::vector<float> b = random_vec(k * n, n * 1000 + k);
+    const std::vector<float> base = random_vec(m * n, m * n + 7);
+    const std::vector<float> want =
+        reference_gemm(layout, m, n, k, a, b, base, accumulate);
+    std::vector<float> got = base;
+    run_gemm(layout, m, n, k, a, b, got, accumulate);
+    ASSERT_TRUE(bitwise_equal(got, want))
+        << "layout=" << static_cast<int>(layout) << " accumulate="
+        << accumulate << " m=" << m << " n=" << n << " k=" << k;
+  }
+}
+
+TEST(GemmTest, MatchesNaiveAcrossAwkwardSizes) {
+  expect_layout_matches_reference(Layout::kPlain, /*accumulate=*/false);
+}
+
 TEST(GemmTest, TransposedVariantsMatchExplicitTranspose) {
-  const std::size_t m = 6, n = 9, k = 11;
-  const std::vector<float> a_t = random_vec(k * m, 1);  // stored (k x m)
-  const std::vector<float> b = random_vec(k * n, 2);
-  const std::vector<float> c_rows = random_vec(m * k, 3);  // A for bt
-  const std::vector<float> d_rows = random_vec(n * k, 4);  // B stored (n x k)
-
-  // gemm_at: C = Aᵀ·B.
-  std::vector<float> a(m * k);
-  for (std::size_t p = 0; p < k; ++p) {
-    for (std::size_t i = 0; i < m; ++i) a[i * k + p] = a_t[p * m + i];
-  }
-  std::vector<float> want(m * n), got(m * n);
-  naive_matmul(m, n, k, a, b, want);
-  emoleak::nn::gemm_at(m, n, k, a_t.data(), b.data(), got.data());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_NEAR(got[i], want[i], 1e-5f) << "gemm_at i=" << i;
-  }
-
-  // gemm_bt: C = A·Bᵀ.
-  std::vector<float> d(k * n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t p = 0; p < k; ++p) d[p * n + j] = d_rows[j * k + p];
-  }
-  naive_matmul(m, n, k, c_rows, d, want);
-  emoleak::nn::gemm_bt(m, n, k, c_rows.data(), d_rows.data(), got.data());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_NEAR(got[i], want[i], 1e-5f) << "gemm_bt i=" << i;
+  expect_layout_matches_reference(Layout::kAt, /*accumulate=*/false);
+  expect_layout_matches_reference(Layout::kBt, /*accumulate=*/false);
+  // Transposing an operand by hand and calling gemm gives the same bits:
+  // all three kernels run one sequence per element.
+  for (const auto& [m, n, k] : kGemmDims) {
+    const std::vector<float> a_t = random_vec(k * m, m + k);  // (k x m)
+    const std::vector<float> b_t = random_vec(n * k, n + k);  // (n x k)
+    std::vector<float> a(m * k), b(k * n);
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t i = 0; i < m; ++i) a[i * k + p] = a_t[p * m + i];
+      for (std::size_t j = 0; j < n; ++j) b[p * n + j] = b_t[j * k + p];
+    }
+    std::vector<float> plain(m * n), at(m * n), bt(m * n);
+    run_gemm(Layout::kPlain, m, n, k, a, b, plain, false);
+    run_gemm(Layout::kAt, m, n, k, a_t, b, at, false);
+    run_gemm(Layout::kBt, m, n, k, a, b_t, bt, false);
+    ASSERT_TRUE(bitwise_equal(at, plain)) << "gemm_at m=" << m << " k=" << k;
+    ASSERT_TRUE(bitwise_equal(bt, plain)) << "gemm_bt n=" << n << " k=" << k;
   }
 }
 
 TEST(GemmTest, AccumulateAddsOntoExistingValues) {
-  const std::size_t m = 5, n = 7, k = 3;
-  const std::vector<float> a = random_vec(m * k, 5);
-  const std::vector<float> b = random_vec(k * n, 6);
-  std::vector<float> base(m * n, 2.0f), got(m * n, 2.0f), prod(m * n);
-  naive_matmul(m, n, k, a, b, prod);
-  emoleak::nn::gemm(m, n, k, a.data(), b.data(), got.data(),
-                    /*accumulate=*/true);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_NEAR(got[i], base[i] + prod[i], 1e-5f);
-  }
+  expect_layout_matches_reference(Layout::kPlain, /*accumulate=*/true);
+  expect_layout_matches_reference(Layout::kAt, /*accumulate=*/true);
+  expect_layout_matches_reference(Layout::kBt, /*accumulate=*/true);
 }
 
 /// Runs forward + backward through both the im2col/GEMM pipeline and
@@ -494,7 +549,7 @@ void expect_lowered_conv_matches_naive(std::size_t n, std::size_t h,
   // Lowered pipeline: im2col -> GEMM (forward), GEMMs + col2im (backward).
   const std::size_t rows = oh * ow;
   const std::size_t kcols = kh * kw * cin;
-  std::vector<float> col(rows * kcols), dcol(rows * kcols);
+  std::vector<float> col(rows * kcols), dcol(rows * kcols), tcol(rows * cin);
   std::vector<float> y(n * oh * ow * cout);
   std::vector<float> gx(x.size(), 0.0f);
   std::vector<float> gw(wt.size(), 0.0f);
@@ -502,6 +557,18 @@ void expect_lowered_conv_matches_naive(std::size_t n, std::size_t h,
   for (std::size_t b = 0; b < n; ++b) {
     const float* xb = x.data() + b * h * w * cin;
     nn::im2col(xb, h, w, cin, kh, kw, sh, sw, ph, pw, oh, ow, col.data());
+    // Each tap's column block equals those columns of the patch matrix.
+    for (std::size_t tap = 0; tap < kh * kw; ++tap) {
+      nn::im2col_tap(xb, h, w, cin, tap / kw, tap % kw, sh, sw, ph, pw, oh, ow,
+                     tcol.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(std::memcmp(tcol.data() + r * cin,
+                              col.data() + r * kcols + tap * cin,
+                              cin * sizeof(float)),
+                  0)
+            << "tap=" << tap << " r=" << r;
+      }
+    }
     float* yb = y.data() + b * rows * cout;
     for (std::size_t r = 0; r < rows; ++r) {
       for (std::size_t oc = 0; oc < cout; ++oc) yb[r * cout + oc] = bias[oc];
@@ -590,6 +657,106 @@ TEST(ConvLoweringTest, LayerMatchesNaiveReference) {
     for (std::size_t i = 0; i < gb_ref.size(); ++i) {
       ASSERT_NEAR(conv.parameters()[1]->grad[i], gb_ref[i],
                   1e-3f * (1.0f + std::abs(gb_ref[i])));
+    }
+  }
+}
+
+// ------------------------------------------- parallel training parity
+//
+// Conv2D fans training forward and backward out over the pool: images
+// for the output and dX, kernel taps for dW. The result must not depend
+// on the split: the same bits at any thread count, and the same bits
+// as a serial per-image pass that runs each GEMM as plain loops in the
+// contract's order.
+
+struct ConvGrads {
+  std::vector<float> y, gx, gw, gb;
+};
+
+ConvGrads serial_conv_reference(const Tensor& x, const Tensor& g,
+                                const std::vector<float>& wt,
+                                const std::vector<float>& bias, std::size_t kh,
+                                std::size_t kw, bool same) {
+  namespace nn = emoleak::nn;
+  const std::size_t n = x.dim(0), h = x.dim(1), w = x.dim(2), cin = x.dim(3);
+  const std::size_t oh = g.dim(1), ow = g.dim(2), cout = g.dim(3);
+  const std::size_t ph = same ? (kh - 1) / 2 : 0, pw = same ? (kw - 1) / 2 : 0;
+  const std::size_t rows = oh * ow, kcols = kh * kw * cin;
+  ConvGrads ref{std::vector<float>(n * rows * cout),
+                std::vector<float>(x.size(), 0.0f),
+                std::vector<float>(kcols * cout, 0.0f),
+                std::vector<float>(cout, 0.0f)};
+  std::vector<float> col(rows * kcols), dcol(rows * kcols);
+  for (std::size_t b = 0; b < n; ++b) {
+    nn::im2col(&x.at4(b, 0, 0, 0), h, w, cin, kh, kw, 1, 1, ph, pw, oh, ow,
+               col.data());
+    const float* gb = g.data() + b * rows * cout;
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t oc = 0; oc < cout; ++oc) {
+        float y = bias[oc];
+        for (std::size_t t = 0; t < kcols; ++t) {
+          y = y + col[r * kcols + t] * wt[t * cout + oc];
+        }
+        ref.y[(b * rows + r) * cout + oc] = y;
+        ref.gb[oc] = ref.gb[oc] + gb[r * cout + oc];
+      }
+      for (std::size_t t = 0; t < kcols; ++t) {
+        float d = 0.0f;
+        for (std::size_t oc = 0; oc < cout; ++oc) {
+          d = d + gb[r * cout + oc] * wt[t * cout + oc];
+          ref.gw[t * cout + oc] =
+              ref.gw[t * cout + oc] + col[r * kcols + t] * gb[r * cout + oc];
+        }
+        dcol[r * kcols + t] = d;
+      }
+    }
+    nn::col2im(dcol.data(), h, w, cin, kh, kw, 1, 1, ph, pw, oh, ow,
+               ref.gx.data() + b * h * w * cin);
+  }
+  return ref;
+}
+
+TEST(ConvTrainingParityTest, BitIdenticalAtAnyThreadCountAndToSerialReference) {
+  // {n, h, w, cin, cout, kh, kw, same}
+  const std::size_t cases[][8] = {
+      {5, 9, 7, 3, 20, 3, 3, 1},  // 'same' 3x3, cout straddles the tile
+      {4, 1, 12, 8, 16, 1, 3, 1}, // time-frequency (1 x 3)
+      {6, 8, 8, 1, 32, 1, 1, 1},  // the spectrogram net's 1x1 first layer
+      {3, 7, 6, 3, 5, 3, 3, 0},   // 'valid', narrow cout
+  };
+  for (const auto& c : cases) {
+    const std::size_t n = c[0], h = c[1], w = c[2], cin = c[3], cout = c[4],
+                      kh = c[5], kw = c[6];
+    const bool same = c[7] == 1;
+    const Tensor x = random_tensor({n, h, w, cin}, 300 + cout);
+    std::vector<ConvGrads> runs;
+    for (const std::size_t threads : {1, 2, 8}) {
+      Conv2D conv{cin, cout, kh, kw, same, 77};
+      conv.set_parallelism(emoleak::util::Parallelism{.threads = threads});
+      const Tensor y = conv.forward(x, /*training=*/true);
+      const Tensor g = random_tensor(y.shape(), 400 + cout);
+      const Tensor gx = conv.backward(g);
+      const std::vector<Parameter*> params = conv.parameters();
+      const auto vec = [](const Tensor& t) {
+        return std::vector<float>(t.data(), t.data() + t.size());
+      };
+      runs.push_back({vec(y), vec(gx), vec(params[0]->grad),
+                      vec(params[1]->grad)});
+      if (threads == 1) {
+        const ConvGrads ref =
+            serial_conv_reference(x, g, vec(params[0]->value),
+                                  vec(params[1]->value), kh, kw, same);
+        EXPECT_TRUE(bitwise_equal(runs.back().y, ref.y)) << "cout=" << cout;
+        EXPECT_TRUE(bitwise_equal(runs.back().gx, ref.gx)) << "cout=" << cout;
+        EXPECT_TRUE(bitwise_equal(runs.back().gw, ref.gw)) << "cout=" << cout;
+        EXPECT_TRUE(bitwise_equal(runs.back().gb, ref.gb)) << "cout=" << cout;
+      }
+    }
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      EXPECT_TRUE(bitwise_equal(runs[r].y, runs[0].y)) << "run " << r;
+      EXPECT_TRUE(bitwise_equal(runs[r].gx, runs[0].gx)) << "run " << r;
+      EXPECT_TRUE(bitwise_equal(runs[r].gw, runs[0].gw)) << "run " << r;
+      EXPECT_TRUE(bitwise_equal(runs[r].gb, runs[0].gb)) << "run " << r;
     }
   }
 }

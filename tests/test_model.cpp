@@ -174,6 +174,9 @@ TEST(SequentialTest, BadConfigThrows) {
   cfg = TrainConfig{};
   EXPECT_THROW((void)m.train(data.x, {0, 1}, 2, cfg),
                emoleak::util::DataError);
+  // No rows at all: there is no batch to gather and no loss to average.
+  EXPECT_THROW((void)m.train(Tensor{{0, 2}}, {}, 2, cfg),
+               emoleak::util::DataError);
 }
 
 TEST(SequentialTest, LabelOutOfRangeThrows) {
