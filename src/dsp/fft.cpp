@@ -196,7 +196,7 @@ namespace {
 /// Bluestein's algorithm expresses a length-n DFT as a circular
 /// convolution of length m = next_pow2(2n-1). The chirp sequence and
 /// the transformed convolution kernel depend only on n, so both are
-/// cached per thread (stable unique_ptr slots, like FftPlan::get).
+/// cached per thread.
 struct BluesteinPlan {
   std::size_t n = 0;
   std::size_t m = 0;
@@ -204,9 +204,26 @@ struct BluesteinPlan {
   std::vector<Complex> fft_b;  ///< forward FFT of the convolution kernel
 };
 
+/// The calling thread's Bluestein plans: at most kBluesteinPlanCap,
+/// replaced oldest-first. Served regions come in arbitrary lengths, so
+/// an unbounded cache would grow with every new one for the life of
+/// the thread.
+struct BluesteinCache {
+  std::vector<std::unique_ptr<BluesteinPlan>> plans;
+  std::size_t oldest = 0;  ///< slot replaced next once the cache is full
+};
+
+BluesteinCache& bluestein_cache() {
+  thread_local BluesteinCache cache;
+  return cache;
+}
+
+/// The reference stays valid until this thread plans kBluesteinPlanCap
+/// further sizes. Every caller uses it within one bluestein_forward
+/// call, which plans no other Bluestein size, so it outlives its use.
 const BluesteinPlan& bluestein_plan(std::size_t n) {
-  thread_local std::vector<std::unique_ptr<BluesteinPlan>> cache;
-  for (const std::unique_ptr<BluesteinPlan>& p : cache) {
+  BluesteinCache& cache = bluestein_cache();
+  for (const std::unique_ptr<BluesteinPlan>& p : cache.plans) {
     if (p->n == n) return *p;
   }
   auto plan = std::make_unique<BluesteinPlan>();
@@ -226,8 +243,14 @@ const BluesteinPlan& bluestein_plan(std::size_t n) {
     plan->fft_b[k] = plan->fft_b[plan->m - k] = std::conj(plan->chirp[k]);
   }
   FftPlan::get(plan->m).forward(plan->fft_b);
-  cache.push_back(std::move(plan));
-  return *cache.back();
+  if (cache.plans.size() < kBluesteinPlanCap) {
+    cache.plans.push_back(std::move(plan));
+    return *cache.plans.back();
+  }
+  std::unique_ptr<BluesteinPlan>& slot = cache.plans[cache.oldest];
+  cache.oldest = (cache.oldest + 1) % kBluesteinPlanCap;
+  slot = std::move(plan);
+  return *slot;
 }
 
 /// Forward DFT of arbitrary size via Bluestein. Writes in place.
@@ -341,6 +364,10 @@ std::vector<double> irfft(std::span<const Complex> half_spectrum, std::size_t n)
   const double scale = 1.0 / static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) out[i] = time[i].real() * scale;
   return out;
+}
+
+std::size_t bluestein_plans_cached() noexcept {
+  return bluestein_cache().plans.size();
 }
 
 std::size_t next_pow2(std::size_t n) noexcept {

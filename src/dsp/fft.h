@@ -7,9 +7,12 @@
 //
 // All transforms execute against an FftPlan: twiddle factors, the
 // bit-reversal permutation, and (for Bluestein sizes) the precomputed
-// chirp spectrum are built once per size and cached per thread in
-// stable storage, so references handed out stay valid no matter how
-// many other sizes are planned later. Plan-based real transforms
+// chirp spectrum are built once per size and cached per thread.
+// Power-of-two plans sit in stable storage, so references handed out
+// stay valid no matter how many other sizes are planned later; the
+// Bluestein cache holds at most kBluesteinPlanCap sizes and replaces
+// the oldest, so a thread that meets every region length keeps bounded
+// memory. Plan-based real transforms
 // (FftPlan::rfft and friends) draw scratch from a util::Workspace and
 // perform zero heap allocations in steady state.
 #pragma once
@@ -103,6 +106,16 @@ void rfft_magnitude_into(std::span<const double> input, std::span<double> out,
 /// n/2+1 half-spectrum bins.
 [[nodiscard]] std::vector<double> irfft(std::span<const Complex> half_spectrum,
                                         std::size_t n);
+
+/// Most Bluestein (non-power-of-two) sizes one thread keeps planned;
+/// planning another replaces the oldest. Sized to hold a fleet's
+/// distinct region lengths, so served featurization stops re-planning
+/// once every length has been seen.
+inline constexpr std::size_t kBluesteinPlanCap = 64;
+
+/// Bluestein plans currently cached on the calling thread
+/// (<= kBluesteinPlanCap).
+[[nodiscard]] std::size_t bluestein_plans_cached() noexcept;
 
 /// Smallest power of two >= n (n must be >= 1).
 [[nodiscard]] std::size_t next_pow2(std::size_t n) noexcept;

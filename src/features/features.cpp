@@ -145,7 +145,7 @@ std::array<double, kFreqFeatureCount> freq_features(
     const double db_next = 20.0 * std::log10(std::max(mag[k + 1], kFloor));
     smooth += std::abs(db - (db_prev + db + db_next) / 3.0);
   }
-  f[6] = smooth / static_cast<double>(bins - 3);
+  f[6] = bins > 3 ? smooth / static_cast<double>(bins - 3) : 0.0;
 
   // Spectral moments over the power distribution.
   double centroid = 0.0;

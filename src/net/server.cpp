@@ -171,6 +171,9 @@ void NetServer::run() {
       }
       if ((events[i].events & EPOLLIN) != 0) connection_readable(conn);
     }
+    // Drain on arrival: one drain for everything this wakeup admitted,
+    // so requests that arrived together still batch across sessions.
+    if (drain_due_) drain_and_route();
     stats_.loop_stall_ns.record(obs::trace_now_ns() - woke_ns);
   }
   graceful_shutdown();
@@ -213,7 +216,7 @@ void NetServer::accept_ready() {
 
 void NetServer::connection_readable(Connection& conn) {
   // Bounded reads per wake-up: level-triggered epoll re-notifies, so a
-  // firehose peer cannot starve the drain timer or other connections.
+  // firehose peer cannot starve the drain or other connections.
   OBS_SPAN("net.read");
   for (int round = 0; round < 4; ++round) {
     const std::size_t old_size = conn.inbuf.size();
@@ -245,6 +248,7 @@ void NetServer::dispatch(Connection& conn) {
   serve::HandleResult result = service_.handle_frames(conn.inbuf);
   stats_.frames_in.add(result.frames);
   stats_.overload_acks.add(result.overloaded);
+  drain_due_ = drain_due_ || !result.streams_touched.empty();
 
   // Connection -> stream affinity: events for a stream route back to
   // the last connection that wrote it.
@@ -322,7 +326,8 @@ void NetServer::update_interest(Connection& conn) {
 void NetServer::drain_and_route() {
   OBS_SPAN("net.tick");
   stats_.drain_ticks.add(1);
-  // Finishes deferred by overload (disconnect storms) retry every tick
+  drain_due_ = false;
+  // Finishes deferred by overload (disconnect storms) retry every drain
   // until the shard queue admits them — bounded by drain progress, not
   // by extra queueing. A stream adopted by a new connection in the
   // meantime is no longer ours to finish.
@@ -369,11 +374,12 @@ void NetServer::close_connection(Connection& conn, bool peer_gone) {
   }
   // A mid-stream disconnect must not leak sessions until idle timeout:
   // finish every stream this peer owned so its open region flushes and
-  // the session retires into the pool at the next drain tick.
+  // the session retires into the pool at the next drain.
   for (const std::uint64_t id : conn.streams) {
     const auto it = stream_owner_.find(id);
     if (it == stream_owner_.end() || it->second != &conn) continue;
     stream_owner_.erase(it);
+    drain_due_ = true;
     if (service_.finish_stream(id) == serve::Status::kOverloaded) {
       pending_finishes_.push_back(id);
     }

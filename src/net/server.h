@@ -18,11 +18,17 @@
 //                   last writer. A mid-stream disconnect finishes the
 //                   peer's streams so their sessions flush and retire
 //                   into the pool instead of leaking until idle timeout
-//   drain tick      a timerfd fires every drain_interval_ms; each tick
-//                   runs one ServeService::drain() (the existing
-//                   sharded batcher — per-stream sequential, shards
-//                   parallel, bit-identical events) and routes the
-//                   completed events
+//   drain           one ServeService::drain() (the sharded batcher —
+//                   per-stream sequential, shards parallel,
+//                   bit-identical events), then route the completed
+//                   events. It runs at the end of every epoll wakeup
+//                   that admitted a push/start/finish or closed a
+//                   connection owning streams, so requests arriving in
+//                   one wakeup share a drain and nothing waits for a
+//                   timer. A timerfd every drain_interval_ms is the
+//                   backstop cadence: it retries overload-deferred
+//                   finishes and keeps the sessions' idle clock moving
+//                   when no traffic arrives
 //   backpressure    ServeService maps a full shard queue to
 //                   Status::kOverloaded; the ack carries
 //                   serve::kRetryAfterMs so clients back off instead of
@@ -55,7 +61,10 @@ namespace emoleak::net {
 struct NetServerConfig {
   std::uint16_t port = 0;        ///< 0 = ephemeral; read back via port()
   std::size_t max_connections = 1024;
-  std::uint32_t drain_interval_ms = 1;   ///< batch cadence (timerfd)
+  /// Backstop drain cadence (timerfd). Admitted requests drain at the
+  /// end of the wakeup that read them; the timer retries deferred
+  /// finishes and advances the idle clock between arrivals.
+  std::uint32_t drain_interval_ms = 1;
 
   void validate() const;
 };
@@ -115,7 +124,7 @@ class NetServer {
 
   Fd epoll_;
   Fd wake_;   ///< eventfd: stop() -> loop wake-up
-  Fd timer_;  ///< timerfd: drain tick
+  Fd timer_;  ///< timerfd: backstop drain cadence
 
   std::thread loop_;
   std::atomic<bool> running_{false};
@@ -124,7 +133,10 @@ class NetServer {
   // Event-loop-thread state (no locking: only run() touches these).
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   std::unordered_map<std::uint64_t, Connection*> stream_owner_;
-  std::vector<std::uint64_t> pending_finishes_;  ///< retried each tick
+  std::vector<std::uint64_t> pending_finishes_;  ///< retried each drain
+  /// This wakeup admitted a stream request or finished a closed
+  /// connection's streams: drain once its handlers are done.
+  bool drain_due_ = false;
 
   // net.* metrics in the service's registry, written by the loop
   // thread. The references resolve once at construction; recording
@@ -142,10 +154,11 @@ class NetServer {
     obs::Counter& events_orphaned;
     obs::Counter& bytes_in;
     obs::Counter& bytes_out;
-    obs::Counter& drain_ticks;
+    obs::Counter& drain_ticks;  ///< every drain, timer or arrival
     obs::Counter& reads_paused;
     obs::Counter& reads_resumed;
-    obs::Histogram& loop_stall_ns;  ///< handler time per epoll wakeup
+    /// Handler time per epoll wakeup, including its drain.
+    obs::Histogram& loop_stall_ns;
     explicit Counters(obs::Registry& registry);
   } stats_;
 };

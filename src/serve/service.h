@@ -40,8 +40,9 @@
 namespace emoleak::serve {
 
 /// Back-off advertised in overload acks (AckMsg::retry_after_ms) and in
-/// the transport's connection-cap reject: roughly one drain tick, the
-/// earliest a retry can find queue room.
+/// the transport's connection-cap reject. The transport drains at the
+/// end of the wakeup that filled the queue and at least every backstop
+/// tick, so a retry this much later finds queue room.
 inline constexpr std::uint32_t kRetryAfterMs = 1;
 
 struct ServeConfig {

@@ -146,11 +146,9 @@ TEST(ExtractFeaturesTest, ConcatenatesTimeAndFreq) {
 }
 
 // Property: features are finite for a wide range of realistic inputs.
-class FeatureSanity : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FeatureSanity, FiniteOnNoisyTones) {
-  emoleak::util::Rng rng{GetParam()};
-  std::vector<double> x(64 + GetParam() * 131);
+std::vector<double> noisy_tone(std::size_t seed, std::size_t n) {
+  emoleak::util::Rng rng{seed};
+  std::vector<double> x(n);
   const double f0 = rng.uniform(5.0, 200.0);
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = 9.81 +
@@ -158,6 +156,13 @@ TEST_P(FeatureSanity, FiniteOnNoisyTones) {
                std::sin(2.0 * std::numbers::pi * f0 * static_cast<double>(i) / 420.0) +
            0.01 * rng.normal();
   }
+  return x;
+}
+
+class FeatureSanity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FeatureSanity, FiniteOnNoisyTones) {
+  const std::vector<double> x = noisy_tone(GetParam(), 64 + GetParam() * 131);
   for (const double v : extract_features(x, 420.0)) {
     EXPECT_TRUE(std::isfinite(v));
   }
@@ -165,5 +170,19 @@ TEST_P(FeatureSanity, FiniteOnNoisyTones) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FeatureSanity,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21));
+
+// A short min_region_s at a low sample rate lets the streaming detector
+// close regions of a few samples, whose spectrum has only 3 or 4 bins;
+// every feature must still be finite there.
+class ShortRegionSanity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ShortRegionSanity, FiniteOnShortRegions) {
+  const std::vector<double> x = noisy_tone(GetParam(), GetParam());
+  for (const double v : extract_features(x, 420.0)) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ShortRegionSanity, ::testing::Values(4, 5, 6));
 
 }  // namespace

@@ -336,6 +336,27 @@ TEST(FftPlanTest, InterleavedSizesStayConsistent) {
   }
 }
 
+// A thread that featurizes every region length must not keep a
+// Bluestein plan per length forever: the cache is capped, evicts
+// oldest-first, and a size planned again transforms bit-identically.
+TEST(FftPlanTest, BluesteinCacheStaysBoundedAndReplansIdentically) {
+  using emoleak::dsp::bluestein_plans_cached;
+  using emoleak::dsp::kBluesteinPlanCap;
+  const std::vector<Complex> x = random_signal(1001, 31);
+  const std::vector<Complex> first = fft(x);
+  // More fresh odd sizes than the cache holds: 1001's plan is evicted.
+  for (std::size_t i = 1; i <= kBluesteinPlanCap + 8; ++i) {
+    (void)fft(random_signal(1001 + 2 * i, i));
+    EXPECT_LE(bluestein_plans_cached(), kBluesteinPlanCap);
+  }
+  EXPECT_EQ(bluestein_plans_cached(), kBluesteinPlanCap);
+  const std::vector<Complex> again = fft(x);
+  ASSERT_EQ(again.size(), first.size());
+  for (std::size_t k = 0; k < first.size(); ++k) {
+    EXPECT_EQ(again[k], first[k]) << "k=" << k;
+  }
+}
+
 TEST(FftPlanTest, RejectsNonPow2Sizes) {
   using emoleak::dsp::FftPlan;
   EXPECT_THROW(FftPlan{6}, emoleak::util::DataError);

@@ -445,17 +445,22 @@ TEST(NetServerTest, OverloadAckCarriesRetryAfter) {
   cfg.batcher.shard_count = 1;
   cfg.batcher.queue_capacity = 2;
   net::NetServerConfig net_cfg;
-  net_cfg.drain_interval_ms = 200;  // long: queue fills before a drain
+  net_cfg.drain_interval_ms = 200;  // long: no backstop drain mid-burst
   ServerFixture fx{cfg, net_cfg};
 
   net::BlockingClient client{fx.server->port()};
   client.set_recv_timeout(10000);
   const std::vector<double> chunk(64, 9.81);
 
+  // One burst, so a single read admits all five pushes before the
+  // wakeup's drain runs: the queue fills and sheds the rest.
+  std::string burst;
+  for (int i = 0; i < 5; ++i) serve::encode(burst, serve::ChunkPushMsg{1, chunk});
+  client.send_bytes(burst);
+
   std::size_t ok = 0;
   std::optional<serve::AckMsg> overloaded;
   for (int i = 0; i < 5; ++i) {
-    client.send(serve::ChunkPushMsg{1, chunk});
     const auto ack = std::get<serve::AckMsg>(*client.recv());
     if (ack.status == Status::kOk) {
       ++ok;
@@ -471,11 +476,51 @@ TEST(NetServerTest, OverloadAckCarriesRetryAfter) {
   EXPECT_EQ(overloaded->retry_after_ms, serve::kRetryAfterMs);
   EXPECT_LE(ok, 2u);  // nothing queued beyond the shard capacity
 
-  // Backing off by retry_after_ms (plus the long drain tick) makes the
-  // retry land: the service recovered by shedding, not queueing.
+  // Backing off by retry_after_ms makes the retry land: the burst's
+  // drain emptied the queue, so the service recovered by shedding, not
+  // queueing.
   std::this_thread::sleep_for(std::chrono::milliseconds{250});
   client.send(serve::ChunkPushMsg{1, chunk});
   EXPECT_EQ(std::get<serve::AckMsg>(*client.recv()).status, Status::kOk);
+}
+
+TEST(NetServerTest, EventArrivesWithoutATick) {
+  const auto model = make_model(3, 7);
+  // A burst that closes mid-stream (silence follows it), so its event
+  // comes from a push, not from finish or the shutdown flush.
+  const auto trace = trace_with_bursts(12000, {{4000, 4700}}, 61);
+  const auto reference = standalone_events(trace, 512, model);
+  ASSERT_EQ(reference.size(), 1u);
+
+  net::NetServerConfig net_cfg;
+  net_cfg.drain_interval_ms = 10'000;  // the backstop timer never fires
+  ServerFixture fx{service_config(1), net_cfg};
+  net::BlockingClient client{fx.server->port()};
+  client.set_recv_timeout(2000);
+
+  std::vector<core::EmotionEvent> events;
+  // Reads one message: collects an event, returns true for an ack.
+  const auto read_one = [&] {
+    auto msg = client.recv();
+    if (!msg) throw net::NetError{"server closed early"};
+    if (auto* ev = std::get_if<serve::EventMsg>(&*msg)) {
+      events.push_back(std::move(ev->event));
+      return false;
+    }
+    EXPECT_EQ(std::get<serve::AckMsg>(*msg).status, Status::kOk);
+    return true;
+  };
+  for (std::size_t i = 0; i < trace.size(); i += 512) {
+    const std::size_t hi = std::min(i + 512, trace.size());
+    client.send(serve::ChunkPushMsg{5, slice(trace, i, hi)});
+    while (!read_one()) {
+    }
+  }
+  // No further traffic and no timer: the push that closed the region
+  // drained on arrival, so its event is on the wire already. Without
+  // that, recv() throws after its 2 s timeout.
+  while (events.empty()) (void)read_one();
+  expect_same_events(events, reference);
 }
 
 TEST(NetServerTest, DisconnectEvictsSession) {
