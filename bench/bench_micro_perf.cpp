@@ -330,10 +330,10 @@ void BM_ForestTrainReference(benchmark::State& state) {
 BENCHMARK(BM_ForestTrainReference)->Unit(benchmark::kMillisecond);
 
 void BM_ForestTrainBinned(benchmark::State& state) {
-  // Histogram-binned induction on the same data/config as
-  // BM_ForestTrain: the shared <=256-bin quantile binner replaces the
-  // shared presort, per-node work drops from sorted-column scans over
-  // doubles to u8 histogram accumulation with the subtraction trick.
+  // Binned induction on the same data/config as BM_ForestTrain: the
+  // shared <=256-bin quantile binner replaces the shared presort, and
+  // per-node work drops from sorted-column scans over doubles to one
+  // counting sort of u8 bin codes per candidate feature.
   const ml::Dataset d = tree_bench_data(1500, 52);
   ml::RandomForestConfig cfg;
   cfg.tree_count = 20;

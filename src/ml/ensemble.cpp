@@ -50,7 +50,7 @@ void RandomForest::fit(const Dataset& data) {
   // Per-dataset shared induction index, built once for the whole
   // forest and read-only afterwards so sharing it across the worker
   // threads is safe: sorted columns for the exact/presort path, the
-  // quantile binner for the histogram path. Binning uses the *full*
+  // quantile binner for the binned path. Binning uses the *full*
   // dataset (not a bag), so every tree sees the same candidate cuts and
   // the forest stays bit-identical at any thread count.
   std::optional<PresortedColumns> shared;

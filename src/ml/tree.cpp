@@ -9,6 +9,7 @@
 #include <ostream>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "ml/serialize.h"
 #include "util/error.h"
@@ -98,17 +99,14 @@ struct DecisionTree::BuildScratch {
   std::span<unsigned char> go_left;  ///< split mask by position (n)
 
   // Binned path: one array of dataset row ids (bag repeats allowed),
-  // partitioned in place down the tree — no per-feature order to
-  // maintain; node histograms live on the Workspace stack instead.
-  // `bin_total`/`touched`/`bin_start`/`scatter` serve the small-node
-  // direct scorer (a per-candidate counting sort by code): bin_total
-  // stays all-zero between candidates — each scorer re-zeroes exactly
-  // the codes it touched, and a 256-bit set yields those codes already
-  // sorted — so scoring a candidate in a node of c rows over d distinct
-  // codes costs O(c + d) instead of O(max_bins x classes), with the
-  // counting pass fused across a block of candidates (`code_buf` holds
-  // one gathered code stripe per candidate in the block). Essential
-  // because deep CART trees are mostly tiny nodes.
+  // partitioned in place down the tree, with no per-feature order to
+  // maintain. `bin_total`/`touched`/`bin_start`/`scatter` serve the
+  // scorer, a per-candidate counting sort by code. bin_total stays
+  // all-zero between candidates: the scorer re-zeroes exactly the codes
+  // it touched, and a 256-bit set yields those codes already sorted. So
+  // scoring a candidate in a node of c rows over d distinct codes costs
+  // O(c + d), not O(max_bins x classes). That matters because deep CART
+  // trees are mostly tiny nodes.
   std::span<std::uint32_t> positions;  ///< n dataset row ids
   std::span<std::uint32_t> spill;      ///< partition spill buffer (n)
   std::span<int> labels;               ///< n labels, partitioned alongside
@@ -116,110 +114,19 @@ struct DecisionTree::BuildScratch {
   std::span<std::uint8_t> touched;     ///< codes seen by current candidate
   std::span<std::uint32_t> bin_start;  ///< 257 prefix sums over touched
   std::span<std::uint16_t> scatter;    ///< n labels in code order
-  std::span<std::uint8_t> code_buf;    ///< n gathered codes (node window)
 };
 
 namespace {
 
-// Nodes at or above this row count score splits from a full
-// all-features histogram and hand their children histograms via the
-// subtraction trick (larger child = parent - smaller sibling); smaller
-// nodes use the sparse direct scorer, whose cost tracks the node size
-// instead of the bin budget. The crossover trades one O(total bins x
-// classes) zero+subtract pass against per-candidate re-accumulation.
-constexpr std::size_t kHistNodeMin = 4096;
-
-// Candidate features scored per fused counting pass in the direct
-// scorer: the per-node row walk gathers codes for up to this many
-// candidates at once. Sized so the block's count arrays (kCandBlock x
-// 1 KiB) plus its code stripes stay cache-resident.
-constexpr std::size_t kCandBlock = 6;
-
-// Nodes at or below this row count skip the counting sort altogether:
-// they pack (code, label) into u16 pairs, sort them with a branchless
-// compare-exchange network, and scan the sorted run directly. At these
-// sizes nearly every bin holds one row, so the per-bin machinery
-// (256-entry counts, bitmap, prefix, scatter, re-zero) costs more than
-// sorting c two-byte items that then need no bookkeeping at all.
-constexpr std::size_t kSortScoreMax = 16;
-
-// Batcher odd-even mergesort network for N a power of two: a fixed
-// sequence of compare-exchange pairs, each lowered to min/max (no
-// data-dependent branches, deep ILP). Template-unrolled so every
-// exchange uses immediate offsets — no index-table loads, no loop.
-struct SortCe {
-  std::uint8_t a = 0;
-  std::uint8_t b = 0;
-};
-
-template <std::size_t N>
-struct SortNet {
-  std::array<SortCe, 6 * N> ce{};
-  std::size_t size = 0;
-};
-
-template <std::size_t N>
-constexpr SortNet<N> make_sortnet() {
-  SortNet<N> net{};
-  for (std::size_t p = 1; p < N; p <<= 1) {
-    for (std::size_t k = p; k >= 1; k >>= 1) {
-      for (std::size_t j = k % p; j + k < N; j += 2 * k) {
-        const std::size_t lim = std::min(k, N - j - k);
-        for (std::size_t i = 0; i < lim; ++i) {
-          if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
-            net.ce[net.size++] = {static_cast<std::uint8_t>(i + j),
-                                  static_cast<std::uint8_t>(i + j + k)};
-          }
-        }
-      }
-    }
-  }
-  return net;
-}
-
-inline constexpr auto kNet8 = make_sortnet<8>();
-inline constexpr auto kNet16 = make_sortnet<16>();
-
-template <const auto& Net, std::size_t... I>
-inline void run_sortnet_impl(std::uint16_t* buf, std::index_sequence<I...>) {
-  (
-      [&] {
-        constexpr std::size_t a = Net.ce[I].a;
-        constexpr std::size_t b = Net.ce[I].b;
-        const std::uint16_t x = buf[a];
-        const std::uint16_t y = buf[b];
-        buf[a] = std::min(x, y);
-        buf[b] = std::max(x, y);
-      }(),
-      ...);
-}
-
-template <const auto& Net>
-inline void run_sortnet(std::uint16_t* buf) {
-  run_sortnet_impl<Net>(buf, std::make_index_sequence<Net.size>{});
-}
-
-// Fixed-point scale for the integer split screen used by the direct
-// scorers (2^20). Direct-mode nodes hold fewer than kHistNodeMin rows,
-// so every term of the scaled comparison fits comfortably in 64 bits.
-constexpr unsigned kScreenShift = 20;
-
-// Flat (bin x class) histogram accumulation for one node: feature-major
-// so each pass writes into one feature's contiguous hist stripe (at
-// most 256 x classes u32, L1/L2-resident) while streaming the node's
-// positions. `hist` must be zeroed by the caller.
-void accumulate_histogram(const BinnedColumns& binned,
-                          std::span<const std::uint32_t> positions,
-                          std::span<const int> labels, std::size_t classes,
-                          std::uint32_t* hist) {
-  const std::size_t count = positions.size();
-  for (std::size_t f = 0; f < binned.dims(); ++f) {
-    const std::uint8_t* codes = binned.codes(f);
-    std::uint32_t* stripe = hist + binned.offset(f) * classes;
-    for (std::size_t j = 0; j < count; ++j) {
-      ++stripe[codes[positions[j]] * classes +
-               static_cast<std::size_t>(labels[j])];
-    }
+// NaN has no place in a value order: with one in a column, the sort
+// comparators below stop being strict weak orderings (std::sort is then
+// undefined) and the binner would emit NaN thresholds. Dataset::validate
+// accepts NaN, so every induction entry point rejects it here.
+void reject_nan(const Dataset& data, const char* who) {
+  for (const std::vector<double>& row : data.x) {
+    bool nan = false;
+    for (const double v : row) nan |= std::isnan(v);
+    if (nan) throw util::DataError{std::string{who} + ": NaN feature value"};
   }
 }
 
@@ -294,6 +201,7 @@ void radix_sort_keys(std::uint64_t* keys, std::uint32_t* rows, std::size_t n,
 
 PresortedColumns PresortedColumns::build(const Dataset& data) {
   data.validate();
+  reject_nan(data, "PresortedColumns");
   PresortedColumns p;
   p.n_ = data.size();
   p.dim_ = data.dim();
@@ -316,6 +224,7 @@ PresortedColumns PresortedColumns::build(const Dataset& data) {
 
 BinnedColumns BinnedColumns::build(const Dataset& data, std::size_t max_bins) {
   data.validate();
+  reject_nan(data, "BinnedColumns");
   BinnedColumns b;
   b.n_ = data.size();
   b.dim_ = data.dim();
@@ -324,8 +233,6 @@ BinnedColumns BinnedColumns::build(const Dataset& data, std::size_t max_bins) {
   }
   max_bins = std::clamp<std::size_t>(max_bins, 2, 256);
   b.codes_.resize(b.dim_ * b.n_);
-  b.bin_count_.assign(b.dim_, 0);
-  b.bin_offset_.assign(b.dim_ + 1, 0);
   b.lower_.assign(b.dim_ * 256, 0.0);
   b.upper_.assign(b.dim_ * 256, 0.0);
 
@@ -379,8 +286,6 @@ BinnedColumns BinnedColumns::build(const Dataset& data, std::size_t max_bins) {
       }
       i = j;
     }
-    b.bin_count_[f] = b.n_ == 0 ? 0 : bin + 1;
-    b.bin_offset_[f + 1] = b.bin_offset_[f] + b.bin_count_[f];
   }
   return b;
 }
@@ -396,6 +301,7 @@ void DecisionTree::fit_indices(const Dataset& data,
                                const PresortedColumns* presorted,
                                const BinnedColumns* binned) {
   data.validate();
+  reject_nan(data, "DecisionTree");
   if (indices.empty()) throw util::DataError{"DecisionTree: empty index set"};
   classes_ = data.class_count;
   nodes_.clear();
@@ -420,7 +326,7 @@ void DecisionTree::fit_indices(const Dataset& data,
       dim > 0 && n <= std::numeric_limits<std::uint32_t>::max() &&
       data.size() <= std::numeric_limits<std::uint32_t>::max();
   if (!config_.exact && can_index_u32 && classes <= 0xFFFF) {
-    // Histogram-binned induction. The binner is per-dataset (like the
+    // Binned induction. The binner is per-dataset (like the
     // shared presort), so a forest builds it once; a lone tree builds
     // its own.
     std::optional<BinnedColumns> local;
@@ -438,23 +344,13 @@ void DecisionTree::fit_indices(const Dataset& data,
       scratch.positions[pos] = static_cast<std::uint32_t>(indices[pos]);
       scratch.labels[pos] = data.y[indices[pos]];
     }
-    scratch.bin_total = ws.take<std::uint32_t>(kCandBlock * 256);
+    scratch.bin_total = ws.take<std::uint32_t>(256);
     scratch.touched = ws.take<std::uint8_t>(256);
     scratch.bin_start = ws.take<std::uint32_t>(257);
     scratch.scatter = ws.take<std::uint16_t>(n);
-    scratch.code_buf = ws.take<std::uint8_t>(kCandBlock * n);
     std::fill(scratch.bin_total.begin(), scratch.bin_total.end(),
               std::uint32_t{0});
-    std::span<const std::uint32_t> root_hist;
-    if (n >= kHistNodeMin) {
-      const std::span<std::uint32_t> h =
-          ws.take<std::uint32_t>(binned->total_bins() * classes);
-      std::fill(h.begin(), h.end(), std::uint32_t{0});
-      accumulate_histogram(*binned, scratch.positions, scratch.labels, classes,
-                           h.data());
-      root_hist = h;
-    }
-    build_binned(data, *binned, scratch, 0, n, 0, rng, root_hist);
+    build_binned(data, *binned, scratch, 0, n, 0, rng);
     return;
   }
 
@@ -777,13 +673,9 @@ std::int32_t DecisionTree::build_presort(const Dataset& data,
   return self;
 }
 
-// Histogram-binned CART induction (LightGBM-style). A node receives its
-// own flat (bin x class) histogram: the root accumulates it, every
-// other node either accumulated it over its rows (smaller child) or got
-// it by the subtraction trick (larger child = parent - sibling), so
-// each level touches every sample at most once for histogram work. Cuts
-// are scored only at boundaries between bins nonempty in the node, with
-// the same incremental integer-Gini scan as the exact paths; the stored
+// Binned CART induction (LightGBM-style cuts). Cuts are scored only at
+// boundaries between bins nonempty in the node, with the same
+// incremental integer-Gini scan as the exact paths; the stored
 // threshold is the midpoint of the adjacent bins' edge values, so when
 // the binner gave every distinct value its own bin the chosen
 // (feature, threshold) sequence — and the fitted tree — matches the
@@ -794,28 +686,14 @@ std::int32_t DecisionTree::build_binned(const Dataset& data,
                                         const BinnedColumns& binned,
                                         BuildScratch& scratch,
                                         std::size_t begin, std::size_t end,
-                                        int depth, util::Rng& rng,
-                                        std::span<const std::uint32_t> hist) {
+                                        int depth, util::Rng& rng) {
   const std::size_t count = end - begin;
-  const auto classes = static_cast<std::size_t>(classes_);
-  // An empty `hist` marks a small node (below kHistNodeMin): no flat
-  // histogram exists for it and scoring uses the sparse direct path.
-  const bool has_hist = !hist.empty();
   const std::uint32_t* node_pos = scratch.positions.data() + begin;
   const int* node_labels = scratch.labels.data() + begin;
   const std::span<std::size_t> class_counts = scratch.class_counts;
   std::fill(class_counts.begin(), class_counts.end(), std::size_t{0});
-  if (has_hist) {
-    // Node class counts fall out of any one feature's hist stripe.
-    for (std::size_t b = 0; b < binned.bins(0); ++b) {
-      const std::uint32_t* cell =
-          hist.data() + (binned.offset(0) + b) * classes;
-      for (std::size_t c = 0; c < classes; ++c) class_counts[c] += cell[c];
-    }
-  } else {
-    for (std::size_t j = 0; j < count; ++j) {
-      ++class_counts[static_cast<std::size_t>(node_labels[j])];
-    }
+  for (std::size_t j = 0; j < count; ++j) {
+    ++class_counts[static_cast<std::size_t>(node_labels[j])];
   }
   const std::uint64_t node_sq = squared_count_sum(class_counts);
 
@@ -842,245 +720,94 @@ std::int32_t DecisionTree::build_binned(const Dataset& data,
   std::size_t best_cut_bin = 0;  ///< first bin routed right
   bool found = false;
 
-  // Integer screen for the direct scorers: a boundary failing
-  //   (S_l*n_r + S_r*n_l) << kScreenShift  >=  thr_fixed * n_l * n_r
-  // cannot beat the current best (thr_fixed rounds the target down, so
-  // the screen never rejects a true winner), and survivors are
-  // re-checked with the exact division form — accept decisions are
-  // identical, but the per-boundary cost drops to a handful of integer
-  // multiplies. Only valid where counts stay below kHistNodeMin (any
-  // direct-mode node); the hist path keeps the floating-point screen.
-  const auto screen_threshold = [](double thr) {
-    return static_cast<std::uint64_t>(
-        thr * (1.0 - 1e-9) *
-        static_cast<double>(std::uint64_t{1} << kScreenShift));
-  };
-  std::uint64_t thr_fixed = screen_threshold(best_metric + eps_scaled);
-
-  // Both scan modes maintain only the left side incrementally; the
-  // right squared sum is derived at each candidate boundary from
+  // Per candidate: counting sort the node's rows by code — count per
+  // code and collect touched codes, prefix-sum the (sorted) touched
+  // codes, scatter labels into code order — then run the exact paths'
+  // per-sample incremental scan over the ordered labels. Only the left
+  // side is maintained; the right squared sum is derived at each
+  // boundary from
   //   sum((total_c - left_c)^2) = node_sq - 2 * dot(total, left) + left_sq
-  // so the hot per-sample loop carries one counter update and the dot
+  // so the per-sample loop carries one counter update and the dot
   // accumulator instead of two dependent read-modify-write chains.
   const std::span<std::size_t> left_counts = scratch.left_counts;
   const std::size_t min_leaf = config_.min_samples_leaf;
-  if (has_hist) {
-    for (std::size_t fi = 0; fi < feature_count; ++fi) {
-      const std::size_t f = features[fi];
-      std::fill(left_counts.begin(), left_counts.end(), std::size_t{0});
-      std::uint64_t left_sq = 0;
-      std::uint64_t dot = 0;  ///< dot(class_counts, left_counts)
-      // Hist mode: walk every bin of this feature's stripe, moving one
-      // bin's class counts into the left side per step. Moving cnt
-      // samples of class c raises the left squared sum by
-      // cnt * (2 * left_count + cnt).
-      const std::uint32_t* stripe = hist.data() + binned.offset(f) * classes;
-      std::size_t n_left = 0;
-      double last_upper = 0.0;
-      bool have_left = false;
-      for (std::size_t b = 0; b < binned.bins(f); ++b) {
-        const std::uint32_t* cell = stripe + b * classes;
-        std::size_t bin_n = 0;
-        for (std::size_t c = 0; c < classes; ++c) bin_n += cell[c];
-        if (bin_n == 0) continue;  // bin empty in this node: no cut here
-        // Candidate cut between the previous nonempty bin and this one
-        // — the same "value changed" boundaries the exact scan uses.
-        if (have_left && n_left >= min_leaf && count - n_left >= min_leaf) {
+  std::uint32_t* bin_total = scratch.bin_total.data();
+  std::uint8_t* touched = scratch.touched.data();
+  std::uint32_t* bin_start = scratch.bin_start.data();
+  std::uint16_t* scatter = scratch.scatter.data();
+  const std::size_t* __restrict cc = class_counts.data();
+  std::size_t* __restrict lc = left_counts.data();
+  for (std::size_t fi = 0; fi < feature_count; ++fi) {
+    const std::size_t f = features[fi];
+    const std::uint8_t* codes = binned.codes(f);
+    std::uint64_t bits[4] = {};
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::size_t code = codes[node_pos[j]];
+      ++bin_total[code];
+      bits[code >> 6] |= std::uint64_t{1} << (code & 63);
+    }
+    // Touched codes as a 256-bit set: iterating its set bits yields
+    // them already sorted, replacing a per-candidate std::sort.
+    std::size_t d = 0;
+    std::uint32_t acc = 0;
+    for (std::size_t w = 0; w < 4; ++w) {
+      std::uint64_t m = bits[w];
+      while (m != 0) {
+        const std::size_t code =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(m));
+        m &= m - 1;
+        touched[d] = static_cast<std::uint8_t>(code);
+        bin_start[d] = acc;
+        const std::uint32_t cnt = bin_total[code];
+        bin_total[code] = acc;  // becomes the scatter cursor
+        acc += cnt;
+        ++d;
+      }
+    }
+    bin_start[d] = acc;
+    if (d < 2) {
+      // Feature constant within this node: no boundary, no candidate.
+      bin_total[touched[0]] = 0;
+      continue;
+    }
+    for (std::size_t j = 0; j < count; ++j) {
+      scatter[bin_total[codes[node_pos[j]]]++] =
+          static_cast<std::uint16_t>(node_labels[j]);
+    }
+    std::fill(left_counts.begin(), left_counts.end(), std::size_t{0});
+    std::uint64_t left_sq = 0;
+    std::uint64_t dot = 0;  ///< dot(class_counts, left_counts)
+    for (std::size_t t = 0; t < d; ++t) {
+      // Cut between touched bins t-1 and t: empty bins are never in
+      // `touched`, so these are the exact scan's "value changed"
+      // boundaries.
+      if (t > 0) {
+        const std::size_t n_left = bin_start[t];
+        const std::size_t n_right = count - n_left;
+        if (n_left >= min_leaf && n_right >= min_leaf) {
           const std::uint64_t right_sq = node_sq + left_sq - 2 * dot;
-          if (split_metric_may_beat(left_sq, n_left, right_sq, count - n_left,
+          if (split_metric_may_beat(left_sq, n_left, right_sq, n_right,
                                     best_metric + eps_scaled)) {
             const double metric =
-                split_metric(left_sq, n_left, right_sq, count - n_left);
+                split_metric(left_sq, n_left, right_sq, n_right);
             if (metric > best_metric + eps_scaled) {
               best_metric = metric;
               best_feature = f;
-              best_threshold = 0.5 * (last_upper + binned.lower_value(f, b));
-              best_cut_bin = b;
+              best_threshold = 0.5 * (binned.upper_value(f, touched[t - 1]) +
+                                      binned.lower_value(f, touched[t]));
+              best_cut_bin = touched[t];
               found = true;
             }
           }
         }
-        for (std::size_t c = 0; c < classes; ++c) {
-          const auto cnt = static_cast<std::uint64_t>(cell[c]);
-          if (cnt == 0) continue;
-          left_sq +=
-              cnt * (2 * static_cast<std::uint64_t>(left_counts[c]) + cnt);
-          dot += cnt * static_cast<std::uint64_t>(class_counts[c]);
-          left_counts[c] += cnt;
-        }
-        n_left += bin_n;
-        last_upper = binned.upper_value(f, b);
-        have_left = true;
       }
-    }
-  } else if (count <= kSortScoreMax && classes <= 0xFF) {
-    // Tiny node: per candidate, pack each row's (code, label) into a
-    // u16, sort with a branchless network, and scan the sorted pairs
-    // with the usual incremental updates — boundaries fall where the
-    // code byte changes, which is exactly the touched-bin boundaries of
-    // the counting-sort path, so split decisions are identical. The
-    // slots above `count` are padded with 0xFFFF (greater than any real
-    // pair, since labels stop at 0xFE when classes fit a byte) and sort
-    // harmlessly to the tail.
-    std::uint16_t pairs[kSortScoreMax];
-    const std::size_t padded = count <= 8 ? 8 : 16;
-    const std::size_t* __restrict cc = class_counts.data();
-    std::size_t* __restrict lc = left_counts.data();
-    for (std::size_t fi = 0; fi < feature_count; ++fi) {
-      const std::size_t f = features[fi];
-      const std::uint8_t* codes = binned.codes(f);
-      for (std::size_t j = 0; j < count; ++j) {
-        pairs[j] = static_cast<std::uint16_t>(
-            (static_cast<std::uint16_t>(codes[node_pos[j]]) << 8) |
-            static_cast<std::uint16_t>(node_labels[j]));
-      }
-      for (std::size_t j = count; j < padded; ++j) pairs[j] = 0xFFFF;
-      if (padded == 8) {
-        run_sortnet<kNet8>(pairs);
-      } else {
-        run_sortnet<kNet16>(pairs);
-      }
-      if ((pairs[0] >> 8) == (pairs[count - 1] >> 8)) {
-        continue;  // feature constant within this node: no boundary
-      }
-      std::fill(left_counts.begin(), left_counts.end(), std::size_t{0});
-      std::uint64_t left_sq = 0;
-      std::uint64_t dot = 0;  ///< dot(class_counts, left_counts)
-      std::size_t prev_code = pairs[0] >> 8;
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::size_t code = pairs[j] >> 8;
-        if (code != prev_code) {
-          if (j >= min_leaf && count - j >= min_leaf) {
-            const std::uint64_t right_sq = node_sq + left_sq - 2 * dot;
-            const auto nl = static_cast<std::uint64_t>(j);
-            const auto nr = static_cast<std::uint64_t>(count - j);
-            if (((left_sq * nr + right_sq * nl) << kScreenShift) >=
-                thr_fixed * (nl * nr)) {
-              const double metric =
-                  split_metric(left_sq, j, right_sq, count - j);
-              if (metric > best_metric + eps_scaled) {
-                best_metric = metric;
-                thr_fixed = screen_threshold(best_metric + eps_scaled);
-                best_feature = f;
-                best_threshold = 0.5 * (binned.upper_value(f, prev_code) +
-                                        binned.lower_value(f, code));
-                best_cut_bin = code;
-                found = true;
-              }
-            }
-          }
-          prev_code = code;
-        }
-        const std::size_t cls = pairs[j] & 0xFF;
+      // Restore the all-zero cursor invariant as each bin is scanned.
+      bin_total[touched[t]] = 0;
+      if (t + 1 == d) break;  // the last bin's samples feed no boundary
+      for (std::uint32_t k = bin_start[t]; k < bin_start[t + 1]; ++k) {
+        const std::size_t cls = scatter[k];
         left_sq += 2 * static_cast<std::uint64_t>(lc[cls]++) + 1;
         dot += cc[cls];
-      }
-    }
-  } else {
-    // Direct mode: counting sort the node's rows by code — count per
-    // code and collect touched codes, prefix-sum the (sorted) touched
-    // codes, scatter labels into code order — then run the same
-    // per-sample incremental scan as the exact paths over the ordered
-    // labels. No per-class inner loops, cost O(count + d) per candidate
-    // for d distinct codes. The counting pass is fused across a block
-    // of candidate features: one walk of the node's rows feeds every
-    // candidate's histogram, amortizing the position loads and letting
-    // the independent per-candidate count chains overlap.
-    std::uint32_t* bin_total = scratch.bin_total.data();
-    std::uint8_t* touched = scratch.touched.data();
-    std::uint32_t* bin_start = scratch.bin_start.data();
-    std::uint16_t* scatter = scratch.scatter.data();
-    for (std::size_t fb = 0; fb < feature_count; fb += kCandBlock) {
-      const std::size_t block = std::min(kCandBlock, feature_count - fb);
-      const std::uint8_t* codesq[kCandBlock];
-      std::uint8_t* cbq[kCandBlock];
-      std::uint64_t bitsq[kCandBlock][4] = {};
-      for (std::size_t q = 0; q < block; ++q) {
-        codesq[q] = binned.codes(features[fb + q]);
-        cbq[q] = scratch.code_buf.data() + q * count;
-      }
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::uint32_t row = node_pos[j];
-        for (std::size_t q = 0; q < block; ++q) {
-          const std::size_t code = codesq[q][row];
-          cbq[q][j] = static_cast<std::uint8_t>(code);
-          ++bin_total[q * 256 + code];
-          bitsq[q][code >> 6] |= std::uint64_t{1} << (code & 63);
-        }
-      }
-      for (std::size_t q = 0; q < block; ++q) {
-        const std::size_t f = features[fb + q];
-        std::uint32_t* bt = bin_total + q * 256;
-        const std::uint8_t* code_buf = cbq[q];
-        // Touched codes as a 256-bit set: iterating its set bits yields
-        // them already sorted, replacing a per-candidate std::sort.
-        std::size_t d = 0;
-        std::uint32_t acc = 0;
-        for (std::size_t w = 0; w < 4; ++w) {
-          std::uint64_t m = bitsq[q][w];
-          while (m != 0) {
-            const std::size_t code =
-                (w << 6) + static_cast<std::size_t>(std::countr_zero(m));
-            m &= m - 1;
-            touched[d] = static_cast<std::uint8_t>(code);
-            bin_start[d] = acc;
-            const std::uint32_t cnt = bt[code];
-            bt[code] = acc;  // becomes the scatter cursor
-            acc += cnt;
-            ++d;
-          }
-        }
-        bin_start[d] = acc;
-        if (d < 2) {
-          // Feature constant within this node: no boundary, no candidate.
-          bt[touched[0]] = 0;
-          continue;
-        }
-        for (std::size_t j = 0; j < count; ++j) {
-          scatter[bt[code_buf[j]]++] =
-              static_cast<std::uint16_t>(node_labels[j]);
-        }
-        std::fill(left_counts.begin(), left_counts.end(), std::size_t{0});
-        std::uint64_t left_sq = 0;
-        std::uint64_t dot = 0;  ///< dot(class_counts, left_counts)
-        const std::size_t* __restrict cc = class_counts.data();
-        std::size_t* __restrict lc = left_counts.data();
-        for (std::size_t t = 0; t < d; ++t) {
-          // Cut between touched bins t-1 and t; boundaries line up with
-          // the hist scan's because empty bins are never in `touched`.
-          if (t > 0) {
-            const std::size_t n_left = bin_start[t];
-            if (n_left >= min_leaf && count - n_left >= min_leaf) {
-              const std::uint64_t right_sq = node_sq + left_sq - 2 * dot;
-              const auto nl = static_cast<std::uint64_t>(n_left);
-              const auto nr = static_cast<std::uint64_t>(count - n_left);
-              if (((left_sq * nr + right_sq * nl) << kScreenShift) >=
-                  thr_fixed * (nl * nr)) {
-                const double metric =
-                    split_metric(left_sq, n_left, right_sq, count - n_left);
-                if (metric > best_metric + eps_scaled) {
-                  best_metric = metric;
-                  thr_fixed = screen_threshold(best_metric + eps_scaled);
-                  best_feature = f;
-                  best_threshold =
-                      0.5 * (binned.upper_value(f, touched[t - 1]) +
-                             binned.lower_value(f, touched[t]));
-                  best_cut_bin = touched[t];
-                  found = true;
-                }
-              }
-            }
-          }
-          // Restore the all-zero cursor invariant as each bin is
-          // scanned.
-          bt[touched[t]] = 0;
-          if (t + 1 == d) break;  // the last bin's samples feed no boundary
-          for (std::uint32_t k = bin_start[t]; k < bin_start[t + 1]; ++k) {
-            const std::size_t cls = scatter[k];
-            left_sq += 2 * static_cast<std::uint64_t>(lc[cls]++) + 1;
-            dot += cc[cls];
-          }
-        }
       }
     }
   }
@@ -1114,50 +841,13 @@ std::int32_t DecisionTree::build_binned(const Dataset& data,
   const std::size_t mid = begin + write;
   if (mid == begin || mid == end) return make_leaf(class_counts, count);
 
-  // Child histograms: accumulate the smaller side, subtract for the
-  // larger (child = parent - sibling). Only built while a child is
-  // still hist-sized; below the crossover children score directly and
-  // no flat histogram exists anywhere on their subtree. Buffers live on
-  // the Workspace stack for exactly the two child recursions.
-  util::Workspace& ws = util::thread_workspace();
-  const util::Workspace::Scope scope{ws};
-  const std::size_t left_n = write;
-  const std::size_t right_n = count - write;
-  std::span<const std::uint32_t> left_hist;
-  std::span<const std::uint32_t> right_hist;
-  if (has_hist && (left_n >= kHistNodeMin || right_n >= kHistNodeMin)) {
-    const std::size_t hist_size = binned.total_bins() * classes;
-    const std::span<std::uint32_t> small_hist =
-        ws.take<std::uint32_t>(hist_size);
-    const std::span<std::uint32_t> large_hist =
-        ws.take<std::uint32_t>(hist_size);
-    const bool left_is_small = left_n <= right_n;
-    const std::size_t s_begin = left_is_small ? begin : mid;
-    const std::size_t s_count = left_is_small ? left_n : right_n;
-    std::fill(small_hist.begin(), small_hist.end(), std::uint32_t{0});
-    accumulate_histogram(binned, scratch.positions.subspan(s_begin, s_count),
-                         scratch.labels.subspan(s_begin, s_count), classes,
-                         small_hist.data());
-    for (std::size_t i = 0; i < hist_size; ++i) {
-      large_hist[i] = hist[i] - small_hist[i];
-    }
-    if (left_n >= kHistNodeMin) {
-      left_hist = left_is_small ? small_hist : large_hist;
-    }
-    if (right_n >= kHistNodeMin) {
-      right_hist = left_is_small ? large_hist : small_hist;
-    }
-  }
-
   // Reserve this node's slot before recursing so children line up.
   nodes_.emplace_back();
   const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
   const std::int32_t left =
-      build_binned(data, binned, scratch, begin, mid, depth + 1, rng,
-                   left_hist);
+      build_binned(data, binned, scratch, begin, mid, depth + 1, rng);
   const std::int32_t right =
-      build_binned(data, binned, scratch, mid, end, depth + 1, rng,
-                   right_hist);
+      build_binned(data, binned, scratch, mid, end, depth + 1, rng);
   nodes_[static_cast<std::size_t>(self)].feature = best_feature;
   nodes_[static_cast<std::size_t>(self)].threshold = best_threshold;
   nodes_[static_cast<std::size_t>(self)].left = left;

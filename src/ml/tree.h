@@ -31,15 +31,14 @@ struct TreeConfig {
   bool presort = true;
   /// Exact split finding (the default): every distinct feature value is
   /// a candidate cut, and fitted trees are byte-identical to the
-  /// serialized models of earlier releases. `false` selects
-  /// histogram-binned induction (LightGBM-style): feature values are
-  /// quantized once per dataset into <= max_bins quantile bins (u8
-  /// codes), nodes accumulate per-bin class histograms (with the
-  /// child = parent - sibling subtraction trick) and score cuts only at
-  /// bin boundaries. Much faster on forests; splits may differ from the
-  /// exact tree when a bin spans multiple distinct values, but training
-  /// stays fully deterministic — same seed, same data, same trees at
-  /// any thread count.
+  /// serialized models of earlier releases. `false` selects binned
+  /// induction (LightGBM-style cuts): feature values are quantized once
+  /// per dataset into <= max_bins quantile bins (u8 codes), and each
+  /// node scores cuts only at bin boundaries, counting-sorting its rows
+  /// by code per candidate feature. Much faster on forests; splits may
+  /// differ from the exact tree when a bin spans multiple distinct
+  /// values, but training stays fully deterministic — same seed, same
+  /// data, same trees at any thread count.
   bool exact = true;
   /// Bin budget per feature for the binned path. Capped at 256 so codes
   /// fit a byte; when a feature has fewer distinct values than this,
@@ -70,8 +69,8 @@ class PresortedColumns {
   std::vector<std::uint32_t> order_;  ///< dims() arrays of rows() ids
 };
 
-/// Per-dataset quantile binner for histogram-binned induction: every
-/// feature value is quantized once into a bin code (u8, <= 256 bins per
+/// Per-dataset quantile binner for binned induction: every feature
+/// value is quantized once into a bin code (u8, <= 256 bins per
 /// feature), and trees fit on codes instead of doubles. Like
 /// PresortedColumns, ensembles build it once per fit and share it
 /// read-only across all trees/threads. Bin edges come from equal-
@@ -87,18 +86,6 @@ class BinnedColumns {
 
   [[nodiscard]] std::size_t rows() const noexcept { return n_; }
   [[nodiscard]] std::size_t dims() const noexcept { return dim_; }
-  /// Number of bins actually used by feature `f` (1..=256).
-  [[nodiscard]] std::size_t bins(std::size_t f) const noexcept {
-    return bin_count_[f];
-  }
-  /// Start of feature `f`'s bin range in a flat all-features histogram.
-  [[nodiscard]] std::size_t offset(std::size_t f) const noexcept {
-    return bin_offset_[f];
-  }
-  /// Sum of bins(f) over all features (flat histogram width).
-  [[nodiscard]] std::size_t total_bins() const noexcept {
-    return bin_offset_[dim_];
-  }
   /// Bin codes of feature `f` for every dataset row; length rows().
   [[nodiscard]] const std::uint8_t* codes(std::size_t f) const noexcept {
     return codes_.data() + f * n_;
@@ -119,11 +106,9 @@ class BinnedColumns {
  private:
   std::size_t n_ = 0;
   std::size_t dim_ = 0;
-  std::vector<std::uint8_t> codes_;      ///< dims() arrays of rows() codes
-  std::vector<std::size_t> bin_count_;   ///< per-feature bins used
-  std::vector<std::size_t> bin_offset_;  ///< exclusive prefix sums, dim+1
-  std::vector<double> lower_;            ///< dims() x 256 bin min values
-  std::vector<double> upper_;            ///< dims() x 256 bin max values
+  std::vector<std::uint8_t> codes_;  ///< dims() arrays of rows() codes
+  std::vector<double> lower_;        ///< dims() x 256 bin min values
+  std::vector<double> upper_;        ///< dims() x 256 bin max values
 };
 
 class DecisionTree final : public Classifier {
@@ -189,8 +174,7 @@ class DecisionTree final : public Classifier {
                              util::Rng& rng);
   std::int32_t build_binned(const Dataset& data, const BinnedColumns& binned,
                             BuildScratch& scratch, std::size_t begin,
-                            std::size_t end, int depth, util::Rng& rng,
-                            std::span<const std::uint32_t> hist);
+                            std::size_t end, int depth, util::Rng& rng);
   std::int32_t make_leaf(std::span<const std::size_t> class_counts,
                          std::size_t count);
   [[nodiscard]] const Node& route(std::span<const double> row) const;

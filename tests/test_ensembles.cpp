@@ -266,7 +266,7 @@ Dataset quantized_blobs(std::size_t per_class, int classes,
 
 TEST(RandomForestTest, BinnedLearnsNoisyBlobs) {
   // Continuous features: real quantization (bins span many values),
-  // exercising the histogram path end to end through bagging.
+  // exercising binned induction end to end through bagging.
   const Dataset train = noisy_blobs(80, 3, 27);
   const Dataset test = noisy_blobs(40, 3, 28);
   RandomForestConfig cfg;
@@ -327,6 +327,57 @@ TEST(RandomSubspaceTest, BinnedBitIdenticalAtAnyThreadCount) {
   serial.fit(d);
   threaded.fit(d);
   EXPECT_EQ(serialized(serial), serialized(threaded));
+}
+
+// FNV-1a-64 over a serialized model: a compact fingerprint of every
+// split, threshold and leaf distribution.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Golden digests pin fitted forests across commits, not only within
+// one process: a change to tree induction that moves any serialized
+// byte fails here. Both datasets hold 4,500 rows, so nodes reach
+// thousands of rows. The continuous set exercises real
+// quantization on the binned path; on the quantized set every value
+// gets its own bin and the binned and exact forests coincide. The
+// constants hold for this toolchain and libm: the data comes from
+// Rng::normal, which calls log and sqrt, and thresholds print at 17
+// significant digits. A change that means to move bits re-pins them
+// and says so.
+struct GoldenForest {
+  bool quantized;
+  bool exact;
+  std::uint64_t digest;
+};
+
+TEST(RandomForestTest, GoldenDigestsPinFittedForests) {
+  const Dataset continuous = noisy_blobs(1500, 3, 61);
+  const Dataset quantized = quantized_blobs(1500, 3, 62);
+  for (const GoldenForest g : {
+           GoldenForest{false, false, 0xec23f84ae7f4c155ULL},
+           GoldenForest{false, true, 0x1fa933dd189466f9ULL},
+           GoldenForest{true, false, 0x81d891b6cd1df320ULL},
+           GoldenForest{true, true, 0x81d891b6cd1df320ULL},
+       }) {
+    for (const std::size_t threads : {1u, 4u}) {
+      RandomForestConfig cfg;
+      cfg.tree_count = 6;
+      cfg.tree.exact = g.exact;
+      cfg.parallelism.threads = threads;
+      RandomForest forest{cfg};
+      forest.fit(g.quantized ? quantized : continuous);
+      EXPECT_EQ(fnv1a64(serialized(forest)), g.digest)
+          << "quantized=" << g.quantized << " exact=" << g.exact
+          << " threads=" << threads << " digest=0x" << std::hex
+          << fnv1a64(serialized(forest));
+    }
+  }
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "ml/ensemble.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/workspace.h"
@@ -134,6 +136,38 @@ TEST(DecisionTreeTest, EmptyIndicesThrow) {
   DecisionTree tree;
   EXPECT_THROW(tree.fit_indices(d, std::vector<std::size_t>{}),
                emoleak::util::DataError);
+}
+
+TEST(DecisionTreeTest, NanFeatureIsRejectedOnEveryPath) {
+  // Dataset::validate accepts NaN, but NaN breaks the sort comparators'
+  // strict weak ordering and would become a binned threshold. Every
+  // induction path must refuse it instead.
+  Dataset d = xor_data(60, 12);
+  d.x[17][1] = std::numeric_limits<double>::quiet_NaN();
+  struct PathCase {
+    bool exact;
+    bool presort;
+  };
+  for (const PathCase path : {PathCase{true, true}, PathCase{true, false},
+                              PathCase{false, true}}) {
+    TreeConfig cfg;
+    cfg.exact = path.exact;
+    cfg.presort = path.presort;
+    DecisionTree tree{cfg};
+    EXPECT_THROW(tree.fit(d), emoleak::util::DataError)
+        << "exact=" << path.exact << " presort=" << path.presort;
+  }
+  EXPECT_THROW((void)emoleak::ml::PresortedColumns::build(d),
+               emoleak::util::DataError);
+  EXPECT_THROW((void)emoleak::ml::BinnedColumns::build(d),
+               emoleak::util::DataError);
+  for (const bool exact : {true, false}) {
+    emoleak::ml::RandomForestConfig cfg;
+    cfg.tree_count = 3;
+    cfg.tree.exact = exact;
+    emoleak::ml::RandomForest forest{cfg};
+    EXPECT_THROW(forest.fit(d), emoleak::util::DataError) << "exact=" << exact;
+  }
 }
 
 TEST(DecisionTreeTest, FitIndicesUsesOnlySubset) {
@@ -315,8 +349,11 @@ class BinnedParity : public ::testing::TestWithParam<BinnedParityCase> {};
 
 TEST_P(BinnedParity, MatchesExactWhenBinsDontSplitTies) {
   const BinnedParityCase p = GetParam();
+  // The 5,000-row input covers nodes of thousands of rows, where the
+  // Gini sums and the split screen's products are largest.
   const std::vector<Dataset> datasets = {quantized_data(400, 3, 31),
-                                         quantized_data(150, 5, 32)};
+                                         quantized_data(150, 5, 32),
+                                         quantized_data(5000, 4, 34)};
   const Dataset held_out = quantized_data(120, 3, 33);
   for (const Dataset& d : datasets) {
     TreeConfig cfg;
