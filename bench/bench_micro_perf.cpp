@@ -426,9 +426,7 @@ void BM_DatasetDiskHit(benchmark::State& state) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("emoleak-bench-diskhit-" + std::to_string(getpid()));
   std::filesystem::create_directories(dir);
-  core::DatasetCacheConfig cache_cfg;
-  cache_cfg.disk_dir = dir.string();
-  core::DatasetCache cache{cache_cfg};
+  core::DatasetCache cache{dir.string()};
   const core::ScenarioConfig sc = dataset_bench_scenario();
   (void)cache.get_or_build(sc);  // build once, lands in the disk tier
   for (auto _ : state) {

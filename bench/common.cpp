@@ -4,10 +4,12 @@
 #include <cstring>
 #include <iostream>
 
+#include "core/dataset_cache.h"
 #include "ml/ensemble.h"
 #include "ml/lmt.h"
 #include "ml/logistic.h"
 #include "ml/multiclass.h"
+#include "obs/metrics.h"
 #include "util/table.h"
 
 namespace emoleak::bench {
@@ -114,18 +116,18 @@ std::shared_ptr<const core::ExtractedData> capture_cached(
 }
 
 void print_dataset_cache_stats() {
-  const core::DatasetCacheStats s = core::DatasetCache::instance().stats();
-  std::cout << "[dataset cache] hits=" << s.hits << " builds=" << s.misses
-            << " entries=" << s.entries << " ~"
-            << s.approx_bytes / (1024 * 1024) << " MiB\n";
-  const auto tier = [](const char* name, const core::DatasetCacheTierStats& t) {
-    std::cout << "[dataset cache]   " << name << ": hits=" << t.hits
-              << " misses=" << t.misses << " evictions=" << t.evictions
-              << " entries=" << t.entries << " ~" << t.bytes / (1024 * 1024)
-              << " MiB\n";
-  };
-  tier("memory", s.memory);
-  tier("disk  ", s.disk);
+  const obs::RegistrySnapshot s = obs::Registry::instance().snapshot();
+  std::cout << "[dataset cache] hits=" << s.counter("dataset_cache.hits")
+            << " builds=" << s.counter("dataset_cache.misses")
+            << " entries=" << s.gauge("dataset_cache.memory.entries") << " ~"
+            << s.gauge("dataset_cache.memory.bytes") / (1024 * 1024)
+            << " MiB\n";
+  for (const char* tier : {"memory", "disk"}) {
+    const std::string prefix = std::string{"dataset_cache."} + tier;
+    std::cout << "[dataset cache]   " << tier
+              << ": hits=" << s.counter(prefix + ".hits")
+              << " misses=" << s.counter(prefix + ".misses") << "\n";
+  }
 }
 
 std::string ascii_image(const std::vector<double>& image, std::size_t width,

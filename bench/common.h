@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/attack.h"
-#include "core/dataset_cache.h"
 #include "util/parallel.h"
 #include "util/table.h"
 
@@ -96,8 +95,9 @@ struct EarMethodAccuracies {
 [[nodiscard]] std::shared_ptr<const core::ExtractedData> capture_cached(
     const core::ScenarioConfig& config);
 
-/// Prints the dataset-cache counters (hits/misses/entries/bytes), the
-/// bench-side analogue of the serve layer's stats line.
+/// Prints the `dataset_cache.*` registry counters (hits, builds, memory
+/// entries/bytes, per-tier hits/misses), the bench-side analogue of the
+/// serve layer's stats line.
 void print_dataset_cache_stats();
 
 /// Renders a row of per-pixel characters for terminal spectrogram art.

@@ -347,19 +347,7 @@ int main(int argc, char** argv) {
       std::cout << "\n";
     }
     if (opts.metrics) {
-      const core::DatasetCacheStats cache = core::DatasetCache::instance().stats();
-      util::TablePrinter ct{{"dataset cache", "hits", "misses", "evictions",
-                             "entries", "bytes"}};
-      const auto tier_row = [&](const char* tier,
-                                const core::DatasetCacheTierStats& t) {
-        ct.add_row({tier, std::to_string(t.hits), std::to_string(t.misses),
-                    std::to_string(t.evictions), std::to_string(t.entries),
-                    std::to_string(t.bytes)});
-      };
-      tier_row("memory", cache.memory);
-      tier_row("disk", cache.disk);
-      std::cout << "\nDataset cache (" << cache.misses << " builds):\n"
-                << ct.str() << "\nMetrics registry:\n"
+      std::cout << "\nMetrics registry:\n"
                 << obs::Registry::instance().render_text();
     }
     return EXIT_SUCCESS;

@@ -1,6 +1,6 @@
 #include "core/dataset_cache.h"
 
-#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -224,14 +224,14 @@ class ByteReader {
   }
   void raw(void* out, std::size_t n) {
     if (n > size_ - pos_) throw std::runtime_error{"dataset file truncated"};
+    if (n == 0) return;  // an empty vector's data() may be null
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }
   [[nodiscard]] bool exhausted() const { return pos_ == size_; }
 
- private:
   /// Rejects element counts that can't possibly fit the remaining
-  /// bytes before any allocation is attempted.
+  /// bytes (at `elem` bytes each) before any allocation is attempted.
   std::uint64_t count(std::uint64_t n, std::size_t elem) {
     if (n > (size_ - pos_) / elem) {
       throw std::runtime_error{"dataset file truncated"};
@@ -239,6 +239,7 @@ class ByteReader {
     return n;
   }
 
+ private:
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
@@ -268,19 +269,23 @@ std::string serialize_payload(const ExtractedData& d) {
 
 ExtractedData deserialize_payload(const std::uint8_t* data, std::size_t size) {
   ByteReader r{data, size};
+  // Every element of an outer sequence takes at least 8 bytes (a u64
+  // length prefix or an i64), so each count is bounded by the bytes
+  // left before the resize allocates.
+  const auto outer = [&r] { return r.count(r.u64(), 8); };
   ExtractedData d;
-  d.features.x.resize(r.u64());
+  d.features.x.resize(outer());
   for (auto& row : d.features.x) row = r.f64s();
-  d.features.y.resize(r.u64());
+  d.features.y.resize(outer());
   for (int& y : d.features.y) y = static_cast<int>(r.i64());
   d.features.class_count = static_cast<int>(r.i64());
-  d.features.feature_names.resize(r.u64());
+  d.features.feature_names.resize(outer());
   for (auto& s : d.features.feature_names) s = r.str();
-  d.features.class_names.resize(r.u64());
+  d.features.class_names.resize(outer());
   for (auto& s : d.features.class_names) s = r.str();
-  d.spectrograms.resize(r.u64());
+  d.spectrograms.resize(outer());
   for (auto& img : d.spectrograms) img = r.f64s();
-  d.speaker_ids.resize(r.u64());
+  d.speaker_ids.resize(outer());
   for (int& id : d.speaker_ids) id = static_cast<int>(r.i64());
   d.image_size = r.u64();
   d.regions_detected = r.u64();
@@ -291,8 +296,9 @@ ExtractedData deserialize_payload(const std::uint8_t* data, std::size_t size) {
 }
 
 /// Read-only mapping of a whole file; unmapped on destruction. Once
-/// mapped, the pages stay valid even if the file is unlinked by a
-/// concurrent eviction — the kernel frees them at munmap.
+/// mapped, the pages stay valid even if the file is unlinked as
+/// corrupt or renamed over by a concurrent writer — the kernel frees
+/// them at munmap.
 class MappedFile {
  public:
   MappedFile() = default;
@@ -369,30 +375,20 @@ std::string DatasetCache::key_of(const ScenarioConfig& config) {
   return k.str();
 }
 
-DatasetCache::DatasetCache(DatasetCacheConfig config)
-    : config_{std::move(config)} {}
+DatasetCache::DatasetCache(std::string disk_dir)
+    : disk_dir_{std::move(disk_dir)} {}
 
 DatasetCache& DatasetCache::instance() {
   static DatasetCache cache{[] {
-    DatasetCacheConfig c;
-    if (const char* dir = std::getenv("EMOLEAK_DATASET_CACHE_DIR")) {
-      c.disk_dir = dir;
-    }
-    const auto mb_env = [](const char* name) -> std::uint64_t {
-      const char* v = std::getenv(name);
-      if (v == nullptr) return 0;
-      return std::strtoull(v, nullptr, 10) * 1024 * 1024;
-    };
-    c.memory_budget_bytes = mb_env("EMOLEAK_DATASET_CACHE_MEMORY_MB");
-    c.disk_budget_bytes = mb_env("EMOLEAK_DATASET_CACHE_DISK_MB");
-    return c;
+    const char* dir = std::getenv("EMOLEAK_DATASET_CACHE_DIR");
+    return std::string{dir != nullptr ? dir : ""};
   }()};
   return cache;
 }
 
 std::string DatasetCache::disk_path_of(const std::string& key) const {
-  if (config_.disk_dir.empty()) return {};
-  return config_.disk_dir + "/" + kFilePrefix +
+  if (disk_dir_.empty()) return {};
+  return disk_dir_ + "/" + kFilePrefix +
          hex16(fnv1a64(key.data(), key.size())) + kFileSuffix;
 }
 
@@ -407,73 +403,42 @@ std::shared_ptr<const ExtractedData> DatasetCache::get_or_build(
     const std::lock_guard<std::mutex> lock{mutex_};
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
-      ++memory_hits_;
       registry().counter("dataset_cache.hits").add(1);
       registry().counter("dataset_cache.memory.hits").add(1);
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.data;
+      return it->second;
     }
-    ++memory_misses_;
     registry().counter("dataset_cache.memory.misses").add(1);
   }
 
-  if (!config_.disk_dir.empty()) {
+  if (!disk_dir_.empty()) {
     if (auto loaded = disk_load(key)) {
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
       registry().counter("dataset_cache.hits").add(1);
       registry().counter("dataset_cache.disk.hits").add(1);
-      return insert_and_trim(key, std::move(loaded));
+      return insert(key, std::move(loaded));
     }
-    disk_misses_.fetch_add(1, std::memory_order_relaxed);
     registry().counter("dataset_cache.disk.misses").add(1);
   }
 
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    ++builds_;
-  }
   registry().counter("dataset_cache.misses").add(1);
   // Build outside the lock: a capture can take seconds and must not
   // serialize hits (or builds of other keys) behind it.
   auto built = std::make_shared<const ExtractedData>(build());
   registry().counter("dataset_cache.bytes_built").add(approximate_bytes(*built));
-  if (!config_.disk_dir.empty()) {
-    disk_store(key, *built);
-    disk_trim();
-  }
-  return insert_and_trim(key, std::move(built));
+  if (!disk_dir_.empty()) disk_store(key, *built);
+  return insert(key, std::move(built));
 }
 
-std::shared_ptr<const ExtractedData> DatasetCache::insert_and_trim(
+std::shared_ptr<const ExtractedData> DatasetCache::insert(
     const std::string& key, std::shared_ptr<const ExtractedData> data) {
   const std::lock_guard<std::mutex> lock{mutex_};
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // A racing builder/loader got here first; both snapshots are
-    // bit-identical, keep the incumbent so all callers share one.
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.data;
+  // A racing builder/loader may have got here first; both snapshots
+  // are bit-identical, so keep the incumbent and all callers share one.
+  const auto [it, inserted] = entries_.try_emplace(key, std::move(data));
+  if (inserted) {
+    memory_bytes_ += approximate_bytes(*it->second);
+    update_memory_gauges(memory_bytes_, entries_.size());
   }
-  Entry entry;
-  entry.data = std::move(data);
-  entry.bytes = approximate_bytes(*entry.data);
-  lru_.push_front(key);
-  entry.lru_it = lru_.begin();
-  memory_bytes_ += entry.bytes;
-  const auto result = entries_.emplace(key, std::move(entry)).first->second.data;
-  // Evict least-recently-used entries while over budget, but never the
-  // entry just inserted: one oversized dataset must still cache.
-  while (config_.memory_budget_bytes != 0 &&
-         memory_bytes_ > config_.memory_budget_bytes && entries_.size() > 1) {
-    const auto vit = entries_.find(lru_.back());
-    memory_bytes_ -= vit->second.bytes;
-    entries_.erase(vit);
-    lru_.pop_back();
-    ++memory_evictions_;
-    registry().counter("dataset_cache.memory.evictions").add(1);
-  }
-  update_memory_gauges(memory_bytes_, entries_.size());
-  return result;
+  return it->second;
 }
 
 std::shared_ptr<const ExtractedData> DatasetCache::disk_load(
@@ -524,7 +489,7 @@ void DatasetCache::disk_store(const std::string& key,
                               const ExtractedData& data) {
   const std::string path = disk_path_of(key);
   std::error_code ec;
-  std::filesystem::create_directories(config_.disk_dir, ec);
+  std::filesystem::create_directories(disk_dir_, ec);
 
   const std::string payload = serialize_payload(data);
   FileHeader header;
@@ -554,88 +519,9 @@ void DatasetCache::disk_store(const std::string& key,
   if (ec) std::filesystem::remove(tmp, ec);
 }
 
-void DatasetCache::disk_trim() {
-  if (config_.disk_budget_bytes == 0) return;
-  struct File {
-    std::filesystem::path path;
-    std::uint64_t bytes = 0;
-    std::filesystem::file_time_type mtime;
-  };
-  std::vector<File> files;
-  std::uint64_t total = 0;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator{config_.disk_dir, ec}) {
-    const std::string name = entry.path().filename().string();
-    if (!name.starts_with(kFilePrefix) || !name.ends_with(kFileSuffix)) {
-      continue;
-    }
-    std::error_code fec;
-    const std::uint64_t bytes = entry.file_size(fec);
-    if (fec) continue;
-    const auto mtime = entry.last_write_time(fec);
-    if (fec) continue;
-    files.push_back({entry.path(), bytes, mtime});
-    total += bytes;
-  }
-  std::sort(files.begin(), files.end(),
-            [](const File& a, const File& b) { return a.mtime < b.mtime; });
-  // Unlink oldest-first until under budget, always sparing the newest
-  // file (mirrors the memory tier: the dataset just written survives).
-  // Readers holding an mmap of an unlinked file are unaffected.
-  std::size_t i = 0;
-  while (total > config_.disk_budget_bytes && i + 1 < files.size()) {
-    std::error_code rec;
-    if (std::filesystem::remove(files[i].path, rec) && !rec) {
-      total -= files[i].bytes;
-      disk_evictions_.fetch_add(1, std::memory_order_relaxed);
-      registry().counter("dataset_cache.disk.evictions").add(1);
-    }
-    ++i;
-  }
-  registry().gauge("dataset_cache.disk.bytes").set(
-      static_cast<std::int64_t>(total));
-}
-
-DatasetCacheStats DatasetCache::stats() const {
-  DatasetCacheStats s;
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    s.misses = builds_;
-    s.entries = entries_.size();
-    s.approx_bytes = memory_bytes_;
-    s.memory.hits = memory_hits_;
-    s.memory.misses = memory_misses_;
-    s.memory.evictions = memory_evictions_;
-    s.memory.entries = entries_.size();
-    s.memory.bytes = memory_bytes_;
-  }
-  s.disk.hits = disk_hits_.load(std::memory_order_relaxed);
-  s.disk.misses = disk_misses_.load(std::memory_order_relaxed);
-  s.disk.evictions = disk_evictions_.load(std::memory_order_relaxed);
-  s.hits = s.memory.hits + s.disk.hits;
-  if (!config_.disk_dir.empty()) {
-    std::error_code ec;
-    for (const auto& entry :
-         std::filesystem::directory_iterator{config_.disk_dir, ec}) {
-      const std::string name = entry.path().filename().string();
-      if (!name.starts_with(kFilePrefix) || !name.ends_with(kFileSuffix)) {
-        continue;
-      }
-      std::error_code fec;
-      const std::uint64_t bytes = entry.file_size(fec);
-      if (fec) continue;
-      ++s.disk.entries;
-      s.disk.bytes += bytes;
-    }
-  }
-  return s;
-}
-
 void DatasetCache::clear() {
   const std::lock_guard<std::mutex> lock{mutex_};
   entries_.clear();
-  lru_.clear();
   memory_bytes_ = 0;
   update_memory_gauges(0, 0);
 }

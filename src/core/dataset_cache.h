@@ -11,10 +11,8 @@
 // only in thread budget share an entry.
 //
 // Two tiers:
-//  * memory — per-process LRU over shared_ptr snapshots with an
-//    optional byte budget. Unbounded by default, which keeps the
-//    original per-process semantics for callers that construct a bare
-//    DatasetCache.
+//  * memory — per-process map of shared_ptr snapshots. Entries live
+//    until clear() or the cache's destruction.
 //  * disk — optional, shared across processes. Each dataset is stored
 //    as one file addressed by the FNV-1a hash of its canonical key,
 //    with a checksummed header that embeds the full key (so a hash
@@ -22,14 +20,14 @@
 //    written to a temp name and renamed into place, so concurrent
 //    writers are safe and readers never observe a half-written file;
 //    readers mmap the file, verify the checksum, then materialize the
-//    snapshot. Eviction unlinks files — in-flight mmaps stay valid
-//    (POSIX keeps the pages alive until munmap), which is what makes
-//    concurrent open/evict races benign.
+//    snapshot. A corrupt file is unlinked and rebuilt. In-flight mmaps
+//    of an unlinked or renamed-over file stay valid (POSIX keeps the
+//    pages alive until munmap), so concurrent loads and replacements
+//    are benign.
 //
-// The process-wide instance() is configured from the environment:
-// EMOLEAK_DATASET_CACHE_DIR enables the disk tier, and
-// EMOLEAK_DATASET_CACHE_MEMORY_MB / EMOLEAK_DATASET_CACHE_DISK_MB set
-// byte budgets (0 or unset = unbounded).
+// The process-wide instance() enables the disk tier when
+// EMOLEAK_DATASET_CACHE_DIR is set. Hits, misses and builds per tier
+// are counted in obs::Registry::instance() under `dataset_cache.*`.
 //
 // Thread safety: lookups and inserts take a mutex, but builds and all
 // disk I/O run unlocked, so a long capture never blocks hits on other
@@ -38,10 +36,8 @@
 // bit-identical).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,68 +47,31 @@
 
 namespace emoleak::core {
 
-/// Per-tier counter snapshot. `entries`/`bytes` are point-in-time
-/// (for the disk tier they come from a directory scan, so they reflect
-/// every process sharing the directory); the rest are cumulative for
-/// this process.
-struct DatasetCacheTierStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t bytes = 0;
-};
-
-/// Snapshot of the cache counters. The top-level fields keep their original
-/// (pre-tiering) meaning: `hits` counts requests served without a
-/// build from either tier, `misses` counts builds actually run.
-struct DatasetCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;        ///< cache fills (builds actually run)
-  std::uint64_t entries = 0;       ///< datasets held in memory
-  std::uint64_t approx_bytes = 0;  ///< payload estimate across memory entries
-  DatasetCacheTierStats memory;
-  DatasetCacheTierStats disk;
-};
-
-struct DatasetCacheConfig {
-  /// Memory-tier byte budget; 0 = unbounded. When exceeded, least-
-  /// recently-used entries are dropped (the entry just inserted is
-  /// never evicted, so a single oversized dataset still caches).
-  std::uint64_t memory_budget_bytes = 0;
-  /// Disk-tier directory; empty disables the disk tier. Created on
-  /// first use.
-  std::string disk_dir;
-  /// Disk-tier byte budget; 0 = unbounded. When exceeded after a
-  /// write, oldest files (by mtime) are unlinked until under budget.
-  std::uint64_t disk_budget_bytes = 0;
-};
-
 class DatasetCache {
  public:
-  /// Memory-only, unbounded (the original per-process behaviour).
+  /// Memory-only.
   DatasetCache() = default;
-  explicit DatasetCache(DatasetCacheConfig config);
+  /// Memory plus the disk tier under `disk_dir` (created on first
+  /// write); an empty `disk_dir` disables the disk tier.
+  explicit DatasetCache(std::string disk_dir);
 
-  /// The process-wide cache used by capture_cached(), configured from
-  /// the EMOLEAK_DATASET_CACHE_* environment variables.
+  /// The process-wide cache used by capture_cached(), with the disk
+  /// tier under EMOLEAK_DATASET_CACHE_DIR when that is set.
   static DatasetCache& instance();
 
   /// Returns the dataset for `config`, building it with core::capture
   /// on the first request for this key. The returned snapshot is
-  /// immutable and stays valid after clear() and across evictions.
+  /// immutable and stays valid after clear().
   [[nodiscard]] std::shared_ptr<const ExtractedData> get_or_build(
       const ScenarioConfig& config);
 
-  /// Keyed-builder form: the tiering/LRU/disk machinery with an
-  /// arbitrary deterministic builder. `build` runs unlocked and only
-  /// when both tiers miss. Exposed for tests and alternate pipelines.
+  /// Keyed-builder form: the memory/disk lookup with an arbitrary
+  /// deterministic builder. `build` runs unlocked and only when both
+  /// tiers miss. Exposed for tests and alternate pipelines.
   [[nodiscard]] std::shared_ptr<const ExtractedData> get_or_build(
       const std::string& key, const std::function<ExtractedData()>& build);
 
-  [[nodiscard]] DatasetCacheStats stats() const;
-
-  /// Drops all memory-tier entries (counters and disk files are kept).
+  /// Drops all memory-tier entries (disk files are kept).
   /// Outstanding snapshots remain valid through their shared_ptr.
   void clear();
 
@@ -127,15 +86,9 @@ class DatasetCache {
   [[nodiscard]] std::string disk_path_of(const std::string& key) const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const ExtractedData> data;
-    std::uint64_t bytes = 0;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  /// Inserts under the lock, evicting LRU entries while over budget.
-  /// Returns the entry actually held (an earlier racing writer wins).
-  std::shared_ptr<const ExtractedData> insert_and_trim(
+  /// Inserts under the lock. Returns the entry actually held (an
+  /// earlier racing writer wins).
+  std::shared_ptr<const ExtractedData> insert(
       const std::string& key, std::shared_ptr<const ExtractedData> data);
 
   /// Loads `key` from the disk tier; nullptr on miss, checksum or key
@@ -143,22 +96,12 @@ class DatasetCache {
   [[nodiscard]] std::shared_ptr<const ExtractedData> disk_load(
       const std::string& key);
   void disk_store(const std::string& key, const ExtractedData& data);
-  void disk_trim();
 
-  DatasetCacheConfig config_{};
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  ///< front = most recently used
-  std::uint64_t memory_bytes_ = 0;
-  std::uint64_t builds_ = 0;  ///< legacy `misses`
-  std::uint64_t memory_hits_ = 0;
-  std::uint64_t memory_misses_ = 0;
-  std::uint64_t memory_evictions_ = 0;
-  // Disk-tier counters are bumped outside the lock (all disk I/O runs
-  // unlocked), so they are atomics rather than mutex-guarded fields.
-  std::atomic<std::uint64_t> disk_hits_{0};
-  std::atomic<std::uint64_t> disk_misses_{0};
-  std::atomic<std::uint64_t> disk_evictions_{0};
+  std::string disk_dir_;
+  std::mutex mutex_;
+  std::unordered_map<std::string, std::shared_ptr<const ExtractedData>>
+      entries_;
+  std::uint64_t memory_bytes_ = 0;  ///< payload estimate across entries_
 };
 
 /// capture() through the process-wide DatasetCache: the first call for

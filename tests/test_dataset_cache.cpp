@@ -3,20 +3,38 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
+#include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace {
 
 using emoleak::core::capture;
 using emoleak::core::capture_cached;
 using emoleak::core::DatasetCache;
-using emoleak::core::DatasetCacheStats;
 using emoleak::core::ScenarioConfig;
+
+/// A process-wide `dataset_cache.*` counter; tests assert on deltas
+/// because every cache instance records into the same registry.
+std::uint64_t counter(const std::string& name) {
+  return emoleak::obs::Registry::instance().snapshot().counter(
+      "dataset_cache." + name);
+}
+
+/// A `dataset_cache.*` gauge: the level last set by any cache instance.
+std::int64_t gauge(const std::string& name) {
+  return emoleak::obs::Registry::instance().snapshot().gauge(
+      "dataset_cache." + name);
+}
 
 /// A scenario small enough to capture in well under a second.
 ScenarioConfig tiny_scenario(std::uint64_t seed = 42) {
@@ -45,15 +63,16 @@ TEST(DatasetCacheTest, HitReturnsBitIdenticalDataset) {
 
 TEST(DatasetCacheTest, CountersTrackHitsAndMisses) {
   DatasetCache cache;
+  const std::uint64_t hits = counter("hits");
+  const std::uint64_t builds = counter("misses");
   const ScenarioConfig sc = tiny_scenario();
   (void)cache.get_or_build(sc);
   (void)cache.get_or_build(sc);
   (void)cache.get_or_build(tiny_scenario(/*seed=*/43));
-  const DatasetCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.entries, 2u);
-  EXPECT_GT(s.approx_bytes, 0u);
+  EXPECT_EQ(counter("hits") - hits, 1u);
+  EXPECT_EQ(counter("misses") - builds, 2u);
+  EXPECT_EQ(gauge("memory.entries"), 2);
+  EXPECT_GT(gauge("memory.bytes"), 0);
 }
 
 TEST(DatasetCacheTest, KeyCoversEveryPipelineReachingField) {
@@ -100,11 +119,13 @@ TEST(DatasetCacheTest, ClearDropsEntriesButSnapshotsSurvive) {
   DatasetCache cache;
   const ScenarioConfig sc = tiny_scenario();
   const auto snapshot = cache.get_or_build(sc);
+  const std::uint64_t builds = counter("misses");
   cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(gauge("memory.entries"), 0);
+  EXPECT_EQ(gauge("memory.bytes"), 0);
   EXPECT_FALSE(snapshot->features.x.empty());  // still valid
   (void)cache.get_or_build(sc);
-  EXPECT_EQ(cache.stats().misses, 2u);  // rebuilt after clear
+  EXPECT_EQ(counter("misses") - builds, 1u);  // rebuilt after clear
 }
 
 TEST(DatasetCacheTest, ConcurrentRequestsShareOneSnapshotPerKey) {
@@ -117,31 +138,26 @@ TEST(DatasetCacheTest, ConcurrentRequestsShareOneSnapshotPerKey) {
     threads.emplace_back([&, i] { got[i] = cache.get_or_build(sc); });
   }
   for (std::thread& t : threads) t.join();
-  for (const auto& g : got) {
-    ASSERT_NE(g, nullptr);
-    // Racing builders may each run a capture, but all callers must end
-    // up observing equal data and the cache must hold exactly one entry.
-    EXPECT_EQ(g->features.x, got[0]->features.x);
-  }
-  EXPECT_EQ(cache.stats().entries, 1u);
+  // Racing builders may each run a capture, but the first insert wins
+  // and every caller must end up holding that one snapshot.
+  ASSERT_NE(got[0], nullptr);
+  for (const auto& g : got) EXPECT_EQ(g.get(), got[0].get());
 }
 
 TEST(DatasetCacheTest, ProcessWideHelperUsesSingleton) {
   const ScenarioConfig sc = tiny_scenario(/*seed=*/91);
-  const auto before = DatasetCache::instance().stats();
+  const std::uint64_t hits = counter("hits");
   const auto a = capture_cached(sc);
   const auto b = capture_cached(sc);
   EXPECT_EQ(a.get(), b.get());
-  const auto after = DatasetCache::instance().stats();
-  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(counter("hits") - hits, 1u);
 }
 
 // ---------------------------------------------------------------------------
 // Tiered-cache tests: these drive the keyed-builder interface with
-// synthetic datasets so they can exercise budgets, the disk tier and
-// races without paying for real captures.
+// synthetic datasets so they can exercise the disk tier, corrupt files
+// and races without paying for real captures.
 
-using emoleak::core::DatasetCacheConfig;
 using emoleak::core::ExtractedData;
 
 /// A deterministic synthetic dataset of roughly `rows` KiB.
@@ -190,72 +206,36 @@ std::string fresh_cache_dir(const char* name) {
   return dir;
 }
 
-TEST(DatasetCacheTieredTest, MemoryBudgetEvictsLeastRecentlyUsed) {
-  // Each synthetic entry is ~9.5 KiB; budget fits two comfortably but
-  // not three.
-  DatasetCacheConfig cfg;
-  cfg.memory_budget_bytes = 24 * 1024;
-  DatasetCache cache{cfg};
-  (void)cache.get_or_build("k1", [] { return synthetic_data(1); });
-  (void)cache.get_or_build("k2", [] { return synthetic_data(2); });
-  EXPECT_EQ(cache.stats().memory.evictions, 0u);
-  // Touch k1 so k2 is the LRU victim when k3 overflows the budget.
-  (void)cache.get_or_build("k1", [] { return synthetic_data(1); });
-  (void)cache.get_or_build("k3", [] { return synthetic_data(3); });
-  const auto s = cache.stats();
-  EXPECT_EQ(s.memory.evictions, 1u);
-  EXPECT_EQ(s.memory.entries, 2u);
-  EXPECT_LE(s.memory.bytes, cfg.memory_budget_bytes);
-  // k1 survived (was recently used), k2 was evicted and rebuilds.
-  int rebuilt = 0;
-  (void)cache.get_or_build("k1", [&] { ++rebuilt; return synthetic_data(1); });
-  EXPECT_EQ(rebuilt, 0);
-  (void)cache.get_or_build("k2", [&] { ++rebuilt; return synthetic_data(2); });
-  EXPECT_EQ(rebuilt, 1);
-}
-
-TEST(DatasetCacheTieredTest, OversizedEntryStillCachesAlone) {
-  DatasetCacheConfig cfg;
-  cfg.memory_budget_bytes = 1024;  // smaller than any entry
-  DatasetCache cache{cfg};
-  const auto first = cache.get_or_build("big", [] { return synthetic_data(7); });
-  const auto again = cache.get_or_build("big", [] { return synthetic_data(7); });
-  EXPECT_EQ(first.get(), again.get()) << "sole entry must not self-evict";
-  EXPECT_EQ(cache.stats().memory.entries, 1u);
-}
-
 TEST(DatasetCacheTieredTest, DiskTierRoundTripsAcrossCacheInstances) {
   const std::string dir = fresh_cache_dir("roundtrip");
-  DatasetCacheConfig cfg;
-  cfg.disk_dir = dir;
   const ExtractedData original = synthetic_data(11, /*rows=*/5);
   {
-    DatasetCache writer{cfg};
+    DatasetCache writer{dir};
+    const std::uint64_t disk_misses = counter("disk.misses");
     (void)writer.get_or_build("key-a", [&] { return original; });
-    EXPECT_EQ(writer.stats().disk.misses, 1u);
-    EXPECT_EQ(writer.stats().disk.entries, 1u);
+    EXPECT_EQ(counter("disk.misses") - disk_misses, 1u);
+    EXPECT_TRUE(std::filesystem::exists(writer.disk_path_of("key-a")));
   }
   // A second cache (standing in for a second process) must load the
   // file instead of building.
-  DatasetCache reader{cfg};
+  DatasetCache reader{dir};
+  const std::uint64_t disk_hits = counter("disk.hits");
+  const std::uint64_t builds = counter("misses");
   int built = 0;
   const auto loaded = reader.get_or_build("key-a", [&] {
     ++built;
     return synthetic_data(99);
   });
   EXPECT_EQ(built, 0) << "disk tier must satisfy the request";
-  const auto s = reader.stats();
-  EXPECT_EQ(s.disk.hits, 1u);
-  EXPECT_EQ(s.misses, 0u) << "a disk hit is not a build";
+  EXPECT_EQ(counter("disk.hits") - disk_hits, 1u);
+  EXPECT_EQ(counter("misses") - builds, 0u) << "a disk hit is not a build";
   expect_equal_data(*loaded, original);
   std::filesystem::remove_all(dir);
 }
 
 TEST(DatasetCacheTieredTest, CorruptedFileIsDetectedAndRebuilt) {
   const std::string dir = fresh_cache_dir("corrupt");
-  DatasetCacheConfig cfg;
-  cfg.disk_dir = dir;
-  DatasetCache writer{cfg};
+  DatasetCache writer{dir};
   (void)writer.get_or_build("key-c", [] { return synthetic_data(21); });
   const std::string path = writer.disk_path_of("key-c");
   ASSERT_TRUE(std::filesystem::exists(path));
@@ -270,18 +250,19 @@ TEST(DatasetCacheTieredTest, CorruptedFileIsDetectedAndRebuilt) {
     byte = static_cast<char>(byte ^ 0x5A);
     f.write(&byte, 1);
   }
-  DatasetCache reader{cfg};
+  DatasetCache reader{dir};
+  const std::uint64_t disk_hits = counter("disk.hits");
   int built = 0;
   const auto got = reader.get_or_build("key-c", [&] {
     ++built;
     return synthetic_data(21);
   });
   EXPECT_EQ(built, 1) << "corrupt file must read as a miss";
-  EXPECT_EQ(reader.stats().disk.hits, 0u);
+  EXPECT_EQ(counter("disk.hits") - disk_hits, 0u);
   expect_equal_data(*got, synthetic_data(21));
   // The corrupt file was dropped and replaced by the rebuild, so a
   // third instance hits disk again.
-  DatasetCache reader2{cfg};
+  DatasetCache reader2{dir};
   int built2 = 0;
   (void)reader2.get_or_build("key-c", [&] {
     ++built2;
@@ -293,15 +274,13 @@ TEST(DatasetCacheTieredTest, CorruptedFileIsDetectedAndRebuilt) {
 
 TEST(DatasetCacheTieredTest, TruncatedFileIsDetectedAndRebuilt) {
   const std::string dir = fresh_cache_dir("truncated");
-  DatasetCacheConfig cfg;
-  cfg.disk_dir = dir;
-  DatasetCache writer{cfg};
+  DatasetCache writer{dir};
   (void)writer.get_or_build("key-t", [] { return synthetic_data(33); });
   const std::string path = writer.disk_path_of("key-t");
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
 
-  DatasetCache reader{cfg};
+  DatasetCache reader{dir};
   int built = 0;
   (void)reader.get_or_build("key-t", [&] {
     ++built;
@@ -311,35 +290,18 @@ TEST(DatasetCacheTieredTest, TruncatedFileIsDetectedAndRebuilt) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DatasetCacheTieredTest, DiskBudgetEvictsOldestFiles) {
-  const std::string dir = fresh_cache_dir("budget");
-  DatasetCacheConfig cfg;
-  cfg.disk_dir = dir;
-  cfg.disk_budget_bytes = 40 * 1024;  // ~2 entries of ~16 KiB on disk
-  DatasetCache cache{cfg};
-  for (int i = 0; i < 5; ++i) {
-    (void)cache.get_or_build("key-" + std::to_string(i),
-                             [i] { return synthetic_data(i); });
-  }
-  const auto s = cache.stats();
-  EXPECT_GT(s.disk.evictions, 0u);
-  EXPECT_LE(s.disk.bytes, cfg.disk_budget_bytes);
-  EXPECT_GE(s.disk.entries, 1u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DatasetCacheTieredTest, ConcurrentOpenAndEvictIsSafe) {
-  // Readers mmap-load a key while another thread's inserts trim the
-  // directory out from under them; unlinked-but-mapped files must stay
-  // readable and every loader must end with correct data (from disk or
-  // a rebuild). Run under TSan in the sanitizer recipe.
+TEST(DatasetCacheTieredTest, ConcurrentOpenAndReplaceIsSafe) {
+  // Loaders mmap-load a key while replacers unlink its file and rebuild
+  // it, which renames a fresh copy into place. A file unlinked or
+  // renamed over while mapped must stay readable, and every loader must
+  // end with correct data (from disk or a rebuild). Unlink-on-corrupt
+  // and rename-over race loads the same way. Run under TSan in the
+  // sanitizer recipe.
   const std::string dir = fresh_cache_dir("race");
-  DatasetCacheConfig cfg;
-  cfg.disk_dir = dir;
-  cfg.disk_budget_bytes = 30 * 1024;
   const ExtractedData want = synthetic_data(50);
+  const std::string path = DatasetCache{dir}.disk_path_of("hot");
   {
-    DatasetCache seeder{cfg};
+    DatasetCache seeder{dir};
     (void)seeder.get_or_build("hot", [&] { return synthetic_data(50); });
   }
   std::vector<std::thread> threads;
@@ -348,7 +310,7 @@ TEST(DatasetCacheTieredTest, ConcurrentOpenAndEvictIsSafe) {
     // Loaders: fresh cache instances so every get reaches the disk tier.
     threads.emplace_back([&] {
       for (int i = 0; i < 20; ++i) {
-        DatasetCache c{cfg};
+        DatasetCache c{dir};
         const auto got =
             c.get_or_build("hot", [&] { return synthetic_data(50); });
         ASSERT_NE(got, nullptr);
@@ -357,14 +319,14 @@ TEST(DatasetCacheTieredTest, ConcurrentOpenAndEvictIsSafe) {
     });
   }
   for (int t = 0; t < 2; ++t) {
-    // Evictors: churn new keys through a tight disk budget so trim
-    // keeps unlinking, racing the loaders' opens.
-    threads.emplace_back([&, t] {
-      DatasetCache c{cfg};
+    // Replacers: unlink the file, then rebuild it through a fresh cache
+    // whose write renames a new copy over whatever is there.
+    threads.emplace_back([&] {
       for (int i = 0; i < 20; ++i) {
-        const int tag = 100 + t * 100 + i;
-        (void)c.get_or_build("churn-" + std::to_string(tag),
-                             [tag] { return synthetic_data(tag); });
+        std::error_code ec;
+        std::filesystem::remove(path, ec);
+        DatasetCache c{dir};
+        (void)c.get_or_build("hot", [] { return synthetic_data(50); });
       }
     });
   }
@@ -372,4 +334,220 @@ TEST(DatasetCacheTieredTest, ConcurrentOpenAndEvictIsSafe) {
   std::filesystem::remove_all(dir);
 }
 
+// ---------------------------------------------------------------------------
+// Hostile disk files. The layout (core/dataset_cache.cpp) is a 48-byte
+// header of six native-endian u64s — magic, version, key_size,
+// payload_size, payload_fnv, header_fnv — then the key, then the
+// payload. header_fnv is FNV-1a-64 over the first five fields,
+// continued over the key. These helpers forge files whose checksums
+// are valid, so the payload decoder itself sees the bytes.
+
+constexpr std::size_t kHeaderSize = 48;
+
+std::uint64_t fnv1a64(const void* data, std::size_t size,
+                      std::uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string payload_of(const std::string& file) {
+  std::uint64_t key_size = 0;
+  std::memcpy(&key_size, file.data() + 16, sizeof(key_size));
+  return file.substr(kHeaderSize + key_size);
+}
+
+/// A file for `key` around `payload` with both checksums recomputed;
+/// magic and version come from `valid_file`, a file the cache wrote.
+std::string with_checksums(const std::string& valid_file,
+                           const std::string& key, const std::string& payload) {
+  std::uint64_t h[6];
+  std::memcpy(h, valid_file.data(), sizeof(h));
+  h[2] = key.size();
+  h[3] = payload.size();
+  h[4] = fnv1a64(payload.data(), payload.size());
+  h[5] = fnv1a64(key.data(), key.size(), fnv1a64(h, 5 * sizeof(h[0])));
+  return std::string(reinterpret_cast<const char*>(h), sizeof(h)) + key +
+         payload;
+}
+
+/// Peak resident set of this process so far, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(DatasetCacheTieredTest, HugeOuterCountReadsAsMissWithoutAllocating) {
+  // Valid checksums around a payload that claims 2^24 feature rows and
+  // holds none. Every outer element takes at least 8 bytes, so the
+  // decoder must reject the count before it resizes; resizing first
+  // touches ~400 MB of empty row vectors before the file reads as
+  // truncated.
+  const std::string dir = fresh_cache_dir("huge_count");
+  DatasetCache writer{dir};
+  (void)writer.get_or_build("key-h", [] { return synthetic_data(5); });
+  const std::string path = writer.disk_path_of("key-h");
+  const std::uint64_t rows = std::uint64_t{1} << 24;
+  write_file(path,
+             with_checksums(read_file(path), "key-h",
+                            std::string(reinterpret_cast<const char*>(&rows),
+                                        sizeof(rows))));
+
+  const long peak_before = peak_rss_kib();
+  DatasetCache reader{dir};
+  int built = 0;
+  const auto got = reader.get_or_build("key-h", [&] {
+    ++built;
+    return synthetic_data(5);
+  });
+  const long growth_mib = (peak_rss_kib() - peak_before) / 1024;
+  EXPECT_EQ(built, 1) << "the forged file must read as a miss";
+  expect_equal_data(*got, synthetic_data(5));
+  EXPECT_LT(growth_mib, 64) << "the decoder allocated for an unbounded count";
+  std::filesystem::remove_all(dir);
+}
+
+/// Offsets of every u64 length field in a payload, walked in the
+/// serialize order: each outer count and the length prefix of every
+/// feature row, name and spectrogram.
+std::vector<std::size_t> length_field_offsets(const std::string& payload) {
+  std::vector<std::size_t> offsets;
+  std::size_t pos = 0;
+  const auto length = [&] {
+    offsets.push_back(pos);
+    std::uint64_t n = 0;
+    std::memcpy(&n, payload.data() + pos, sizeof(n));
+    pos += sizeof(n);
+    return static_cast<std::size_t>(n);
+  };
+  const auto sequence = [&](std::size_t elem_bytes) {
+    for (std::size_t i = length(); i > 0; --i) {
+      const std::size_t n = length();
+      pos += n * elem_bytes;
+    }
+  };
+  sequence(8);  // feature rows
+  const std::size_t labels = length();
+  pos += 8 * labels + 8;  // labels, then class_count
+  sequence(1);  // feature names
+  sequence(1);  // class names
+  sequence(8);  // spectrograms
+  (void)length();  // speaker ids
+  return offsets;
+}
+
+/// One seeded mutation of `bytes`: bit flips, a truncation, an edit of
+/// one of `length_fields`, or a splice with `donor`.
+std::string mutate(std::string bytes, const std::string& donor,
+                   const std::vector<std::size_t>& length_fields,
+                   emoleak::util::Rng& rng) {
+  switch (rng.uniform_int(4)) {
+    case 0:
+      for (std::uint64_t i = 1 + rng.uniform_int(4); i > 0; --i) {
+        const std::uint64_t bit = rng.uniform_int(bytes.size() * 8);
+        bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+      }
+      return bytes;
+    case 1:
+      bytes.resize(rng.uniform_int(bytes.size()));
+      return bytes;
+    case 2: {
+      static constexpr std::uint64_t kEdges[] = {
+          0, 1, 2, 255, std::uint64_t{1} << 24, std::uint64_t{1} << 32,
+          std::uint64_t{1} << 61, ~std::uint64_t{0}};
+      const std::size_t at =
+          length_fields[rng.uniform_int(length_fields.size())];
+      std::uint64_t v = 0;
+      std::memcpy(&v, bytes.data() + at, sizeof(v));
+      switch (rng.uniform_int(3)) {
+        case 0: v = kEdges[rng.uniform_int(std::size(kEdges))]; break;
+        case 1: ++v; break;
+        default: --v; break;
+      }
+      std::memcpy(bytes.data() + at, &v, sizeof(v));
+      return bytes;
+    }
+    default:
+      return bytes.substr(0, rng.uniform_int(bytes.size() + 1)) +
+             donor.substr(rng.uniform_int(donor.size() + 1));
+  }
+}
+
+TEST(DatasetCacheTieredTest, SeededMutantsReadAsMissOrDecode) {
+  // Fixed-seed mutants of a valid file. Half go to disk as mutated, and
+  // the checksums must turn each into a miss and a rebuild. The other
+  // half mutate only the payload and get both checksums recomputed, so
+  // the decoder itself meets the bytes: it must decode them or reject
+  // them as a miss. Nothing may throw out of get_or_build.
+  const std::string dir = fresh_cache_dir("mutants");
+  const std::string key = "fuzz-a";
+  const auto build = [] { return synthetic_data(61, /*rows=*/3); };
+  std::string file;
+  std::string donor;
+  {
+    DatasetCache seeder{dir};
+    (void)seeder.get_or_build(key, build);
+    (void)seeder.get_or_build("fuzz-b", [] { return synthetic_data(62, 2); });
+    file = read_file(seeder.disk_path_of(key));
+    donor = read_file(seeder.disk_path_of("fuzz-b"));
+  }
+  const std::string path = DatasetCache{dir}.disk_path_of(key);
+  const std::string payload = payload_of(file);
+  const std::vector<std::size_t> payload_lengths = length_field_offsets(payload);
+  std::vector<std::size_t> file_lengths = {16, 24};  // key_size, payload_size
+  for (const std::size_t at : payload_lengths) {
+    file_lengths.push_back(kHeaderSize + key.size() + at);
+  }
+
+  emoleak::util::Rng rng{0x5EED};
+  int raw = 0;
+  int decoded = 0;
+  int rejected = 0;
+  for (int i = 0; raw + decoded + rejected < 600; ++i) {
+    const bool recompute = i % 2 == 1;
+    const std::string mutant =
+        recompute ? with_checksums(file, key,
+                                   mutate(payload, payload_of(donor),
+                                          payload_lengths, rng))
+                  : mutate(file, donor, file_lengths, rng);
+    if (!recompute && mutant == file) continue;  // the edits cancelled
+    write_file(path, mutant);
+    DatasetCache cache{dir};
+    int built = 0;
+    std::shared_ptr<const ExtractedData> got;
+    EXPECT_NO_THROW(got = cache.get_or_build(key, [&] {
+                      ++built;
+                      return build();
+                    }))
+        << "mutant " << i;
+    ASSERT_NE(got, nullptr) << "mutant " << i;
+    if (built == 1) expect_equal_data(*got, build());
+    if (!recompute) {
+      ++raw;
+      EXPECT_EQ(built, 1) << "mutant " << i << " must read as a miss";
+    } else if (built == 0) {
+      ++decoded;
+    } else {
+      ++rejected;
+    }
+  }
+  // The recomputed half must reach both decoder outcomes.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
+  std::filesystem::remove_all(dir);
+}
 }  // namespace
