@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
+#include <vector>
 
+#include "dsp/stft.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -184,5 +188,86 @@ TEST_P(ShortRegionSanity, FiniteOnShortRegions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ShortRegionSanity, ::testing::Values(4, 5, 6));
+
+// FNV-1a-64 over the object bytes of a sequence of doubles: a compact
+// fingerprint of every output bit.
+std::uint64_t fnv1a64(const std::vector<double>& xs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : xs) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Golden digests pin the featurize layer across commits: the 24
+// Table-II features and the 32x32 spectrogram image (window 64, hop 8)
+// of one noisy tone per region length. A change to the FFT, the
+// spectral features or the quantiles that moves any output bit fails
+// here. The constants hold for this toolchain and libm: the inputs
+// call sin, log and sqrt, the spectrum cos and sin, and the features
+// log2, log10 and sqrt. A change that means to move bits re-pins them
+// and says so.
+struct GoldenRegion {
+  std::size_t n;
+  std::uint64_t features;
+  std::uint64_t image;
+};
+
+TEST(GoldenDigestTest, FeaturesAndImagePinnedAcrossCommits) {
+  emoleak::dsp::StftConfig stft_config;
+  stft_config.window_length = 64;
+  stft_config.hop = 8;
+  for (const GoldenRegion g : {
+           GoldenRegion{8, 0x4628069c9d76ee03ULL,
+                        0xc582c64dac4f9565ULL},
+           GoldenRegion{16, 0x81ad63fb212e50dbULL,
+                        0x0cfd6697907c3693ULL},
+           GoldenRegion{32, 0x62b915a83142fd48ULL,
+                        0x895d205ada2e89caULL},
+           GoldenRegion{64, 0x18a8b2389d424fb9ULL,
+                        0x71b5a36dbbcde590ULL},
+           GoldenRegion{128, 0xc9cb8096ba981716ULL,
+                        0x9ad7135540bd96eaULL},
+           GoldenRegion{256, 0x3aefc48ee0f362d5ULL,
+                        0xd07b6b9d78613394ULL},
+           GoldenRegion{512, 0xf71413c5ec6b8253ULL,
+                        0x73547d3b630f4e75ULL},
+           GoldenRegion{1024, 0xe39dde6a52e53dc6ULL,
+                        0xff6d799890de51c0ULL},
+           GoldenRegion{2048, 0xd468d9e89c60988eULL,
+                        0xcf3f1cbe49e3fc25ULL},
+           GoldenRegion{4096, 0xc593b6c0200e89ddULL,
+                        0xd1345d6a8aa38c2aULL},
+           GoldenRegion{5, 0x3b0029563a19bcfbULL,
+                        0x2265caeac88116a5ULL},
+           GoldenRegion{100, 0x925d7ece7d71f7eaULL,
+                        0x6c0ed1a406f76347ULL},
+           GoldenRegion{257, 0x825236af52290ac6ULL,
+                        0xfccdf75cfa4aeeb8ULL},
+           GoldenRegion{420, 0x1aeb02a0f4df26daULL,
+                        0xdf9d6aab42c913c1ULL},
+           GoldenRegion{631, 0xfd654e142e795521ULL,
+                        0xfa155238e65fe7f3ULL},
+           GoldenRegion{840, 0x859ea7041b72e096ULL,
+                        0xc85d3467bd2982ddULL},
+           GoldenRegion{1000, 0x5c2c14648be5b830ULL,
+                        0x9a575bbd408f4646ULL},
+           GoldenRegion{1777, 0xa118f9376275db08ULL,
+                        0x24220d45ddb596c1ULL},
+       }) {
+    const std::vector<double> x = noisy_tone(7000 + g.n, g.n);
+    const std::uint64_t features = fnv1a64(extract_features(x, 420.0));
+    const std::uint64_t image = fnv1a64(emoleak::dsp::spectrogram_image(
+        emoleak::dsp::stft(x, 420.0, stft_config), 32, 32));
+    EXPECT_EQ(features, g.features)
+        << "n=" << g.n << " features=0x" << std::hex << features;
+    EXPECT_EQ(image, g.image) << "n=" << g.n << " image=0x" << std::hex << image;
+  }
+}
 
 }  // namespace
