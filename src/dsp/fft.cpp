@@ -21,12 +21,22 @@ inline Complex cmul(Complex a, Complex b) noexcept {
                  a.real() * b.imag() + a.imag() * b.real()};
 }
 
-std::vector<Complex> make_twiddles(std::size_t n, bool inverse) {
-  std::vector<Complex> w(n / 2);
+/// Staged twiddle table of a size-n plan (layout in fft.h). The last
+/// stage, e^{∓2πik/n} for k in [0, n/2), comes from cos and sin; the
+/// stage of half-width h gathers every (n/2h)-th of those values, the
+/// same twiddles a single table read with stride n/2h would give.
+std::vector<Complex> make_stages(std::size_t n, bool inverse) {
+  const std::size_t half = n / 2;
+  std::vector<Complex> w(n - 1);
+  Complex* last = w.data() + (half - 1);
   const double sign = inverse ? 1.0 : -1.0;
-  for (std::size_t k = 0; k < n / 2; ++k) {
+  for (std::size_t k = 0; k < half; ++k) {
     const double angle = sign * kTau * static_cast<double>(k) / static_cast<double>(n);
-    w[k] = Complex{std::cos(angle), std::sin(angle)};
+    last[k] = Complex{std::cos(angle), std::sin(angle)};
+  }
+  for (std::size_t h = 1; h < half; h <<= 1) {
+    const std::size_t stride = half / h;
+    for (std::size_t k = 0; k < h; ++k) w[h - 1 + k] = last[k * stride];
   }
   return w;
 }
@@ -38,8 +48,8 @@ FftPlan::FftPlan(std::size_t n) : n_{n} {
   if (!is_pow2(n)) {
     throw util::DataError{"FftPlan: size must be a power of two"};
   }
-  fwd_ = make_twiddles(n, false);
-  inv_ = make_twiddles(n, true);
+  fwd_ = make_stages(n, false);
+  inv_ = make_stages(n, true);
   bitrev_.resize(n);
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
@@ -64,22 +74,34 @@ const FftPlan& FftPlan::get(std::size_t n) {
 }
 
 void FftPlan::transform(std::span<Complex> data,
-                        const std::vector<Complex>& w) const {
+                        const std::vector<Complex>& stages) const {
   const std::size_t n = n_;
   for (std::size_t i = 1; i < n; ++i) {
     const std::size_t j = bitrev_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    const std::size_t stride = n / len;
-    for (std::size_t start = 0; start < n; start += len) {
-      const Complex* tw = w.data();
-      for (std::size_t k = 0; k < half; ++k, tw += stride) {
-        const Complex even = data[start + k];
-        const Complex odd = cmul(data[start + k + half], *tw);
-        data[start + k] = even + odd;
-        data[start + k + half] = even - odd;
+  // std::complex<double> is an array of two doubles, real then
+  // imaginary ([complex.numbers]), so the butterflies work on the
+  // interleaved parts. Each runs the multiplies, adds and subtracts of
+  // cmul followed by even ± odd, in the same order. `lo` and `hi` are
+  // the disjoint halves of one block; __restrict says so and lets the
+  // compiler vectorize the loop. Vector lanes run the same IEEE
+  // operations, and the baseline x86-64 target has no FMA to fuse them.
+  double* d = reinterpret_cast<double*>(data.data());
+  for (std::size_t h = 1; h < n; h <<= 1) {
+    const double* w = reinterpret_cast<const double*>(stages.data() + (h - 1));
+    for (std::size_t start = 0; start < n; start += 2 * h) {
+      double* __restrict lo = d + 2 * start;
+      double* __restrict hi = lo + 2 * h;
+      for (std::size_t k = 0; k < 2 * h; k += 2) {
+        const double odd_re = hi[k] * w[k] - hi[k + 1] * w[k + 1];
+        const double odd_im = hi[k] * w[k + 1] + hi[k + 1] * w[k];
+        const double even_re = lo[k];
+        const double even_im = lo[k + 1];
+        lo[k] = even_re + odd_re;
+        lo[k + 1] = even_im + odd_im;
+        hi[k] = even_re - odd_re;
+        hi[k + 1] = even_im - odd_im;
       }
     }
   }
@@ -113,8 +135,9 @@ void FftPlan::rfft(std::span<const double> in, std::span<Complex> out,
 
   // Pack pairs of real samples into a half-length complex signal,
   // transform, then split even/odd spectra and recombine. The
-  // recombination twiddles e^{-2πik/n} are exactly this plan's forward
-  // table; the sub-transform uses the cached half-size plan.
+  // recombination twiddles e^{-2πik/n} are exactly the last stage of
+  // this plan's forward table; the sub-transform uses the cached
+  // half-size plan.
   const std::size_t m = n_ / 2;
   const util::Workspace::Scope scope{ws};
   std::span<Complex> z = ws.take<Complex>(m);
@@ -123,6 +146,7 @@ void FftPlan::rfft(std::span<const double> in, std::span<Complex> out,
   }
   FftPlan::get(m).forward(z);
 
+  const Complex* w = last_stage(fwd_);
   out[0] = Complex{z[0].real() + z[0].imag(), 0.0};
   out[m] = Complex{z[0].real() - z[0].imag(), 0.0};
   for (std::size_t k = 1; k < m; ++k) {
@@ -131,7 +155,7 @@ void FftPlan::rfft(std::span<const double> in, std::span<Complex> out,
     const Complex even = 0.5 * (zk + zc);
     const Complex diff = zk - zc;
     const Complex odd = Complex{0.5 * diff.imag(), -0.5 * diff.real()};  // -i/2 * diff
-    out[k] = even + cmul(fwd_[k], odd);
+    out[k] = even + cmul(w[k], odd);
   }
 }
 
@@ -162,11 +186,12 @@ void FftPlan::irfft(std::span<const Complex> half, std::span<double> out,
   const std::size_t m = n_ / 2;
   const util::Workspace::Scope scope{ws};
   std::span<Complex> z = ws.take<Complex>(m);
+  const Complex* w = last_stage(inv_);
   for (std::size_t k = 0; k < m; ++k) {
     const Complex xk = half[k];
     const Complex xc = std::conj(half[m - k]);
     const Complex even = 0.5 * (xk + xc);
-    const Complex odd = cmul(inv_[k], 0.5 * (xk - xc));
+    const Complex odd = cmul(w[k], 0.5 * (xk - xc));
     z[k] = even + Complex{-odd.imag(), odd.real()};  // even + i*odd
   }
   FftPlan::get(m).inverse(z);
@@ -351,6 +376,7 @@ std::vector<double> irfft(std::span<const Complex> half_spectrum, std::size_t n)
     throw util::DataError{"irfft: half spectrum must have n/2+1 bins"};
   }
   std::vector<double> out(n);
+  if (n == 0) return out;
   if (is_pow2(n)) {
     FftPlan::get(n).irfft(half_spectrum, out, util::thread_workspace());
     return out;

@@ -29,11 +29,12 @@ namespace emoleak::dsp {
 
 using Complex = std::complex<double>;
 
-/// An execution plan for power-of-two FFTs of one size: twiddle tables
-/// for both directions, the bit-reversal permutation, and the
-/// recombination twiddles that let a length-n real transform run as a
-/// length-n/2 complex transform. Plans are immutable after
-/// construction; obtain shared cached instances via FftPlan::get().
+/// An execution plan for power-of-two FFTs of one size: staged twiddle
+/// tables for both directions and the bit-reversal permutation. The
+/// last stage of each table doubles as the recombination twiddles that
+/// let a length-n real transform run as a length-n/2 complex transform.
+/// Plans are immutable after construction; obtain shared cached
+/// instances via FftPlan::get().
 class FftPlan {
  public:
   /// Builds a plan for size n (must be a power of two; n == 0 or 1 are
@@ -68,11 +69,22 @@ class FftPlan {
              util::Workspace& ws) const;
 
  private:
-  void transform(std::span<Complex> data, const std::vector<Complex>& w) const;
+  void transform(std::span<Complex> data,
+                 const std::vector<Complex>& stages) const;
 
+  /// Twiddles of the last butterfly stage, e^{∓2πik/n} for k in
+  /// [0, n/2): the recombination table of rfft / irfft.
+  [[nodiscard]] const Complex* last_stage(
+      const std::vector<Complex>& stages) const noexcept {
+    return stages.data() + (n_ / 2 - 1);
+  }
+
+  // Staged twiddle tables, n-1 entries each: the stage of half-width h
+  // keeps its h twiddles e^{∓iπk/h}, k in [0, h), contiguous at offset
+  // h-1, so every butterfly reads its table with unit stride.
   std::size_t n_ = 0;
-  std::vector<Complex> fwd_;           ///< e^{-2πik/n}, k in [0, n/2)
-  std::vector<Complex> inv_;           ///< e^{+2πik/n}, k in [0, n/2)
+  std::vector<Complex> fwd_;           ///< forward sign, e^{-iπk/h}
+  std::vector<Complex> inv_;           ///< inverse sign, e^{+iπk/h}
   std::vector<std::uint32_t> bitrev_;  ///< bit-reversal permutation
 };
 

@@ -54,10 +54,14 @@ double variance(std::span<const double> x) { return summarize(x).variance; }
 double stddev(std::span<const double> x) { return summarize(x).stddev; }
 
 double quantile(std::span<const double> x, double q) {
-  if (x.empty()) throw util::DataError{"quantile: empty sample"};
-  if (q < 0.0 || q > 1.0) throw util::DataError{"quantile: q must be in [0,1]"};
   std::vector<double> sorted{x.begin(), x.end()};
   std::sort(sorted.begin(), sorted.end());
+  return quantile_sorted(sorted, q);
+}
+
+double quantile_sorted(std::span<const double> sorted, double q) {
+  if (sorted.empty()) throw util::DataError{"quantile: empty sample"};
+  if (q < 0.0 || q > 1.0) throw util::DataError{"quantile: q must be in [0,1]"};
   const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto idx = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(idx);

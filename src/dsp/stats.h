@@ -34,6 +34,11 @@ struct Summary {
 /// Linear-interpolated quantile, q in [0, 1]. Sorts a copy.
 [[nodiscard]] double quantile(std::span<const double> x, double q);
 
+/// quantile() of a sample already sorted ascending, without the copy
+/// and the sort: quantile(x, q) sorts a copy of x and calls this, so
+/// several quantiles read from one sorted copy cost one sort.
+[[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q);
+
 /// Rate at which the signal crosses its own mean, per sample
 /// (in [0, 1]); the paper's MeanCrossingRate feature.
 [[nodiscard]] double mean_crossing_rate(std::span<const double> x);

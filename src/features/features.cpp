@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "dsp/fft.h"
 #include "dsp/stats.h"
@@ -44,8 +45,10 @@ std::array<double, kTimeFeatureCount> time_features(
   f[6] = std::abs(s.mean) > 1e-12 ? s.stddev / std::abs(s.mean) : 0.0;
   f[7] = s.skewness;
   f[8] = s.kurtosis;
-  f[9] = dsp::quantile(region, 0.25);
-  f[10] = dsp::quantile(region, 0.50);
+  std::vector<double> sorted{region.begin(), region.end()};
+  std::sort(sorted.begin(), sorted.end());
+  f[9] = dsp::quantile_sorted(sorted, 0.25);
+  f[10] = dsp::quantile_sorted(sorted, 0.50);
   f[11] = dsp::mean_crossing_rate(region);
   return f;
 }
@@ -137,13 +140,18 @@ std::array<double, kFreqFeatureCount> freq_features(
   f[5] = sharp_den > 0.0 ? sharp_num / sharp_den : 0.0;
 
   // Smoothness (McAdams): sum |20log(a_k) - mean of neighbors in dB|.
+  // Each bin's level is computed once and slides through the window.
   double smooth = 0.0;
-  constexpr double kFloor = 1e-12;
+  const auto level_db = [&mag](std::size_t k) {
+    return 20.0 * std::log10(std::max(mag[k], 1e-12));
+  };
+  double db_prev = level_db(1);
+  double db = level_db(2);
   for (std::size_t k = 2; k + 1 < bins; ++k) {
-    const double db = 20.0 * std::log10(std::max(mag[k], kFloor));
-    const double db_prev = 20.0 * std::log10(std::max(mag[k - 1], kFloor));
-    const double db_next = 20.0 * std::log10(std::max(mag[k + 1], kFloor));
+    const double db_next = level_db(k + 1);
     smooth += std::abs(db - (db_prev + db + db_next) / 3.0);
+    db_prev = db;
+    db = db_next;
   }
   f[6] = bins > 3 ? smooth / static_cast<double>(bins - 3) : 0.0;
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <vector>
 
 #include "util/error.h"
 #include "util/rng.h"
@@ -16,6 +19,7 @@ using emoleak::dsp::energy;
 using emoleak::dsp::mean;
 using emoleak::dsp::mean_crossing_rate;
 using emoleak::dsp::quantile;
+using emoleak::dsp::quantile_sorted;
 using emoleak::dsp::rms;
 using emoleak::dsp::stddev;
 using emoleak::dsp::summarize;
@@ -98,11 +102,33 @@ TEST(QuantileTest, Extremes) {
   EXPECT_DOUBLE_EQ(quantile(x, 1.0), 9.0);
 }
 
+// time_features sorts a region once and reads both quantiles from that
+// copy; quantile_sorted must give quantile's bits exactly.
+TEST(QuantileTest, SortedMatchesQuantileBitForBit) {
+  emoleak::util::Rng rng{23};
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 7u, 10u, 101u, 256u}) {
+    std::vector<double> x(n);
+    // Few distinct values, so ties and repeats are common.
+    for (double& v : x) v = 0.25 * static_cast<double>(rng.uniform_int(5)) - 0.3;
+    for (std::size_t i = 0; i + 1 < n; i += 3) x[i] = rng.normal();
+    std::vector<double> sorted = x;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 0.99, 1.0}) {
+      const double a = quantile(x, q);
+      const double b = quantile_sorted(sorted, q);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "n=" << n << " q=" << q;
+    }
+  }
+}
+
 TEST(QuantileTest, InvalidArgsThrow) {
   const std::vector<double> x{1.0};
   EXPECT_THROW((void)quantile(x, -0.1), emoleak::util::DataError);
   EXPECT_THROW((void)quantile(x, 1.1), emoleak::util::DataError);
   EXPECT_THROW((void)quantile(std::vector<double>{}, 0.5),
+               emoleak::util::DataError);
+  EXPECT_THROW((void)quantile_sorted(x, 1.1), emoleak::util::DataError);
+  EXPECT_THROW((void)quantile_sorted(std::vector<double>{}, 0.5),
                emoleak::util::DataError);
 }
 
