@@ -647,8 +647,6 @@ void write_json(const std::string& path, const Options& opt,
       << ",\n"
       << "    \"windows_batched\": " << metrics.counter("serve.windows_batched")
       << ",\n"
-      << "    \"windows_solo\": " << metrics.counter("serve.windows_solo")
-      << ",\n"
       << "    \"batch_count\": " << batch.count << ",\n"
       << "    \"batch_p50\": " << fmt(batch.quantile(0.50)) << ",\n"
       << "    \"batch_p99\": " << fmt(batch.quantile(0.99)) << "\n"
@@ -862,8 +860,7 @@ int main(int argc, char** argv) {
   std::cout << "batched inference: " << windows_batched << " windows over "
             << batch.count << " batches (mean " << fmt(mean_batch) << ", p50 "
             << fmt(batch.quantile(0.50)) << ", p99 "
-            << fmt(batch.quantile(0.99)) << "), "
-            << metrics.counter("serve.windows_solo") << " solo\n";
+            << fmt(batch.quantile(0.99)) << ")\n";
   if (!batch.buckets.empty()) {
     std::cout << "  batch-size histogram:";
     for (const obs::HistogramSnapshot::Bucket& b : batch.buckets) {

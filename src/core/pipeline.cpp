@@ -116,18 +116,9 @@ ExtractedData extract(const phone::Recording& recording,
                                 [](double v) { return std::isfinite(v); });
         if (!out.valid) return out;
 
-        // Spectrogram image of the same raw region. Remove the DC offset
-        // so the gravity component does not saturate the dB scale.
-        std::span<double> centered = ws.take<double>(region.size());
-        std::copy(region.begin(), region.end(), centered.begin());
-        double mean = 0.0;
-        for (const double v : centered) mean += v;
-        mean /= static_cast<double>(centered.size());
-        for (double& v : centered) v -= mean;
-        const dsp::Spectrogram spec =
-            dsp::stft(centered, recording.rate_hz, config.stft, ws);
-        out.spectrogram =
-            dsp::spectrogram_image(spec, config.image_size, config.image_size);
+        // Spectrogram image of the same raw region.
+        out.spectrogram = dsp::region_image(region, recording.rate_hz,
+                                            config.stft, config.image_size, ws);
         return out;
       });
 

@@ -93,12 +93,6 @@ double NoiseFloor::threshold() const {
   return std::max(q25 + threshold_k_ * spread, min_ratio_ * q25);
 }
 
-void NoiseFloor::reset() {
-  for (std::vector<double>& phase : phases_) phase.clear();
-  ring_pos_ = 0;
-  count_ = 0;
-}
-
 }  // namespace detail
 
 StreamingAttack::StreamingAttack(StreamingConfig config, double sample_rate_hz,
@@ -126,7 +120,7 @@ StreamingAttack::StreamingAttack(StreamingConfig config, double sample_rate_hz,
 }
 
 EmotionEvent StreamingAttack::close_region(std::size_t start, std::size_t end,
-                                           bool defer, std::size_t slot) {
+                                           std::size_t slot) {
   EmotionEvent event;
   event.start_sample = start > pad_samples_ ? start - pad_samples_ : 0;
   event.end_sample = end + pad_samples_;
@@ -166,19 +160,14 @@ EmotionEvent StreamingAttack::close_region(std::size_t start, std::size_t end,
     if (route_ == FeatureRoute::kTableFeatures) {
       input = features::extract_features(region, rate_);
     } else {
-      double mean = 0.0;
-      for (const double v : region) mean += v;
-      mean /= static_cast<double>(region.size());
-      for (double& v : region) v -= mean;
-      const dsp::Spectrogram spec = dsp::stft(region, rate_, config_.stft);
-      input = dsp::spectrogram_image(spec, config_.image_size,
-                                     config_.image_size);
+      input = dsp::region_image(region, rate_, config_.stft,
+                                config_.image_size, util::thread_workspace());
     }
     const bool valid = std::all_of(input.begin(), input.end(), [](double v) {
       return std::isfinite(v);
     });
     if (valid) {
-      if (defer) {
+      if (deferred_) {
         // Queue for the caller's batch-classify step; the event ships
         // unclassified and is patched by slot when the batch resolves.
         pending_.push_back({slot, classifier_, std::move(input)});
@@ -247,7 +236,7 @@ void StreamingAttack::process_sample(double raw, std::vector<EmotionEvent>& out)
       in_region_ = false;
       if (end > region_start_ &&
           end - region_start_ >= min_region_samples_) {
-        out.push_back(close_region(region_start_, end, deferred_, out.size()));
+        out.push_back(close_region(region_start_, end, out.size()));
       }
     }
   }
@@ -272,23 +261,6 @@ std::vector<EmotionEvent> StreamingAttack::push(std::span<const double> samples)
   return out;
 }
 
-void StreamingAttack::reset() {
-  hpf_.reset();
-  dc_estimate_ = 0.0;
-  dc_initialized_ = false;
-  envelope_sq_ = 0.0;
-  history_pos_ = 0;
-  history_size_ = 0;
-  history_start_ = 0;
-  noise_.reset();
-  pending_.clear();
-  absolute_ = 0;
-  events_ = 0;
-  in_region_ = false;
-  region_start_ = 0;
-  below_count_ = 0;
-}
-
 std::optional<EmotionEvent> StreamingAttack::finish() {
   if (!in_region_) return std::nullopt;
   in_region_ = false;
@@ -296,9 +268,7 @@ std::optional<EmotionEvent> StreamingAttack::finish() {
   if (end <= region_start_ || end - region_start_ < min_region_samples_) {
     return std::nullopt;
   }
-  // End-of-stream regions classify inline even in deferred mode: the
-  // session is leaving the pool, and the values are bit-identical.
-  return close_region(region_start_, end, /*defer=*/false, 0);
+  return close_region(region_start_, end, 0);
 }
 
 }  // namespace emoleak::core

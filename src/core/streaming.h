@@ -106,8 +106,6 @@ class NoiseFloor {
     return count_ < capacity_ ? count_ : capacity_;
   }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  /// Empties the window, keeping every buffer's storage.
-  void reset();
 
  private:
   std::size_t capacity_;
@@ -115,7 +113,7 @@ class NoiseFloor {
   double min_ratio_;
   std::vector<double> ring_;  ///< window values, oldest at ring_pos_ once full
   std::size_t ring_pos_ = 0;  ///< slot the next value is written to
-  std::size_t count_ = 0;     ///< values pushed since construction/reset
+  std::size_t count_ = 0;     ///< values pushed since construction
   std::array<std::vector<double>, kStride> phases_;  ///< sorted classes
 };
 
@@ -135,14 +133,10 @@ class StreamingAttack {
   /// infinite: one such sample would poison the envelope for good.
   std::vector<EmotionEvent> push(std::span<const double> samples);
 
-  /// Flushes a region still open at end-of-stream, if any.
+  /// Flushes a region still open at end-of-stream, if any. In deferred
+  /// mode its window is queued like push()'s, at slot 0 (the returned
+  /// event).
   [[nodiscard]] std::optional<EmotionEvent> finish();
-
-  /// Rewinds to the just-constructed state (filter delay lines, DC/
-  /// envelope trackers, histories, counters) without reallocating the
-  /// config-derived capacities, so a session pool can reuse instances
-  /// across streams (serve::SessionManager).
-  void reset();
 
   /// Swaps the model used for subsequent regions (hot-swap in the
   /// serving layer). Pass nullptr for detection-only mode. Regions
@@ -162,10 +156,10 @@ class StreamingAttack {
   /// In deferred mode push() leaves classified regions' events at
   /// predicted_class == -1 and queues {slot, classifier, input} in the
   /// pending list instead of predicting inline; the caller batches the
-  /// predicts and scatters results back by slot. finish() always
-  /// classifies inline (values are bit-identical either way). Drain
-  /// take_pending() after every push — slots are relative to that
-  /// push's event vector.
+  /// predicts and scatters results back by slot; finish() defers the
+  /// same way. Values are bit-identical either way. Drain
+  /// take_pending() after every push and finish — slots are relative
+  /// to that call's events.
   void set_deferred(bool deferred) noexcept { deferred_ = deferred; }
   [[nodiscard]] bool deferred() const noexcept { return deferred_; }
   [[nodiscard]] std::vector<PendingWindow> take_pending() {
@@ -177,9 +171,9 @@ class StreamingAttack {
 
  private:
   void process_sample(double raw, std::vector<EmotionEvent>& out);
-  /// `slot` is the event's index in the push() result; only used when
-  /// `defer` queues the window instead of predicting inline.
-  EmotionEvent close_region(std::size_t start, std::size_t end, bool defer,
+  /// `slot` is the event's index in the push() or finish() result;
+  /// only used when deferred mode queues the window.
+  EmotionEvent close_region(std::size_t start, std::size_t end,
                             std::size_t slot);
 
   StreamingConfig config_;

@@ -207,4 +207,18 @@ std::vector<double> spectrogram_image(const Spectrogram& spec, std::size_t width
   return image;
 }
 
+std::vector<double> region_image(std::span<const double> region,
+                                 double sample_rate_hz, const StftConfig& config,
+                                 std::size_t size, util::Workspace& ws) {
+  const util::Workspace::Scope scope{ws};
+  std::span<double> centered = ws.take<double>(region.size());
+  std::copy(region.begin(), region.end(), centered.begin());
+  double mean = 0.0;
+  for (const double v : centered) mean += v;
+  mean /= static_cast<double>(centered.size());
+  for (double& v : centered) v -= mean;
+  return spectrogram_image(stft(centered, sample_rate_hz, config, ws), size,
+                           size);
+}
+
 }  // namespace emoleak::dsp

@@ -100,4 +100,16 @@ void stft_magnitudes(std::span<const double> signal, const StftConfig& config,
                                                     std::size_t height,
                                                     double floor_db = -80.0);
 
+/// The `size x size` spectrogram image of one raw accelerometer region:
+/// subtract the region's mean (the gravity offset would otherwise
+/// saturate the dB scale), take the STFT, render the image. The offline
+/// pipeline, the streaming attack and fingerprint training all render
+/// through this, so a served region lands in the training input space.
+/// The centered copy and the STFT scratch come from `ws`.
+[[nodiscard]] std::vector<double> region_image(std::span<const double> region,
+                                               double sample_rate_hz,
+                                               const StftConfig& config,
+                                               std::size_t size,
+                                               util::Workspace& ws);
+
 }  // namespace emoleak::dsp

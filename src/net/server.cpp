@@ -251,13 +251,18 @@ void NetServer::dispatch(Connection& conn) {
   drain_due_ = drain_due_ || !result.streams_touched.empty();
 
   // Connection -> stream affinity: events for a stream route back to
-  // the last connection that wrote it.
-  for (const std::uint64_t id : result.streams_touched) {
-    const auto [it, inserted] = stream_owner_.try_emplace(id, &conn);
-    if (!inserted) it->second = &conn;
-    bool known = false;
-    for (const std::uint64_t seen : conn.streams) known = known || seen == id;
-    if (!known) conn.streams.push_back(id);
+  // the last connection that wrote it. A later frame for the same id
+  // clears the finishing mark, keeping the restarted stream owned.
+  auto finish = result.finishes_admitted.begin();
+  for (std::size_t i = 0; i < result.streams_touched.size(); ++i) {
+    const std::uint64_t id = result.streams_touched[i];
+    const bool finishing =
+        finish != result.finishes_admitted.end() && *finish == i;
+    if (finishing) {
+      ++finish;
+      finishing_.push_back(id);
+    }
+    stream_owner_[id] = Owner{&conn, finishing};
   }
 
   conn.outbuf.append(result.reply);
@@ -343,6 +348,15 @@ void NetServer::drain_and_route() {
   }
   (void)service_.drain();
   route_events();
+  // That drain processed every finish admitted before it, and their
+  // final events are routed: the streams end here.
+  for (const std::uint64_t id : finishing_) {
+    const auto it = stream_owner_.find(id);
+    if (it != stream_owner_.end() && it->second.finishing) {
+      stream_owner_.erase(it);
+    }
+  }
+  finishing_.clear();
 }
 
 void NetServer::route_events() {
@@ -354,7 +368,7 @@ void NetServer::route_events() {
       stats_.events_orphaned.add(1);
       continue;
     }
-    Connection& conn = *it->second;
+    Connection& conn = *it->second.conn;
     serve::encode(conn.outbuf, event);
     stats_.events_routed.add(1);
   }
@@ -372,13 +386,19 @@ void NetServer::close_connection(Connection& conn, bool peer_gone) {
   } else if (conn.closing) {
     stats_.connections_closed_corrupt.add(1);
   }
-  // A mid-stream disconnect must not leak sessions until idle timeout:
-  // finish every stream this peer owned so its open region flushes and
-  // the session retires into the pool at the next drain.
-  for (const std::uint64_t id : conn.streams) {
-    const auto it = stream_owner_.find(id);
-    if (it == stream_owner_.end() || it->second != &conn) continue;
-    stream_owner_.erase(it);
+  // A mid-stream disconnect must not leak sessions: finish every
+  // stream this peer owned so its open region flushes and its slot
+  // frees at the next drain. A stream already finishing needs no
+  // second finish.
+  for (auto it = stream_owner_.begin(); it != stream_owner_.end();) {
+    if (it->second.conn != &conn) {
+      ++it;
+      continue;
+    }
+    const std::uint64_t id = it->first;
+    const bool finishing = it->second.finishing;
+    it = stream_owner_.erase(it);
+    if (finishing) continue;
     drain_due_ = true;
     if (service_.finish_stream(id) == serve::Status::kOverloaded) {
       pending_finishes_.push_back(id);

@@ -15,9 +15,11 @@
 //                   un-flushed replies instead of buffering unboundedly
 //   affinity        stream id -> connection, recorded from the frames a
 //                   connection writes; drained events route back to the
-//                   last writer. A mid-stream disconnect finishes the
-//                   peer's streams so their sessions flush and retire
-//                   into the pool instead of leaking until idle timeout
+//                   last writer. Ownership ends after the drain that
+//                   processed the stream's admitted finish has routed
+//                   its events. A mid-stream disconnect finishes the
+//                   peer's streams so their sessions flush and free
+//                   their slots instead of leaking
 //   drain           one ServeService::drain() (the sharded batcher —
 //                   per-stream sequential, shards parallel,
 //                   bit-identical events), then route the completed
@@ -27,8 +29,7 @@
 //                   one wakeup share a drain and nothing waits for a
 //                   timer. A timerfd every drain_interval_ms is the
 //                   backstop cadence: it retries overload-deferred
-//                   finishes and keeps the sessions' idle clock moving
-//                   when no traffic arrives
+//                   finishes
 //   backpressure    ServeService maps a full shard queue to
 //                   Status::kOverloaded; the ack carries
 //                   serve::kRetryAfterMs so clients back off instead of
@@ -62,8 +63,8 @@ struct NetServerConfig {
   std::uint16_t port = 0;        ///< 0 = ephemeral; read back via port()
   std::size_t max_connections = 1024;
   /// Backstop drain cadence (timerfd). Admitted requests drain at the
-  /// end of the wakeup that read them; the timer retries deferred
-  /// finishes and advances the idle clock between arrivals.
+  /// end of the wakeup that read them; the timer retries finishes that
+  /// a full shard queue deferred.
   std::uint32_t drain_interval_ms = 1;
 
   void validate() const;
@@ -99,7 +100,6 @@ class NetServer {
     std::string inbuf;            ///< unparsed bytes (partial frame tail)
     std::string outbuf;           ///< un-flushed reply/event frames
     std::size_t out_off = 0;      ///< flushed prefix of outbuf
-    std::vector<std::uint64_t> streams;  ///< stream ids this peer wrote
     std::uint32_t armed = 0;      ///< epoll event mask currently registered
     bool paused = false;          ///< EPOLLIN off (write-buffer cap)
     bool closing = false;         ///< corrupt peer: close once flushed
@@ -132,7 +132,14 @@ class NetServer {
 
   // Event-loop-thread state (no locking: only run() touches these).
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
-  std::unordered_map<std::uint64_t, Connection*> stream_owner_;
+  struct Owner {
+    Connection* conn = nullptr;  ///< last connection that wrote the stream
+    bool finishing = false;      ///< its last frame was an admitted finish
+  };
+  std::unordered_map<std::uint64_t, Owner> stream_owner_;
+  /// Streams marked finishing since the last drain; released once that
+  /// drain has routed their events, unless touched again meanwhile.
+  std::vector<std::uint64_t> finishing_;
   std::vector<std::uint64_t> pending_finishes_;  ///< retried each drain
   /// This wakeup admitted a stream request or finished a closed
   /// connection's streams: drain once its handlers are done.

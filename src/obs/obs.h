@@ -8,24 +8,18 @@
 //     OBS_SPAN_ARG("serve.process", "stream", stream_id);
 //   }
 //
-// With EMOLEAK_OBS compiled in (the default; -DEMOLEAK_OBS=OFF at
-// configure time strips it) and tracing runtime-disabled, a span costs
-// one relaxed atomic load; enabled it costs two steady-clock reads and
-// a ring-slot write (see obs/trace.h). Metrics (obs/metrics.h) are
-// always compiled in — counters are one relaxed fetch_add.
+// With tracing runtime-disabled (the default), a span costs one
+// relaxed atomic load; enabled it costs two steady-clock reads and a
+// ring-slot write (see obs/trace.h). Metrics (obs/metrics.h) counters
+// are one relaxed fetch_add.
 #pragma once
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-#ifndef EMOLEAK_OBS
-#define EMOLEAK_OBS 1
-#endif
-
 #define EMOLEAK_OBS_CONCAT_INNER(a, b) a##b
 #define EMOLEAK_OBS_CONCAT(a, b) EMOLEAK_OBS_CONCAT_INNER(a, b)
 
-#if EMOLEAK_OBS
 /// Scoped span named by a string literal.
 #define OBS_SPAN(name) \
   ::emoleak::obs::Span EMOLEAK_OBS_CONCAT(obs_span_, __LINE__) { name }
@@ -47,10 +41,3 @@
 #define OBS_FLOW_END(name, id)                     \
   ::emoleak::obs::record_flow(name, ::emoleak::obs::FlowPhase::kEnd, \
                               static_cast<std::uint64_t>(id))
-#else
-#define OBS_SPAN(name) ((void)0)
-#define OBS_SPAN_ARG(name, key, value) ((void)0)
-#define OBS_FLOW_BEGIN(name, id) ((void)0)
-#define OBS_FLOW_STEP(name, id) ((void)0)
-#define OBS_FLOW_END(name, id) ((void)0)
-#endif

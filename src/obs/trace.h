@@ -1,13 +1,10 @@
 // emoleak::obs tracing — RAII scoped spans in per-thread lock-free
 // ring buffers, exported as Chrome trace_event JSON.
 //
-// Two gates keep the cost off the data path:
-//
-//  * compile time: the OBS_SPAN macros (obs.h) compile to nothing when
-//    EMOLEAK_OBS is 0, so a stripped build carries no tracing code;
-//  * run time: with tracing compiled in but disabled (the default), a
-//    Span constructor is one relaxed atomic load and a branch (~1 ns,
-//    measured by BM_SpanOverhead) — no clock read, no record.
+// A run-time gate keeps the cost off the data path: with tracing
+// disabled (the default), a Span constructor is one relaxed atomic load
+// and a branch (~1 ns, measured by BM_SpanOverhead) — no clock read, no
+// record.
 //
 // When enabled, a span reads the steady clock at entry/exit and writes
 // one fixed-size slot into the calling thread's ring. Rings are
@@ -147,9 +144,9 @@ inline void record_flow(const char* name, FlowPhase phase,
   detail::thread_ring().record(name, nullptr, id, trace_now_ns(), 0, phase);
 }
 
-/// RAII scoped span. Use through the OBS_SPAN macros (obs.h) so spans
-/// compile out with EMOLEAK_OBS=0; construct directly in tests. `name`
-/// (and `arg_name`) must outlive the trace — pass string literals.
+/// RAII scoped span. Use through the OBS_SPAN macros (obs.h); construct
+/// directly in tests. `name` (and `arg_name`) must outlive the trace —
+/// pass string literals.
 class Span {
  public:
   explicit Span(const char* name) noexcept : Span{name, nullptr, 0} {}

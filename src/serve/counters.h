@@ -36,10 +36,7 @@ class ServeCounters {
         events_emitted{registry_.counter("serve.events_emitted")},
         drains{registry_.counter("serve.drains")},
         windows_batched{registry_.counter("serve.windows_batched")},
-        windows_solo{registry_.counter("serve.windows_solo")},
         sessions_created{registry_.counter("serve.sessions.created")},
-        sessions_evicted{registry_.counter("serve.sessions.evicted")},
-        sessions_pooled{registry_.counter("serve.sessions.pooled")},
         sessions_active{registry_.gauge("serve.sessions.active")},
         drain_latency_ns_{registry_.histogram("serve.drain_latency_ns")},
         e2e_latency_ns_{registry_.histogram("serve.e2e_latency_ns")},
@@ -54,11 +51,8 @@ class ServeCounters {
   obs::Counter& events_emitted;
   obs::Counter& drains;
   obs::Counter& windows_batched;
-  obs::Counter& windows_solo;
   // Session-table lifecycle, bumped by SessionManager under its lock.
   obs::Counter& sessions_created;
-  obs::Counter& sessions_evicted;
-  obs::Counter& sessions_pooled;  ///< reused from the free pool
   obs::Gauge& sessions_active;
 
   /// Records one batched predict call of `size` rows.

@@ -66,7 +66,7 @@ enum class MsgType : std::uint8_t {
 enum class Status : std::uint8_t {
   kOk = 0,
   kOverloaded,   ///< shard queue full — retry after a drain
-  kNoCapacity,   ///< session table full and nothing evictable
+  kNoCapacity,   ///< session table full
   kError,        ///< malformed request / unknown model version
 };
 

@@ -106,9 +106,7 @@ void ServeService::process(PushRequest& request) {
     sessions_.finish(request.stream_id, request.flow, request.arrival_ns);
     return;
   }
-  const std::uint64_t tick = tick_.load(std::memory_order_relaxed);
-  SessionManager::Session* session =
-      sessions_.acquire(request.stream_id, tick);
+  SessionManager::Session* session = sessions_.acquire(request.stream_id);
   if (session == nullptr) {
     // Admission control, second gate: the queue had room but the
     // session table is full. The chunk is dropped (and counted) rather
@@ -146,39 +144,24 @@ void ServeService::process(PushRequest& request) {
     // actually closed — classification dominates the cost, and this is
     // the per-task latency the mitigation study compares.
     session->task->region_ns.record(obs::trace_now_ns() - t0);
-    const std::size_t outbox_base = session->outbox.size();
-    for (core::EmotionEvent& event : events) {
-      // The closing chunk's telemetry riders travel with the event: the
-      // flow id links this region's spans across threads, the arrival
-      // stamp feeds serve.e2e_latency_ns at write-out.
-      event.flow = request.flow;
-      event.arrival_ns = request.arrival_ns;
-      session->outbox.push_back(std::move(event));
-    }
-    // Deferred-mode regions queued their inputs instead of predicting;
-    // rebase their slots from this push's event vector onto the outbox
-    // so the batch step patches the right events.
-    for (core::PendingWindow& window : session->attack.take_pending()) {
-      window.slot += outbox_base;
-      session->pending.push_back(std::move(window));
-    }
+    // The closing chunk's telemetry riders travel with the event: the
+    // flow id links this region's spans across threads, the arrival
+    // stamp feeds serve.e2e_latency_ns at write-out.
+    session->append(events, request.flow, request.arrival_ns);
   }
 }
 
 std::size_t ServeService::drain() {
   OBS_SPAN("serve.drain");
   std::lock_guard<std::mutex> lock{drain_mutex_};
-  const std::uint64_t tick =
-      tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   counters_.drains.add(1);
-  const std::size_t evicted = sessions_.evict_idle(tick);
-  (void)evicted;
 
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t processed = batcher_.drain(
       [this](PushRequest& request) { process(request); },
       config_.parallelism);
   run_batched_classify();
+  sessions_.release_finished();
   if (processed > 0) {
     const auto t1 = std::chrono::steady_clock::now();
     counters_.record_drain_latency(
@@ -314,8 +297,12 @@ HandleResult ServeService::handle_frames(std::string_view bytes) {
             result.streams_touched.push_back(m.stream_id);
             ack(start_stream(m.stream_id, std::move(m.model_name)));
           } else if constexpr (std::is_same_v<T, StreamFinishMsg>) {
+            const Status status = finish_stream(m.stream_id);
+            if (status == Status::kOk) {
+              result.finishes_admitted.push_back(result.streams_touched.size());
+            }
             result.streams_touched.push_back(m.stream_id);
-            ack(finish_stream(m.stream_id));
+            ack(status);
           } else if constexpr (std::is_same_v<T, MetricsRequestMsg>) {
             try {
               encode(result.reply, MetricsReplyMsg{metrics_snapshot()});

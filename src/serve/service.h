@@ -10,8 +10,8 @@
 //                   feeds its streams' StreamingAttack sequentially,
 //                   so per-stream event sequences are bit-identical to
 //                   a standalone StreamingAttack at any thread count
-//   SessionManager  bounded session table, idle eviction by drain
-//                   tick, session pooling via StreamingAttack::reset()
+//   SessionManager  bounded session table; a session lives from its
+//                   stream's first request to the drain that finishes it
 //   ModelRegistry   versioned models, atomic hot-swap; sessions pick
 //                   up a swap lazily at their next processed request
 //   counters     -> serve.* metrics in a service-owned obs::Registry,
@@ -67,11 +67,15 @@ struct HandleResult {
   std::size_t frames = 0;      ///< complete frames decoded
   std::size_t overloaded = 0;  ///< frames answered with kOverloaded
   bool corrupt = false;        ///< a corrupt frame ended the batch
-  /// Stream ids named by push/finish frames in this batch, in frame
-  /// order (duplicates possible). The transport uses these for
+  /// Stream ids named by push/start/finish frames in this batch, in
+  /// frame order (duplicates possible). The transport uses these for
   /// connection -> stream affinity: events route back to the last
   /// connection that wrote the stream.
   std::vector<std::uint64_t> streams_touched;
+  /// Indices into streams_touched of the finish frames that were
+  /// admitted, ascending. A stream whose last touch is one of these has
+  /// ended once the next drain has run.
+  std::vector<std::size_t> finishes_admitted;
 };
 
 class ServeService {
@@ -86,7 +90,7 @@ class ServeService {
   Status push(std::uint64_t stream_id, std::vector<double> samples);
 
   /// Enqueues an end-of-stream flush (emits the final open region, if
-  /// any, and retires the session into the pool).
+  /// any, and frees the session's slot).
   Status finish_stream(std::uint64_t stream_id);
 
   /// Opens (or rebinds) a stream against a named registry model; empty
@@ -98,10 +102,10 @@ class ServeService {
   /// a fresh stream id still auto-binds to the default model.
   Status start_stream(std::uint64_t stream_id, std::string model_name);
 
-  /// Runs one batch cycle: advances the logical clock, evicts idle
-  /// sessions, then processes every queued request (per-stream
-  /// sequential, streams parallel). Returns requests processed.
-  /// Thread-safe; concurrent callers are serialized.
+  /// Runs one batch cycle: processes every queued request (per-stream
+  /// sequential, streams parallel), batch-classifies the deferred
+  /// windows, then frees the sessions finished in it. Returns requests
+  /// processed. Thread-safe; concurrent callers are serialized.
   std::size_t drain();
 
   /// Events completed since the last call, ordered by (stream id,
@@ -151,7 +155,7 @@ class ServeService {
   /// serve.accepted or serve.rejected_overload.
   Status admit(PushRequest request);
   void process(PushRequest& request);
-  /// Batch-classifies every deferred window collected this tick:
+  /// Batch-classifies every deferred window collected this drain:
   /// groups by (captured model, input width), one predict_proba_batch
   /// per group, results scattered back to each session's outbox by
   /// slot. Runs under drain_mutex_ after the shard barrier, so no shard
@@ -168,11 +172,10 @@ class ServeService {
   SessionManager sessions_;
   RequestBatcher batcher_;
   std::mutex drain_mutex_;          ///< one drain cycle at a time
-  std::atomic<std::uint64_t> tick_{0};  ///< logical clock, 1 per drain
   /// Flow-id mint for causal tracing: each admitted push/finish
   /// gets a unique nonzero id, and the events its windows produce
   /// inherit it — linking one request's spans across the event-loop
-  /// thread, pool workers, and the drain tick in the exported trace.
+  /// thread, pool workers, and the drain in the exported trace.
   std::atomic<std::uint64_t> flow_seq_{0};
 };
 

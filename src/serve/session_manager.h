@@ -1,23 +1,27 @@
 // Session table for the serving layer.
 //
-// One core::StreamingAttack per device/stream id, with a bounded total
-// and idle eviction measured in drain ticks (a logical clock — wall
-// time would make eviction scheduling-dependent and untestable).
-// Evicted sessions park in a free pool and are recycled via
-// StreamingAttack::reset(), so steady-state serving allocates nothing
-// per new stream.
+// One core::StreamingAttack per device/stream id, with a bounded total.
+// A session lives from the first request of its stream until the end
+// of the drain that processes its finish: finish() takes it out of the
+// table at once (freeing its slot) and flushes its open region as one
+// more deferred window, the drain's batch step classifies that window
+// with the rest, and release_finished() hands the session's events to
+// take_events() and frees it. Every new stream constructs a fresh
+// StreamingAttack.
 //
-// Concurrency contract: acquire() may be called from any shard task
-// (the table mutex covers lookup/creation), but a given Session object
-// is only ever touched by the shard that owns its stream id while a
-// drain is running — the batcher's sharding provides that exclusivity,
-// not this class. evict_idle() must be called outside any drain
+// Concurrency contract: acquire() and finish() may be called from any
+// shard task (the table mutex covers lookup, creation and removal), but
+// a given Session object is only ever touched by the shard that owns
+// its stream id while a drain is running — the batcher's sharding
+// provides that exclusivity, not this class. take_pending(),
+// release_finished() and take_events() run between shard barriers
 // (ServeService does so from the single drain() caller).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,10 +37,6 @@ struct SessionConfig {
   core::StreamingConfig stream;     ///< detector knobs for every session
   double sample_rate_hz = 420.0;    ///< accelerometer rate of the fleet
   std::size_t max_sessions = 64;    ///< hard cap on live sessions
-  /// Sessions untouched for this many drain ticks are evicted (their
-  /// open region is flushed into the outbox first); 0 disables idle
-  /// eviction — sessions then live until explicitly finished.
-  std::uint64_t idle_timeout_ticks = 0;
 
   void validate() const;
 };
@@ -49,7 +49,6 @@ class SessionManager {
     /// Events awaiting pickup, in emission order (per-stream order is
     /// the determinism contract; only the owning shard appends).
     std::vector<core::EmotionEvent> outbox;
-    std::uint64_t last_active_tick = 0;
     std::uint64_t model_generation = 0;
     /// Registry name this stream is bound to (empty = default). Set by
     /// a StreamStart request; re-resolved lazily on generation bumps so
@@ -59,42 +58,40 @@ class SessionManager {
     /// path bumps lock-free. nullptr = not yet bound (the service binds
     /// on the first processed request).
     ServeCounters::TaskCounters* task = nullptr;
-    /// Regions whose classification was deferred to the drain tick's
-    /// batch step (ServeService::drain). `slot` here is the event's
-    /// index in `outbox`; the model is the classifier captured
-    /// when the region closed, so a mid-tick rebind cannot change which
-    /// model scores it. Always emptied before the drain returns.
+    /// Regions whose classification was deferred to the drain's batch
+    /// step (ServeService::drain). `slot` here is the event's index in
+    /// `outbox`; the model is the classifier captured when the region
+    /// closed, so a mid-drain rebind cannot change which model scores
+    /// it. Always emptied before the drain returns.
     std::vector<core::PendingWindow> pending;
 
     Session(const SessionConfig& config, ModelRegistry::ModelPtr model);
+
+    /// Appends the events one attack.push() or attack.finish() just
+    /// returned, stamped with the closing request's telemetry riders
+    /// (see EmotionEvent), and rebases that call's deferred windows
+    /// from its event slots onto the outbox.
+    void append(std::span<core::EmotionEvent> events, std::uint64_t flow,
+                std::uint64_t arrival_ns);
   };
 
-  /// `counters` receives the table's metrics (serve.sessions.* and
-  /// serve.windows_solo) and must outlive the manager.
+  /// `counters` receives the table's metrics (serve.sessions.*) and
+  /// must outlive the manager.
   SessionManager(SessionConfig config, std::shared_ptr<ModelRegistry> registry,
                  ServeCounters& counters);
 
-  /// The session for `stream_id`, creating (or recycling) one if the
-  /// cap allows; nullptr when the table is full. The returned pointer
-  /// stays valid until the session is evicted or finished — safe here
-  /// because eviction never runs concurrently with shard processing.
-  [[nodiscard]] Session* acquire(std::uint64_t stream_id, std::uint64_t tick);
+  /// The session for `stream_id`, creating one if the cap allows;
+  /// nullptr when the table is full. The returned pointer stays valid
+  /// until the end of the drain that finishes the stream.
+  [[nodiscard]] Session* acquire(std::uint64_t stream_id);
 
-  /// Flushes the open region (if any) into the outbox and retires the
-  /// session into the free pool. Returns false for an unknown stream.
-  /// `flow`/`arrival_ns` stamp the flushed final event with the finish
-  /// request's telemetry riders (0 = unstamped; see EmotionEvent).
+  /// Takes the session out of the table and flushes its open region
+  /// (if any) into the outbox as a deferred window, stamped with the
+  /// finish request's `flow`/`arrival_ns` (0 = unstamped). The session
+  /// stays alive for take_pending() until release_finished(). Returns
+  /// false for an unknown stream.
   bool finish(std::uint64_t stream_id, std::uint64_t flow = 0,
               std::uint64_t arrival_ns = 0);
-
-  /// Evicts every session idle since before `tick - idle_timeout`;
-  /// returns the number evicted. Call only between drains.
-  std::size_t evict_idle(std::uint64_t tick);
-
-  /// Moves every queued event out of the session outboxes, ordered by
-  /// (stream id, emission order). Call only between drains.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, core::EmotionEvent>>
-  take_events();
 
   /// One deferred window plus the session whose outbox it patches.
   struct PendingEntry {
@@ -102,29 +99,36 @@ class SessionManager {
     core::PendingWindow window;
   };
 
-  /// Moves every session's deferred windows out for the batch-classify
-  /// step, sorted by (stream id, outbox slot) so batch assembly is
-  /// independent of shard scheduling and thread count. Call only from
-  /// the drain cycle (no shard task may be running).
+  /// Moves the deferred windows of every live and finished session out
+  /// for the batch-classify step, in an order independent of shard
+  /// scheduling and thread count: by stream id, a finished session's
+  /// windows before those of a live session restarted under the same
+  /// id, each session's in outbox-slot order. Call only from the drain
+  /// cycle (no shard task may be running).
   [[nodiscard]] std::vector<PendingEntry> take_pending();
 
- private:
-  void retire(std::unique_ptr<Session> session);
-  /// Classifies any still-deferred windows inline (bit-identical to the
-  /// batch step) so a retiring session's outbox never ships an
-  /// unresolved event; each counts in serve.windows_solo. Caller holds
-  /// mutex_.
-  void resolve_pending_solo(Session& session);
+  /// Moves the finished sessions' events aside for take_events() and
+  /// frees the sessions. Call after the batch step.
+  void release_finished();
 
+  /// Moves every queued event out, ordered by (stream id, emission
+  /// order); a finished session's events come before those of a stream
+  /// restarted under its id. Call only between drains.
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, core::EmotionEvent>>
+  take_events();
+
+ private:
   SessionConfig config_;
   std::shared_ptr<ModelRegistry> registry_;
 
   ServeCounters& counters_;
 
-  mutable std::mutex mutex_;  ///< guards the table + pool
+  mutable std::mutex mutex_;  ///< guards the table and the lists below
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;
-  std::vector<std::unique_ptr<Session>> free_pool_;
-  /// Events from finished/evicted sessions awaiting take_events().
+  /// Sessions finished this drain, in finish order; freed by
+  /// release_finished().
+  std::vector<std::unique_ptr<Session>> finished_;
+  /// Events of released sessions awaiting take_events().
   std::vector<std::pair<std::uint64_t, core::EmotionEvent>> orphaned_events_;
 };
 

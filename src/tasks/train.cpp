@@ -133,20 +133,14 @@ ml::Dataset media_dataset(const TaskTrainConfig& config) {
       if (it == clip_class.end()) continue;
 
       // Same rendering as the serving route (StreamingAttack's
-      // kSpectrogramImage branch): DC-center over the region, STFT,
-      // fixed-size image — trained fingerprints and served regions
-      // live in the same input space.
-      std::vector<double> slice(
-          recording.accel.begin() + static_cast<std::ptrdiff_t>(region.start),
-          recording.accel.begin() + static_cast<std::ptrdiff_t>(region.end));
-      double mean = 0.0;
-      for (const double v : slice) mean += v;
-      mean /= static_cast<double>(slice.size());
-      for (double& v : slice) v -= mean;
-      const dsp::Spectrogram spec =
-          dsp::stft(slice, recording.rate_hz, pipeline.stft);
-      out.x.push_back(dsp::spectrogram_image(spec, pipeline.image_size,
-                                             pipeline.image_size));
+      // kSpectrogramImage branch), so trained fingerprints and served
+      // regions live in the same input space.
+      const std::span<const double> slice =
+          std::span<const double>{recording.accel}.subspan(region.start,
+                                                           region.length());
+      out.x.push_back(dsp::region_image(slice, recording.rate_hz, pipeline.stft,
+                                        pipeline.image_size,
+                                        util::thread_workspace()));
       out.y.push_back(it->second);
     }
   }

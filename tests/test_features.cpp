@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "dsp/stft.h"
@@ -267,6 +268,31 @@ TEST(GoldenDigestTest, FeaturesAndImagePinnedAcrossCommits) {
     EXPECT_EQ(features, g.features)
         << "n=" << g.n << " features=0x" << std::hex << features;
     EXPECT_EQ(image, g.image) << "n=" << g.n << " image=0x" << std::hex << image;
+  }
+}
+
+// The region image every route renders through (DC-center, STFT,
+// 32x32 image; window 64, hop 8) on the same kind of noisy tone, which
+// carries a 9.81 gravity offset. The digests were computed from the
+// three calls the offline pipeline, the streaming attack and
+// fingerprint training each made before dsp::region_image existed:
+// mean-centering a copy, dsp::stft, dsp::spectrogram_image.
+TEST(GoldenDigestTest, RegionImagePinnedAcrossCommits) {
+  emoleak::dsp::StftConfig stft_config;
+  stft_config.window_length = 64;
+  stft_config.hop = 8;
+  const std::pair<std::size_t, std::uint64_t> golden[] = {
+      {5, 0xbe550c5301f2e9e5ULL},    {8, 0x50bd4a68c8704485ULL},
+      {64, 0x8bd4bcc8c6dccaedULL},   {100, 0xe74573bb35f4c8c3ULL},
+      {420, 0x7e8180aa6e1958b6ULL},  {631, 0x24975d0421aeaff6ULL},
+      {1000, 0xc25c186f1f6881a8ULL}, {2048, 0x16066e7c55b1a161ULL},
+      {2520, 0xfa34837839a2480dULL},
+  };
+  for (const auto& [n, digest] : golden) {
+    const std::vector<double> x = noisy_tone(9000 + n, n);
+    const std::uint64_t image = fnv1a64(emoleak::dsp::region_image(
+        x, 420.0, stft_config, 32, emoleak::util::thread_workspace()));
+    EXPECT_EQ(image, digest) << "n=" << n << " image=0x" << std::hex << image;
   }
 }
 

@@ -2,8 +2,9 @@
 // behaviors the network path depends on: resumable frame reassembly at
 // every split point, encode-time frame limits, per-connection corrupt
 // isolation, loopback round-trip parity with the in-process transport,
-// overload -> retry-after acks, mid-stream disconnect eviction, and
-// graceful shutdown flushing open sessions. The loopback tests run the
+// overload -> retry-after acks, mid-stream disconnect finishing, stream
+// ownership released by a finish, graceful shutdown flushing open
+// sessions, and seeded frame mutants. The loopback tests run the
 // server's accept/drain loop against concurrent clients and are the
 // TSan target for the transport (see the sanitizer recipe in
 // ROADMAP.md).
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -232,6 +234,176 @@ TEST(ResumableFramingTest, PartialIsResumableCorruptThrows) {
     serve::FrameReader reader{overclaim};
     EXPECT_THROW((void)reader.next(), util::DataError);
   }
+}
+
+// ---- seeded frame mutants ----------------------------------------------
+
+/// The mutants' seeds: one valid frame of every message type and the
+/// StreamStart v1 short form, then kCorruptSeeds frames the decoder
+/// refuses: a chunk carrying non-finite samples and frames of the
+/// retired type bytes 4 and 5.
+constexpr std::size_t kCorruptSeeds = 3;
+
+std::vector<std::string> seed_frames() {
+  std::vector<std::string> seeds;
+  const auto add = [&seeds](const serve::Message& msg) {
+    seeds.push_back(serve::encode_one(msg));
+  };
+  add(serve::ChunkPushMsg{3, {9.81, -1.5, 0.0, 1e300}});
+  add(serve::StreamFinishMsg{5});
+  core::EmotionEvent event;
+  event.start_sample = 100;
+  event.end_sample = 400;
+  event.predicted_class = 1;
+  event.probabilities = {0.25, 0.5, 0.25};
+  add(serve::EventMsg{6, event});
+  add(serve::ModelSwapMsg{2});
+  add(serve::AckMsg{Status::kOverloaded, 7});
+  add(serve::StreamStartMsg{8, "fingerprint"});
+  add(serve::StreamStartMsg{9, ""});  // encodes as the v1 short form
+  add(serve::MetricsRequestMsg{});
+  obs::Registry registry;
+  registry.counter("serve.requests").add(3);
+  registry.gauge("serve.sessions.active").set(-2);
+  registry.histogram("serve.batch_size").record(100);
+  add(serve::MetricsReplyMsg{registry.snapshot()});
+  add(serve::TraceRequestMsg{});
+  add(serve::TraceReplyMsg{"{\"traceEvents\":[]}", 4});
+  add(serve::ChunkPushMsg{4,
+                          {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}});
+  for (const char type : {4, 5}) {
+    std::string frame = serve::encode_one(serve::StreamFinishMsg{1});
+    frame[4] = type;
+    seeds.push_back(std::move(frame));
+  }
+  return seeds;
+}
+
+/// One to three edits of a random seed: bit flips, u32 length edits
+/// (the frame prefix or any other offset), truncation, and splices
+/// with another seed.
+std::string mutate(const std::vector<std::string>& seeds, util::Rng& rng) {
+  std::string bytes = seeds[rng.uniform_int(seeds.size())];
+  const std::uint64_t edits = 1 + rng.uniform_int(3);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    switch (rng.uniform_int(4)) {
+      case 0:
+        if (!bytes.empty()) {
+          bytes[rng.uniform_int(bytes.size())] ^=
+              static_cast<char>(1u << rng.uniform_int(8));
+        }
+        break;
+      case 1:
+        if (bytes.size() >= 4) {
+          const std::size_t at =
+              rng.uniform_int(2) == 0 ? 0 : rng.uniform_int(bytes.size() - 3);
+          const std::uint32_t values[] = {
+              0u, 1u, static_cast<std::uint32_t>(bytes.size()),
+              static_cast<std::uint32_t>(bytes.size() - 5),
+              static_cast<std::uint32_t>(serve::kMaxPayload),
+              static_cast<std::uint32_t>(serve::kMaxPayload + 1),
+              0xffffffffu,
+              static_cast<std::uint32_t>(rng.uniform_int(64))};
+          const std::uint32_t v = values[rng.uniform_int(std::size(values))];
+          for (std::size_t b = 0; b < 4; ++b) {
+            bytes[at + b] = static_cast<char>((v >> (8 * b)) & 0xffu);
+          }
+        }
+        break;
+      case 2:
+        bytes.resize(rng.uniform_int(bytes.size() + 1));
+        break;
+      default: {
+        const std::string& other = seeds[rng.uniform_int(seeds.size())];
+        bytes = bytes.substr(0, rng.uniform_int(bytes.size() + 1)) +
+                other.substr(rng.uniform_int(other.size() + 1));
+        break;
+      }
+    }
+  }
+  return bytes;
+}
+
+/// What a reader makes of `bytes`: every decoded message re-encoded,
+/// and whether a corrupt frame ended the decode. Only util::DataError
+/// may escape FrameReader; anything else fails the test.
+struct Decoded {
+  std::vector<std::string> frames;
+  bool corrupt = false;
+};
+
+void decode_into(std::string_view bytes, Decoded& out, std::size_t& consumed) {
+  serve::FrameReader reader{bytes};
+  try {
+    while (auto msg = reader.next()) {
+      // A decoded frame re-encodes to bytes that decode to the same
+      // message: encoding those bytes again reproduces them exactly.
+      const std::string again = serve::encode_one(*msg);
+      serve::FrameReader check{again};
+      const std::optional<serve::Message> round = check.next();
+      EXPECT_TRUE(round.has_value());
+      if (!round) continue;
+      EXPECT_EQ(round->index(), msg->index());
+      EXPECT_EQ(check.offset(), again.size());
+      EXPECT_EQ(serve::encode_one(*round), again);
+      out.frames.push_back(again);
+    }
+  } catch (const util::DataError&) {
+    out.corrupt = true;
+  }
+  consumed = reader.offset();
+}
+
+TEST(FrameMutantTest, SeededMutantsDecodeOrRaiseDataError) {
+  const std::vector<std::string> seeds = seed_frames();
+  // Every valid seed decodes losslessly: re-encoding reproduces it.
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    Decoded seed;
+    std::size_t consumed = 0;
+    decode_into(seeds[i], seed, consumed);
+    if (i + kCorruptSeeds < seeds.size()) {
+      EXPECT_EQ(seed.frames, std::vector<std::string>{seeds[i]}) << "seed " << i;
+    } else {
+      EXPECT_TRUE(seed.corrupt) << "seed " << i;
+    }
+  }
+  util::Rng rng{0xF4A3E};
+  std::size_t decoded = 0;
+  std::size_t corrupt = 0;
+  for (int i = 0; i < 4000; ++i) {
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    const std::string mutant = mutate(seeds, rng);
+    Decoded whole;
+    std::size_t consumed = 0;
+    decode_into(mutant, whole, consumed);
+    decoded += whole.frames.size();
+    corrupt += whole.corrupt ? 1 : 0;
+
+    // The same bytes resumed at random split points, the way a
+    // connection buffer meets them: same frames, same verdict.
+    std::vector<std::size_t> cuts;
+    for (std::uint64_t c = 1 + rng.uniform_int(3); c > 0; --c) {
+      cuts.push_back(rng.uniform_int(mutant.size() + 1));
+    }
+    cuts.push_back(mutant.size());
+    std::sort(cuts.begin(), cuts.end());
+    Decoded resumed;
+    std::string pending;
+    std::size_t fed = 0;
+    for (const std::size_t cut : cuts) {
+      pending.append(mutant, fed, cut - fed);
+      fed = cut;
+      decode_into(pending, resumed, consumed);
+      if (resumed.corrupt) break;
+      pending.erase(0, consumed);
+    }
+    EXPECT_EQ(resumed.corrupt, whole.corrupt);
+    EXPECT_EQ(resumed.frames, whole.frames);
+  }
+  // The mutants reach both outcomes.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(corrupt, 0u);
 }
 
 // ---- encode-time limits -----------------------------------------------
@@ -540,8 +712,8 @@ TEST(NetServerTest, DisconnectEvictsSession) {
     ASSERT_EQ(sessions_active(fx), 1);
   }  // abrupt disconnect, mid-stream (no StreamFinish)
 
-  // The server must finish the peer's streams: session flushed and
-  // retired at the next drain tick, not leaked until idle timeout.
+  // The server must finish the peer's streams: the session is flushed
+  // and freed at the next drain, not leaked.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds{10};
   while (sessions_active(fx) != 0 &&
@@ -550,6 +722,60 @@ TEST(NetServerTest, DisconnectEvictsSession) {
   }
   EXPECT_EQ(sessions_active(fx), 0);
   EXPECT_EQ(counter(fx, "net.disconnects"), 1u);
+}
+
+TEST(NetServerTest, FinishedStreamsReleaseOwnership) {
+  // A connection owns a stream only until the drain that processes its
+  // finish: closing a connection whose streams all finished sends no
+  // finish requests on their behalf.
+  constexpr std::uint64_t kStreams = 50;
+  ServerFixture fx{service_config(1)};
+  const auto wait_for = [&fx](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds{10};
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    }
+    return done();
+  };
+  const auto closed = [&fx] {
+    return fx.service->metrics_snapshot().gauge("net.connections_active") ==
+           0;
+  };
+  {
+    net::BlockingClient client{fx.server->port()};
+    client.set_recv_timeout(10000);
+    for (std::uint64_t id = 1; id <= kStreams; ++id) {
+      client.send(serve::ChunkPushMsg{id, std::vector<double>(64, 9.81)});
+      client.send(serve::StreamFinishMsg{id});
+      for (int ack = 0; ack < 2; ++ack) {
+        EXPECT_EQ(std::get<serve::AckMsg>(*client.recv()).status,
+                  Status::kOk);
+      }
+    }
+  }
+  ASSERT_TRUE(wait_for(closed));
+  EXPECT_EQ(counter(fx, "serve.requests"), 2 * kStreams);
+  EXPECT_EQ(sessions_active(fx), 0);
+
+  // A frame after the finish, in the same batch, restarts the stream
+  // and keeps it owned: the close finishes that session.
+  {
+    net::BlockingClient client{fx.server->port()};
+    client.set_recv_timeout(10000);
+    std::string bytes;
+    serve::encode(bytes, serve::ChunkPushMsg{99, std::vector<double>(64, 9.81)});
+    serve::encode(bytes, serve::StreamFinishMsg{99});
+    serve::encode(bytes, serve::ChunkPushMsg{99, std::vector<double>(64, 9.81)});
+    client.send_bytes(bytes);
+    for (int ack = 0; ack < 3; ++ack) {
+      EXPECT_EQ(std::get<serve::AckMsg>(*client.recv()).status, Status::kOk);
+    }
+    ASSERT_TRUE(wait_for([&fx] { return sessions_active(fx) == 1; }));
+  }
+  ASSERT_TRUE(wait_for(closed));
+  EXPECT_TRUE(wait_for([&fx] { return sessions_active(fx) == 0; }));
+  EXPECT_EQ(counter(fx, "serve.requests"), 2 * kStreams + 4);
 }
 
 TEST(NetServerTest, CorruptClientIsIsolated) {

@@ -270,14 +270,10 @@ TEST(Obs, TracingDoesNotPerturbPipelineResults) {
   ASSERT_EQ(on.features.x, off.features.x);  // bit-identical doubles
   EXPECT_EQ(on.features.y, off.features.y);
   EXPECT_EQ(on.spectrograms, off.spectrograms);
-#if EMOLEAK_OBS
-  // And the traced run actually recorded the pipeline stages (the
-  // OBS_SPAN call sites compile to nothing with -DEMOLEAK_OBS=OFF, so
-  // only the bit-identity half of the test applies there).
+  // And the traced run actually recorded the pipeline stages.
   const std::string json = obs::trace_json();
   EXPECT_NE(json.find("pipeline.extract"), std::string::npos);
   EXPECT_NE(json.find("pipeline.synthesize"), std::string::npos);
-#endif
   obs::clear_trace();
 }
 
@@ -481,7 +477,6 @@ TEST(Prometheus, EmptySnapshotRendersEmpty) {
   EXPECT_EQ(obs::prometheus_text(obs::RegistrySnapshot{}), "");
 }
 
-#if EMOLEAK_OBS
 TEST(Trace, FlowEventsExportWithPhases) {
   obs::clear_trace();
   obs::set_trace_enabled(true);
@@ -533,7 +528,6 @@ TEST(Trace, DisabledFlowRecordsNothing) {
   OBS_FLOW_END("test.floff", 7u);
   EXPECT_EQ(obs::detail::thread_ring().head(), before);
 }
-#endif
 
 TEST(Obs, PoolQueueDepthGaugeReturnsToZero) {
   std::atomic<std::uint64_t> sum{0};

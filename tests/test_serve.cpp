@@ -1,9 +1,9 @@
 // Tests for the emoleak::serve inference service: wire-protocol
 // round-trips and malformed-frame rejection, bounded-queue admission
 // control, registry versioning/hot-swap, batching determinism at 1/2/8
-// threads, session eviction/pooling, and overload rejection. The
-// concurrent-producer test is the TSan target for the serving layer
-// (see the sanitizer recipe in ROADMAP.md).
+// threads, the session table's capacity and lifecycle, and overload
+// rejection. The concurrent-producer test is the TSan target for the
+// serving layer (see the sanitizer recipe in ROADMAP.md).
 #include "serve/service.h"
 
 #include <gtest/gtest.h>
@@ -465,11 +465,8 @@ TEST(ServeServiceTest, BatchedForwardBitParityAcrossBatchSizesAndThreads) {
     const obs::RegistrySnapshot metrics = run_service(service_config(threads));
     EXPECT_EQ(metrics.counter("serve.rejected_overload"), 0u);
     EXPECT_EQ(metrics.counter("serve.events_emitted"), expected_events);
-    // Every classified window went through the batch step: pending
-    // lists are flushed each drain, so the finishes (their own tick)
-    // find nothing to resolve solo.
+    // Every classified window went through the batch step.
     EXPECT_EQ(metrics.counter("serve.windows_batched"), expected_events);
-    EXPECT_EQ(metrics.counter("serve.windows_solo"), 0u);
     // Parity must cover multi-row forwards, not only one-window
     // batches: the largest recorded batch (exact below 8 rows) has
     // more than one row.
@@ -480,10 +477,10 @@ TEST(ServeServiceTest, BatchedForwardBitParityAcrossBatchSizesAndThreads) {
   }
 }
 
-// A finish that lands in the same drain tick as the pushes that closed
-// the stream's windows: the session retires before the batch step, so
-// its pending windows resolve solo — and must still be bit-identical.
-TEST(ServeServiceTest, FinishWithPendingWindowsResolvesSoloBitIdentical) {
+// A finish that lands in the same drain as the pushes that closed the
+// stream's windows: the session leaves the table before the batch
+// step, yet its pending windows still go through it, bit-identical.
+TEST(ServeServiceTest, FinishWithPendingWindowsBatchesBitIdentical) {
   const auto model = make_model(3, 7);
   const auto trace = default_trace(40);
   constexpr std::size_t kChunk = 512;
@@ -498,7 +495,7 @@ TEST(ServeServiceTest, FinishWithPendingWindowsResolvesSoloBitIdentical) {
     ASSERT_EQ(service.push(0, slice(trace, i, hi)), Status::kOk);
   }
   // No drain between the pushes and the finish: the shard processes the
-  // whole stream FIFO (pushes, then finish) inside one tick.
+  // whole stream FIFO (pushes, then finish) inside one drain.
   ASSERT_EQ(service.finish_stream(0), Status::kOk);
   service.drain();
 
@@ -507,8 +504,59 @@ TEST(ServeServiceTest, FinishWithPendingWindowsResolvesSoloBitIdentical) {
   expect_same_events(served, reference);
 
   const obs::RegistrySnapshot metrics = service.metrics_snapshot();
-  EXPECT_EQ(metrics.counter("serve.windows_batched"), 0u);
-  EXPECT_EQ(metrics.counter("serve.windows_solo"), reference.size());
+  EXPECT_EQ(metrics.counter("serve.windows_batched"), reference.size());
+}
+
+// A stream id that finishes and restarts inside one drain: the finished
+// session's events come first, then the live new session's, each
+// matching a standalone run, at any thread count.
+TEST(ServeServiceTest, StreamRestartedInOneDrainKeepsOrder) {
+  const auto model = make_model(3, 7);
+  const auto trace_a = default_trace(41);
+  const auto trace_b = default_trace(42);
+  constexpr std::size_t kChunk = 512;
+  std::vector<core::EmotionEvent> reference =
+      standalone_events(trace_a, kChunk, model);
+  ASSERT_FALSE(reference.empty());
+  for (const auto& event : standalone_events(trace_b, kChunk, model)) {
+    reference.push_back(event);
+  }
+
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto registry = std::make_shared<ModelRegistry>();
+    registry->add("m", model);
+    ServeService service{service_config(threads), registry};
+    // Other streams share the drain, so the batch mixes ids.
+    for (const std::uint64_t other : {1u, 3u}) {
+      ASSERT_EQ(service.push(other, slice(trace_b, 0, 9000)), Status::kOk);
+    }
+    for (const auto* trace : {&trace_a, &trace_b}) {
+      for (std::size_t i = 0; i < trace->size(); i += kChunk) {
+        const std::size_t hi = std::min(i + kChunk, trace->size());
+        ASSERT_EQ(service.push(2, slice(*trace, i, hi)), Status::kOk);
+      }
+      if (trace == &trace_a) {
+        ASSERT_EQ(service.finish_stream(2), Status::kOk);
+      }
+    }
+    std::vector<core::EmotionEvent> served;
+    const auto collect = [&service, &served] {
+      for (auto& event : service.take_events()) {
+        if (event.stream_id == 2) served.push_back(event.event);
+      }
+    };
+    service.drain();  // the second run of stream 2 is still open
+    collect();
+    EXPECT_EQ(service.metrics_snapshot().gauge("serve.sessions.active"), 3);
+    ASSERT_EQ(service.finish_stream(2), Status::kOk);
+    service.drain();
+    collect();
+    expect_same_events(served, reference);
+    const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+    EXPECT_EQ(metrics.counter("serve.sessions.created"), 4u);
+    EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
+  }
 }
 
 TEST(ServeServiceTest, OverloadRejectsInsteadOfQueueing) {
@@ -539,48 +587,44 @@ TEST(ServeServiceTest, OverloadRejectsInsteadOfQueueing) {
   EXPECT_EQ(metrics.counter("serve.rejected_overload"), 3u);
 }
 
-TEST(ServeServiceTest, SessionCapacityEvictionAndPooling) {
+TEST(ServeServiceTest, SessionCapacityFreedByFinish) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->add("m", make_model(3, 7));
   serve::ServeConfig cfg = service_config(1);
   cfg.session.max_sessions = 2;
-  cfg.session.idle_timeout_ticks = 2;
   ServeService service{cfg, registry};
 
   const std::vector<double> chunk(64, 9.81);
   ASSERT_EQ(service.push(1, chunk), Status::kOk);
   ASSERT_EQ(service.push(2, chunk), Status::kOk);
-  service.drain();  // tick 1: sessions 1 and 2 created
+  service.drain();  // sessions 1 and 2 created
   obs::RegistrySnapshot metrics = service.metrics_snapshot();
   EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
   EXPECT_EQ(metrics.counter("serve.sessions.created"), 2u);
 
-  // Table full: stream 3's chunk is dropped and counted.
+  // Table full: stream 3's chunk is dropped and counted, however many
+  // drains pass — only a finish frees a slot.
   ASSERT_EQ(service.push(3, chunk), Status::kOk);
-  service.drain();  // tick 2: 1 and 2 idle for one tick — not evictable
+  service.drain();
+  service.drain();
   metrics = service.metrics_snapshot();
   EXPECT_EQ(metrics.counter("serve.rejected_capacity"), 1u);
   EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
 
-  service.drain();  // tick 3: idle for idle_timeout_ticks — evicted
-  metrics = service.metrics_snapshot();
-  EXPECT_EQ(metrics.counter("serve.sessions.evicted"), 2u);
-  EXPECT_EQ(metrics.gauge("serve.sessions.active"), 0);
-
-  // The freed slots admit stream 3, recycled from the pool.
+  // Stream 1 finishes and stream 3 takes its slot in the same drain.
+  ASSERT_EQ(service.finish_stream(1), Status::kOk);
   ASSERT_EQ(service.push(3, chunk), Status::kOk);
   service.drain();
   metrics = service.metrics_snapshot();
-  EXPECT_EQ(metrics.gauge("serve.sessions.active"), 1);
-  EXPECT_EQ(metrics.counter("serve.sessions.pooled"), 1u);
+  EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
   EXPECT_EQ(metrics.counter("serve.sessions.created"), 3u);
   EXPECT_EQ(metrics.counter("serve.rejected_capacity"), 1u);
 }
 
-TEST(ServeServiceTest, PooledSessionsResetCleanly) {
-  // A recycled session must behave exactly like a fresh one: drive
-  // stream A through the only slot, finish it, then drive stream B
-  // through the recycled slot and compare with a standalone attack.
+TEST(ServeServiceTest, SecondStreamThroughSingleSlotMatchesStandalone) {
+  // Drive stream A through the only slot and finish it, then drive
+  // stream B through the same slot: B's session must behave exactly
+  // like a standalone attack.
   const auto model = make_model(3, 7);
   auto registry = std::make_shared<ModelRegistry>();
   registry->add("m", model);
@@ -613,7 +657,9 @@ TEST(ServeServiceTest, PooledSessionsResetCleanly) {
     served.push_back(event.event);
   }
   expect_same_events(served, standalone_events(trace_b, kChunk, model));
-  EXPECT_GE(service.metrics_snapshot().counter("serve.sessions.pooled"), 1u);
+  const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+  EXPECT_EQ(metrics.counter("serve.sessions.created"), 2u);
+  EXPECT_EQ(metrics.counter("serve.rejected_capacity"), 0u);
 }
 
 TEST(ServeServiceTest, ModelHotSwapAppliesToLaterRegions) {
@@ -737,9 +783,8 @@ TEST(ServeServiceTest, MetricsRequestAnswersWithLiveCounters) {
        {"serve.requests", "serve.accepted", "serve.rejected_overload",
         "serve.rejected_capacity", "serve.chunks_processed",
         "serve.samples_processed", "serve.events_emitted", "serve.drains",
-        "serve.windows_batched", "serve.windows_solo",
-        "serve.sessions.created", "serve.sessions.evicted",
-        "serve.sessions.pooled", "serve.task.m.streams",
+        "serve.windows_batched", "serve.sessions.created",
+        "serve.task.m.streams",
         "serve.task.m.samples", "serve.task.m.events"}) {
     EXPECT_TRUE(has(snapshot.counters, name)) << name;
   }
@@ -754,8 +799,6 @@ TEST(ServeServiceTest, MetricsRequestAnswersWithLiveCounters) {
 
   // Session lifecycle: two streams created, one finished, one open.
   EXPECT_EQ(snapshot.counter("serve.sessions.created"), 2u);
-  EXPECT_EQ(snapshot.counter("serve.sessions.evicted"), 0u);
-  EXPECT_EQ(snapshot.counter("serve.sessions.pooled"), 1u);
   EXPECT_EQ(snapshot.gauge("serve.sessions.active"), 1);
 
   // Per-task traffic: both streams bound to the default model "m".

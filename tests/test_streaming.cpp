@@ -294,57 +294,6 @@ TEST(StreamingTest, ClassifiesEmotionsOnline) {
   EXPECT_GT(accuracy, 0.4);  // far above the 14.3% random guess
 }
 
-TEST(StreamingTest, ResetReproducesFreshInstanceBitForBit) {
-  // reset() is what lets serve::SessionManager recycle sessions across
-  // streams: after a full run (filters warmed, histories populated, a
-  // region left open at finish), a reset instance must emit exactly the
-  // events a newly constructed one does.
-  const double rate = 420.0;
-  const auto x = trace_with_bursts(
-      25200, rate, {{8000, 8700}, {13000, 13800}, {24800, 25200}}, 6);
-
-  StreamingAttack fresh{default_config(), rate, nullptr};
-  StreamingAttack reused{default_config(), rate, nullptr};
-
-  // Dirty `reused` with a different trace first (open region at the
-  // end, so finish() flushes state too), then reset.
-  const auto other = trace_with_bursts(16800, rate, {{9000, 16800}}, 7);
-  (void)reused.push(other);
-  (void)reused.finish();
-  reused.reset();
-  EXPECT_EQ(reused.samples_seen(), 0u);
-  EXPECT_EQ(reused.events_emitted(), 0u);
-
-  std::vector<std::vector<core::EmotionEvent>> runs;
-  for (StreamingAttack* attack : {&fresh, &reused}) {
-    std::vector<core::EmotionEvent> events;
-    for (std::size_t i = 0; i < x.size(); i += 97) {
-      const std::size_t hi = std::min(i + 97, x.size());
-      const auto chunk = attack->push(
-          std::span<const double>{x.data() + i, hi - i});
-      events.insert(events.end(), chunk.begin(), chunk.end());
-    }
-    if (auto last = attack->finish()) events.push_back(*last);
-    runs.push_back(std::move(events));
-  }
-  ASSERT_GE(runs[0].size(), 3u);
-  ASSERT_EQ(runs[0].size(), runs[1].size());
-  for (std::size_t i = 0; i < runs[0].size(); ++i) {
-    EXPECT_EQ(runs[0][i].start_sample, runs[1][i].start_sample);
-    EXPECT_EQ(runs[0][i].end_sample, runs[1][i].end_sample);
-  }
-
-  // A second reset replays the exact same stream again.
-  reused.reset();
-  std::vector<core::EmotionEvent> replay = reused.push(x);
-  if (auto last = reused.finish()) replay.push_back(*last);
-  ASSERT_EQ(replay.size(), runs[1].size());
-  for (std::size_t i = 0; i < replay.size(); ++i) {
-    EXPECT_EQ(replay[i].start_sample, runs[1][i].start_sample);
-    EXPECT_EQ(replay[i].end_sample, runs[1][i].end_sample);
-  }
-}
-
 // Copy-and-sort reference for detail::NoiseFloor: what
 // StreamingAttack computed per sample before the phase-class windows —
 // every 8th value of the window from its front, copied and sorted.
@@ -357,7 +306,6 @@ class ReferenceFloor {
     window_.push_back(value);
     if (window_.size() > capacity_) window_.pop_front();
   }
-  void reset() { window_.clear(); }
   [[nodiscard]] std::size_t size() const { return window_.size(); }
 
   [[nodiscard]] double threshold() const {
@@ -383,9 +331,8 @@ class ReferenceFloor {
 TEST(NoiseFloorTest, MatchesCopyAndSortReferenceOnEverySample) {
   // Capacities 1-8 (each phase class holds at most one value), sizes
   // that are not multiples of 8, and the default 10 s window at 420 Hz
-  // (4200) next to 4203. Each stream runs through the filling phase,
-  // three full windows of steady state, a reset() at a random point
-  // mid-stream, and a second filling phase.
+  // (4200) next to 4203. Each stream runs through the filling phase
+  // and three full windows of steady state.
   std::vector<std::size_t> capacities = {1, 2, 3, 4, 5, 6, 7, 8,
                                          9, 17, 63, 64, 4200, 4203};
   util::Rng rng{2024};
@@ -402,14 +349,8 @@ TEST(NoiseFloorTest, MatchesCopyAndSortReferenceOnEverySample) {
       EXPECT_EQ(floor.threshold(), 0.0);
 
       const std::size_t total = 3 * capacity + 40;
-      const std::size_t reset_at = capacity + rng.uniform_int(total / 2 + 1);
       double level = 0.01;
       for (std::size_t i = 0; i < total; ++i) {
-        if (i == reset_at) {
-          floor.reset();
-          reference.reset();
-          ASSERT_EQ(floor.size(), 0u);
-        }
         double v = 0.0;
         if (shape == 0) {
           v = std::abs(rng.normal()) * 0.01;
@@ -491,6 +432,37 @@ TEST(StreamingTest, RegionSliceMatchesTraceAcrossHistoryWrap) {
         x.begin() + static_cast<std::ptrdiff_t>(e.end_sample));
     EXPECT_EQ(e.probabilities, features::extract_features(region, rate));
   }
+}
+
+TEST(StreamingTest, DeferredFinishQueuesFinalWindowAtSlotZero) {
+  // A region still open at end-of-stream defers like a pushed one: the
+  // event ships unclassified, and its input waits at slot 0 of the
+  // finish() result for the caller's batch step. The echo head shows
+  // that input is the one an inline finish() scores.
+  const double rate = 420.0;
+  const auto x = trace_with_bursts(12600, rate, {{12000, 12600}}, 3);
+  const auto model = std::make_shared<EchoClassifier>();
+  StreamingAttack inline_attack{default_config(), rate, model};
+  StreamingAttack deferred{default_config(), rate, model};
+  deferred.set_deferred(true);
+  ASSERT_TRUE(inline_attack.push(x).empty());
+  ASSERT_TRUE(deferred.push(x).empty());
+
+  const auto want = inline_attack.finish();
+  const auto got = deferred.finish();
+  ASSERT_TRUE(want.has_value());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->start_sample, want->start_sample);
+  EXPECT_EQ(got->end_sample, want->end_sample);
+  EXPECT_EQ(got->predicted_class, -1);
+  EXPECT_TRUE(got->probabilities.empty());
+  EXPECT_TRUE(inline_attack.take_pending().empty());
+
+  const std::vector<core::PendingWindow> pending = deferred.take_pending();
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].slot, 0u);
+  EXPECT_EQ(pending[0].classifier, model);
+  EXPECT_EQ(pending[0].input, want->probabilities);
 }
 
 }  // namespace
