@@ -5,10 +5,6 @@
 #include <iostream>
 
 #include "core/dataset_cache.h"
-#include "ml/ensemble.h"
-#include "ml/lmt.h"
-#include "ml/logistic.h"
-#include "ml/multiclass.h"
 #include "obs/metrics.h"
 #include "util/table.h"
 
@@ -53,10 +49,8 @@ MethodAccuracies run_loudspeaker_methods(const core::ExtractedData& data,
   MethodAccuracies out;
   // The classical sweep is a per-config fan-out: each classifier's
   // split evaluation is independent and deterministic given the seed.
-  std::vector<std::unique_ptr<ml::Classifier>> classical;
-  classical.push_back(std::make_unique<ml::LogisticRegression>());
-  classical.push_back(std::make_unique<ml::OneVsRestLogistic>());
-  classical.push_back(std::make_unique<ml::LogisticModelTree>());
+  const std::vector<std::unique_ptr<ml::Classifier>> classical =
+      core::loudspeaker_classifiers();
   const std::vector<double> accuracies = util::parallel_map(
       config.parallelism, classical.size(), [&](std::size_t i) {
         return core::evaluate_classical(*classical[i], data.features,
@@ -92,17 +86,16 @@ EarMethodAccuracies run_ear_methods(const core::ExtractedData& data,
   // (Fig. 6b caption).
   // Folds parallelize inside each evaluation (10-fold CV), which beats
   // fanning out the three classifiers: fold training dominates.
-  out.random_forest =
-      core::evaluate_classical(ml::RandomForest{}, data.features, kBenchSeed,
-                               /*cv=*/10, config.parallelism)
-          .accuracy;
-  out.random_subspace =
-      core::evaluate_classical(ml::RandomSubspace{}, data.features, kBenchSeed,
-                               /*cv=*/10, config.parallelism)
-          .accuracy;
-  out.lmt = core::evaluate_classical(ml::LogisticModelTree{}, data.features,
-                                     kBenchSeed, /*cv=*/10, config.parallelism)
-                .accuracy;
+  std::vector<double> accuracies;
+  for (const auto& classifier : core::ear_speaker_classifiers()) {
+    accuracies.push_back(core::evaluate_classical(*classifier, data.features,
+                                                  kBenchSeed, /*cv=*/10,
+                                                  config.parallelism)
+                             .accuracy);
+  }
+  out.random_forest = accuracies[0];
+  out.random_subspace = accuracies[1];
+  out.lmt = accuracies[2];
   core::CnnRunConfig tf;
   tf.train.epochs = config.tf_epochs;
   if (config.paper_exact_cnn) tf.arch = nn::CnnConfig::paper_exact();

@@ -13,12 +13,15 @@
 //               pre-trained model file instead of training
 //   emoleak_cli --scrape 9090                           # pull metrics
 //               from a live serve_demo/NetServer in Prometheus text
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "core/attack.h"
 #include "core/dataset_cache.h"
@@ -99,6 +102,22 @@ void usage() {
       "                                  trace file. HOST must be loopback.\n";
 }
 
+/// `text` as the value of `flag`. The whole string must be one finite
+/// number of type T; an unsigned T takes no sign, so "-1" is refused
+/// rather than wrapped. Throws ConfigError naming the flag.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  bool ok = error == std::errc{} && end == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw util::ConfigError{"invalid value for " + flag + ": '" + text + "'"};
+  }
+  return value;
+}
+
 /// "9090", "127.0.0.1:9090", "localhost:9090" -> 9090. The blocking
 /// client only dials loopback, so any other host is rejected up front.
 std::uint16_t parse_scrape_port(const std::string& target) {
@@ -111,7 +130,7 @@ std::uint16_t parse_scrape_port(const std::string& target) {
     }
     port_str = target.substr(colon + 1);
   }
-  const unsigned long port = std::stoul(port_str);
+  const auto port = parse_number<unsigned long>("--scrape", port_str);
   if (port == 0 || port > 65535) {
     throw util::ConfigError{"--scrape port out of range: " + port_str};
   }
@@ -208,10 +227,10 @@ CliOptions parse_args(int argc, char** argv) {
     else if (arg == "--phone") opts.phone = need_value(i);
     else if (arg == "--speaker") opts.speaker = need_value(i);
     else if (arg == "--classifier") opts.classifier = need_value(i);
-    else if (arg == "--fraction") opts.fraction = std::stod(need_value(i));
-    else if (arg == "--seed") opts.seed = std::stoull(need_value(i));
-    else if (arg == "--cv") opts.cv_folds = std::stoul(need_value(i));
-    else if (arg == "--threads") opts.threads = std::stoul(need_value(i));
+    else if (arg == "--fraction") opts.fraction = parse_number<double>(arg, need_value(i));
+    else if (arg == "--seed") opts.seed = parse_number<std::uint64_t>(arg, need_value(i));
+    else if (arg == "--cv") opts.cv_folds = parse_number<std::size_t>(arg, need_value(i));
+    else if (arg == "--threads") opts.threads = parse_number<std::size_t>(arg, need_value(i));
     else if (arg == "--rate-cap") opts.rate_cap = true;
     else if (arg == "--binned") opts.binned = true;
     else if (arg == "--report") opts.report_path = need_value(i);

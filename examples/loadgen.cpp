@@ -10,7 +10,8 @@
 //              devices actually presents)
 //   cadence    each connection pushes `--chunk` samples every
 //              `--cadence-ms` (0 = ack-paced), retrying overloaded
-//              chunks after the server's advertised retry_after_ms
+//              and no-capacity requests after the server's advertised
+//              retry_after_ms
 //   parity     every connection streams one of a few synthetic traces;
 //              the events it gets back must be bit-identical to a
 //              standalone core::StreamingAttack fed the same chunks,
@@ -262,6 +263,9 @@ class LoadEngine {
   [[nodiscard]] std::uint64_t total_overloads() const noexcept {
     return overloads_total_;
   }
+  [[nodiscard]] std::uint64_t total_no_capacity() const noexcept {
+    return no_capacity_total_;
+  }
 
  private:
   void start_due_arrivals(Clock::time_point now) {
@@ -476,9 +480,19 @@ class LoadEngine {
     const auto* ack = std::get_if<serve::AckMsg>(&msg);
     if (ack == nullptr) return;  // stats replies etc. — not sent here
     conn.awaiting_ack = false;
-    if (ack->status == Status::kOverloaded) {
-      ++conn.overloads;
-      ++overloads_total_;
+    if (ack->status == Status::kOverloaded ||
+        ack->status == Status::kNoCapacity) {
+      if (ack->status == Status::kOverloaded) {
+        ++conn.overloads;
+        ++overloads_total_;
+      } else {
+        ++no_capacity_total_;
+      }
+      if (conn.awaiting_start_ack) {
+        // The start was refused, not admitted: send it again.
+        conn.awaiting_start_ack = false;
+        conn.start_sent = false;
+      }
       conn.next_send =
           now + std::chrono::milliseconds{
                     std::max<std::uint32_t>(ack->retry_after_ms, 1)};
@@ -561,6 +575,7 @@ class LoadEngine {
   std::size_t peak_ = 0;
   std::uint64_t events_total_ = 0;
   std::uint64_t overloads_total_ = 0;
+  std::uint64_t no_capacity_total_ = 0;
   double elapsed_s_ = 0.0;
 };
 
@@ -640,6 +655,7 @@ void write_json(const std::string& path, const Options& opt,
       << "    \"dropped_frames\": " << dropped_frames << ",\n"
       << "    \"peak_concurrent\": " << engine.peak_concurrent() << ",\n"
       << "    \"overload_acks\": " << engine.total_overloads() << ",\n"
+      << "    \"no_capacity_acks\": " << engine.total_no_capacity() << ",\n"
       << "    \"frames_in\": " << metrics.counter("net.frames_in") << ",\n"
       << "    \"partial_reads\": " << metrics.counter("net.partial_reads")
       << ",\n"
@@ -848,7 +864,8 @@ int main(int argc, char** argv) {
   std::cout << "completed in " << fmt(engine.elapsed_s()) << " s: "
             << got_events << "/" << expected_events << " events, peak "
             << engine.peak_concurrent() << " concurrent, "
-            << engine.total_overloads() << " overload acks honored, drain "
+            << engine.total_overloads() << " overload and "
+            << engine.total_no_capacity() << " no-capacity acks honored, drain "
             << "p50 " << fmt(drain_us(metrics, 0.50)) << " us / p99 "
             << fmt(drain_us(metrics, 0.99)) << " us ("
             << metrics.counter("net.partial_reads")

@@ -129,13 +129,6 @@ Utterance Corpus::synthesize(std::size_t index) const {
   return u;
 }
 
-int Corpus::emotion_class(Emotion e) const {
-  for (std::size_t i = 0; i < spec_.emotions.size(); ++i) {
-    if (spec_.emotions[i] == e) return static_cast<int>(i);
-  }
-  throw util::DataError{"Corpus::emotion_class: emotion not in this corpus"};
-}
-
 std::vector<std::string> Corpus::class_names() const {
   return emotion_names(spec_.emotions);
 }

@@ -86,9 +86,6 @@ class Corpus {
   /// index) always yields identical samples.
   [[nodiscard]] Utterance synthesize(std::size_t index) const;
 
-  /// Class index of an emotion within this corpus's emotion list.
-  [[nodiscard]] int emotion_class(Emotion e) const;
-
   [[nodiscard]] std::vector<std::string> class_names() const;
 
  private:

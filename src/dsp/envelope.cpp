@@ -7,23 +7,6 @@
 
 namespace emoleak::dsp {
 
-std::vector<double> envelope_follower(std::span<const double> signal,
-                                      double sample_rate_hz,
-                                      double time_constant_s) {
-  if (sample_rate_hz <= 0.0 || time_constant_s <= 0.0) {
-    throw util::ConfigError{"envelope_follower: rate/time constant must be > 0"};
-  }
-  const double alpha = std::exp(-1.0 / (sample_rate_hz * time_constant_s));
-  std::vector<double> env(signal.size());
-  double y = 0.0;
-  for (std::size_t i = 0; i < signal.size(); ++i) {
-    const double x = std::abs(signal[i]);
-    y = alpha * y + (1.0 - alpha) * x;
-    env[i] = y;
-  }
-  return env;
-}
-
 std::vector<double> moving_rms(std::span<const double> signal,
                                std::size_t window_samples) {
   if (window_samples == 0) {
@@ -41,23 +24,6 @@ std::vector<double> moving_rms(std::span<const double> signal,
     const std::size_t hi = std::min(i + window_samples - half, n);
     const double mean_sq = (prefix[hi] - prefix[lo]) / static_cast<double>(hi - lo);
     out[i] = std::sqrt(mean_sq);
-  }
-  return out;
-}
-
-std::vector<double> frame_energy(std::span<const double> signal,
-                                 std::size_t frame_samples) {
-  if (frame_samples == 0) {
-    throw util::ConfigError{"frame_energy: frame must be >= 1 sample"};
-  }
-  const std::size_t frames = (signal.size() + frame_samples - 1) / frame_samples;
-  std::vector<double> out(frames, 0.0);
-  for (std::size_t f = 0; f < frames; ++f) {
-    const std::size_t lo = f * frame_samples;
-    const std::size_t hi = std::min(lo + frame_samples, signal.size());
-    double e = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) e += signal[i] * signal[i];
-    out[f] = e;
   }
   return out;
 }

@@ -7,20 +7,9 @@
 
 namespace emoleak::dsp {
 
-/// Full-wave rectified signal smoothed by a single-pole low-pass with
-/// the given time constant. Produces the amplitude envelope the speech
-/// region detector thresholds.
-[[nodiscard]] std::vector<double> envelope_follower(std::span<const double> signal,
-                                                    double sample_rate_hz,
-                                                    double time_constant_s);
-
 /// Moving RMS over a window of `window_samples` (centered; edges use a
 /// shrunken window). window_samples must be >= 1.
 [[nodiscard]] std::vector<double> moving_rms(std::span<const double> signal,
                                              std::size_t window_samples);
-
-/// Short-time energy over non-overlapping frames.
-[[nodiscard]] std::vector<double> frame_energy(std::span<const double> signal,
-                                               std::size_t frame_samples);
 
 }  // namespace emoleak::dsp

@@ -49,10 +49,6 @@ double mean(std::span<const double> x) {
   return sum / static_cast<double>(x.size());
 }
 
-double variance(std::span<const double> x) { return summarize(x).variance; }
-
-double stddev(std::span<const double> x) { return summarize(x).stddev; }
-
 double quantile(std::span<const double> x, double q) {
   std::vector<double> sorted{x.begin(), x.end()};
   std::sort(sorted.begin(), sorted.end());
@@ -81,33 +77,11 @@ double mean_crossing_rate(std::span<const double> x) {
   return static_cast<double>(crossings) / static_cast<double>(x.size() - 1);
 }
 
-double energy(std::span<const double> x) noexcept {
-  double e = 0.0;
-  for (const double v : x) e += v * v;
-  return e;
-}
-
 double rms(std::span<const double> x) {
   if (x.empty()) throw util::DataError{"rms: empty sample"};
-  return std::sqrt(energy(x) / static_cast<double>(x.size()));
-}
-
-double correlation(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size() || x.empty()) {
-    throw util::DataError{"correlation: samples must be equal-length, non-empty"};
-  }
-  const double mx = mean(x);
-  const double my = mean(y);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
+  double e = 0.0;
+  for (const double v : x) e += v * v;
+  return std::sqrt(e / static_cast<double>(x.size()));
 }
 
 }  // namespace emoleak::dsp

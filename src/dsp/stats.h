@@ -28,8 +28,6 @@ struct Summary {
 [[nodiscard]] Summary summarize(std::span<const double> x);
 
 [[nodiscard]] double mean(std::span<const double> x);
-[[nodiscard]] double variance(std::span<const double> x);
-[[nodiscard]] double stddev(std::span<const double> x);
 
 /// Linear-interpolated quantile, q in [0, 1]. Sorts a copy.
 [[nodiscard]] double quantile(std::span<const double> x, double q);
@@ -43,14 +41,7 @@ struct Summary {
 /// (in [0, 1]); the paper's MeanCrossingRate feature.
 [[nodiscard]] double mean_crossing_rate(std::span<const double> x);
 
-/// Sum of squares.
-[[nodiscard]] double energy(std::span<const double> x) noexcept;
-
 /// Root mean square.
 [[nodiscard]] double rms(std::span<const double> x);
-
-/// Pearson correlation between two equal-length samples.
-[[nodiscard]] double correlation(std::span<const double> x,
-                                 std::span<const double> y);
 
 }  // namespace emoleak::dsp

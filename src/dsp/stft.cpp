@@ -18,12 +18,11 @@ void StftConfig::validate() const {
 }
 
 Spectrogram::Spectrogram(std::vector<double> magnitudes, std::size_t frames,
-                         std::size_t bins, double sample_rate_hz, std::size_t hop)
+                         std::size_t bins, double sample_rate_hz)
     : mags_{std::move(magnitudes)},
       frames_{frames},
       bins_{bins},
-      sample_rate_hz_{sample_rate_hz},
-      hop_{hop} {
+      sample_rate_hz_{sample_rate_hz} {
   if (mags_.size() != frames_ * bins_) {
     throw util::DataError{"Spectrogram: data size != frames * bins"};
   }
@@ -36,19 +35,10 @@ double Spectrogram::at(std::size_t frame, std::size_t bin) const {
   return mags_[frame * bins_ + bin];
 }
 
-std::span<const double> Spectrogram::frame(std::size_t index) const {
-  if (index >= frames_) throw util::DataError{"Spectrogram::frame: out of range"};
-  return std::span<const double>{mags_}.subspan(index * bins_, bins_);
-}
-
 double Spectrogram::bin_frequency_hz(std::size_t bin) const noexcept {
   // bins_ = fft_size/2 + 1, so fft_size = 2*(bins_-1).
   const double fft_size = 2.0 * static_cast<double>(bins_ - 1);
   return sample_rate_hz_ * static_cast<double>(bin) / fft_size;
-}
-
-double Spectrogram::frame_time_s(std::size_t frame) const noexcept {
-  return static_cast<double>(frame * hop_) / sample_rate_hz_;
 }
 
 std::vector<double> Spectrogram::to_db(double floor_db) const {
@@ -113,7 +103,7 @@ void stft_magnitudes(std::span<const double> signal, const StftConfig& config,
 
   const util::Workspace::Scope scope{ws};
   std::span<double> window = ws.take<double>(win_len);
-  fill_window(config.window, window);
+  fill_hann(window);
 
   // Optionally reflect-pad by half a window on both ends so frame
   // centers align with signal samples (librosa-style `center=True`).
@@ -165,8 +155,7 @@ Spectrogram stft(std::span<const double> signal, double sample_rate_hz,
   const StftShape shape = stft_shape(signal.size(), config);
   std::vector<double> mags(shape.cells());
   stft_magnitudes(signal, config, mags, ws);
-  return Spectrogram{std::move(mags), shape.frames, shape.bins, sample_rate_hz,
-                     config.hop};
+  return Spectrogram{std::move(mags), shape.frames, shape.bins, sample_rate_hz};
 }
 
 Spectrogram stft(std::span<const double> signal, double sample_rate_hz,

@@ -18,7 +18,6 @@ struct StftConfig {
   std::size_t window_length = 64;   ///< samples per analysis frame
   std::size_t hop = 16;             ///< samples between frames
   std::size_t fft_size = 0;         ///< 0 => next_pow2(window_length)
-  WindowType window = WindowType::kHann;
   bool center = true;               ///< reflect-pad so frames center on samples
 
   /// Validates invariants; throws util::ConfigError on violation.
@@ -30,24 +29,16 @@ struct StftConfig {
 class Spectrogram {
  public:
   Spectrogram(std::vector<double> magnitudes, std::size_t frames,
-              std::size_t bins, double sample_rate_hz, std::size_t hop);
+              std::size_t bins, double sample_rate_hz);
 
   [[nodiscard]] std::size_t frames() const noexcept { return frames_; }
   [[nodiscard]] std::size_t bins() const noexcept { return bins_; }
-  [[nodiscard]] double sample_rate_hz() const noexcept { return sample_rate_hz_; }
-  [[nodiscard]] std::size_t hop() const noexcept { return hop_; }
 
   /// Magnitude at (frame, bin). Bounds-checked.
   [[nodiscard]] double at(std::size_t frame, std::size_t bin) const;
 
-  /// One frame's magnitudes as a contiguous span.
-  [[nodiscard]] std::span<const double> frame(std::size_t index) const;
-
   /// Center frequency of a bin, in Hz.
   [[nodiscard]] double bin_frequency_hz(std::size_t bin) const noexcept;
-
-  /// Time of a frame's center, in seconds.
-  [[nodiscard]] double frame_time_s(std::size_t frame) const noexcept;
 
   /// Converts magnitudes to decibels relative to the max magnitude,
   /// clamped below at `floor_db` (a negative number, e.g. -80).
@@ -60,7 +51,6 @@ class Spectrogram {
   std::size_t frames_;
   std::size_t bins_;
   double sample_rate_hz_;
-  std::size_t hop_;
 };
 
 /// Frame/bin geometry of the STFT of a signal of `signal_len` samples.

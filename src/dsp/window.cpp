@@ -7,61 +7,19 @@
 
 namespace emoleak::dsp {
 
-std::vector<double> make_window(WindowType type, std::size_t length) {
-  std::vector<double> w(length);
-  fill_window(type, w);
-  return w;
-}
-
-void fill_window(WindowType type, std::span<double> out) {
+void fill_hann(std::span<double> out) {
   const std::size_t length = out.size();
-  if (length == 0) throw util::DataError{"make_window: length must be > 0"};
-  for (double& v : out) v = 1.0;
-  if (length == 1 || type == WindowType::kRectangular) return;
+  if (length == 0) throw util::DataError{"fill_hann: length must be > 0"};
+  if (length == 1) {
+    out[0] = 1.0;
+    return;
+  }
   const double n = static_cast<double>(length);  // periodic convention
   constexpr double tau = 2.0 * std::numbers::pi;
   for (std::size_t i = 0; i < length; ++i) {
     const double x = static_cast<double>(i) / n;
-    switch (type) {
-      case WindowType::kHann:
-        out[i] = 0.5 - 0.5 * std::cos(tau * x);
-        break;
-      case WindowType::kHamming:
-        out[i] = 0.54 - 0.46 * std::cos(tau * x);
-        break;
-      case WindowType::kBlackman:
-        out[i] = 0.42 - 0.5 * std::cos(tau * x) + 0.08 * std::cos(2.0 * tau * x);
-        break;
-      case WindowType::kRectangular:
-        break;
-    }
+    out[i] = 0.5 - 0.5 * std::cos(tau * x);
   }
-}
-
-std::vector<double> apply_window(std::span<const double> frame,
-                                 std::span<const double> window) {
-  if (frame.size() != window.size()) {
-    throw util::DataError{"apply_window: frame/window size mismatch"};
-  }
-  std::vector<double> out(frame.size());
-  for (std::size_t i = 0; i < frame.size(); ++i) out[i] = frame[i] * window[i];
-  return out;
-}
-
-double window_energy(std::span<const double> window) noexcept {
-  double e = 0.0;
-  for (const double w : window) e += w * w;
-  return e;
-}
-
-std::string to_string(WindowType type) {
-  switch (type) {
-    case WindowType::kRectangular: return "rectangular";
-    case WindowType::kHann: return "hann";
-    case WindowType::kHamming: return "hamming";
-    case WindowType::kBlackman: return "blackman";
-  }
-  return "unknown";
 }
 
 }  // namespace emoleak::dsp

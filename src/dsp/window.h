@@ -1,36 +1,14 @@
-// Analysis window functions for the STFT / spectrogram front end.
+// The Hann analysis window of the STFT / spectrogram front end.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace emoleak::dsp {
 
-enum class WindowType {
-  kRectangular,
-  kHann,
-  kHamming,
-  kBlackman,
-};
-
-/// Generates a periodic window of the given length (periodic, i.e. DFT-
-/// even, which is the convention for spectrogram analysis).
-[[nodiscard]] std::vector<double> make_window(WindowType type, std::size_t length);
-
-/// Writes the same window into caller-provided storage (no allocation;
-/// used by the zero-allocation STFT path).
-void fill_window(WindowType type, std::span<double> out);
-
-/// Multiplies `frame` by `window` element-wise into a new vector.
-/// Sizes must match.
-[[nodiscard]] std::vector<double> apply_window(std::span<const double> frame,
-                                               std::span<const double> window);
-
-/// Sum of squared window samples (used for power normalization).
-[[nodiscard]] double window_energy(std::span<const double> window) noexcept;
-
-[[nodiscard]] std::string to_string(WindowType type);
+/// Writes a periodic (DFT-even, the spectrogram convention) Hann window
+/// of length `out.size()` into caller-provided storage, so the STFT
+/// path stays allocation-free. A length-1 window is {1.0}; length 0
+/// throws util::DataError.
+void fill_hann(std::span<double> out);
 
 }  // namespace emoleak::dsp

@@ -54,12 +54,6 @@ std::array<double, kTimeFeatureCount> time_features(
 }
 
 std::array<double, kFreqFeatureCount> freq_features(
-    std::span<const double> region, double sample_rate_hz, double split_hz) {
-  return freq_features(region, sample_rate_hz, split_hz,
-                       util::thread_workspace());
-}
-
-std::array<double, kFreqFeatureCount> freq_features(
     std::span<const double> region, double sample_rate_hz, double split_hz,
     util::Workspace& ws) {
   if (region.empty()) throw util::DataError{"freq_features: empty region"};

@@ -41,13 +41,9 @@ inline constexpr std::size_t kFeatureCount = kTimeFeatureCount + kFreqFeatureCou
 /// IrregularityJ, Sharpness, Smoothness, SpecCentroid, SpecStdDev,
 /// SpecCrest, SpecSkewness, SpecKurt.
 /// `split_hz` is the boundary used by FrequencyRatio (energy above vs
-/// below; default 50 Hz separates the F0 band from envelope energy).
-[[nodiscard]] std::array<double, kFreqFeatureCount> freq_features(
-    std::span<const double> region, double sample_rate_hz,
-    double split_hz = 50.0);
-
-/// As above with an explicit scratch arena for the DC-removed copy and
-/// the magnitude spectrum (zero heap allocations once `ws` is warm).
+/// below; extraction uses 50 Hz, which separates the F0 band from
+/// envelope energy). `ws` is the scratch arena for the DC-removed copy
+/// and the magnitude spectrum (zero heap allocations once it is warm).
 [[nodiscard]] std::array<double, kFreqFeatureCount> freq_features(
     std::span<const double> region, double sample_rate_hz, double split_hz,
     util::Workspace& ws);

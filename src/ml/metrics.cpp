@@ -29,11 +29,6 @@ double cohens_kappa(const ConfusionMatrix& cm) {
   return (observed - expected) / (1.0 - expected);
 }
 
-double micro_f1(const ConfusionMatrix& cm) {
-  // For single-label multiclass, micro P = micro R = accuracy.
-  return cm.accuracy();
-}
-
 double matthews_corrcoef(const ConfusionMatrix& cm) {
   const auto& counts = cm.counts();
   const double n = static_cast<double>(cm.total());

@@ -16,10 +16,6 @@ namespace emoleak::ml {
 /// 1 = perfect. More honest than accuracy under class imbalance.
 [[nodiscard]] double cohens_kappa(const ConfusionMatrix& cm);
 
-/// Micro-averaged F1 (equals accuracy for single-label classification,
-/// included for API completeness and cross-checking).
-[[nodiscard]] double micro_f1(const ConfusionMatrix& cm);
-
 /// Matthews correlation coefficient generalized to multiclass
 /// (the R_k statistic). In [-1, 1]; 0 = chance.
 [[nodiscard]] double matthews_corrcoef(const ConfusionMatrix& cm);

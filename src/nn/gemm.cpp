@@ -174,13 +174,6 @@ EMOLEAK_GEMM_CLONES void gemm_bt(std::size_t m, std::size_t n, std::size_t k, co
   }
 }
 
-std::size_t conv_out_dim(std::size_t in, std::size_t kernel, std::size_t stride,
-                         std::size_t pad) noexcept {
-  const std::size_t padded = in + 2 * pad;
-  if (padded < kernel || stride == 0) return 0;
-  return (padded - kernel) / stride + 1;
-}
-
 void im2col(const float* in, std::size_t h, std::size_t w, std::size_t c,
             std::size_t kh, std::size_t kw, std::size_t stride_h,
             std::size_t stride_w, std::size_t pad_h, std::size_t pad_w,
@@ -283,96 +276,6 @@ void col2im(const float* col, std::size_t h, std::size_t w, std::size_t c,
             for (std::size_t ch = 0; ch < c; ++ch) dst[ch] += src[ch];
           }
           src += c;
-        }
-      }
-    }
-  }
-}
-
-void conv2d_naive_forward(const float* x, std::size_t n, std::size_t h,
-                          std::size_t w, std::size_t cin, const float* weight,
-                          const float* bias, std::size_t kh, std::size_t kw,
-                          std::size_t stride_h, std::size_t stride_w,
-                          std::size_t pad_h, std::size_t pad_w, std::size_t oh,
-                          std::size_t ow, std::size_t cout, float* y) {
-  for (std::size_t b = 0; b < n; ++b) {
-    const float* xb = x + b * h * w * cin;
-    for (std::size_t i = 0; i < oh; ++i) {
-      for (std::size_t j = 0; j < ow; ++j) {
-        float* out = y + ((b * oh + i) * ow + j) * cout;
-        for (std::size_t oc = 0; oc < cout; ++oc) {
-          out[oc] = bias != nullptr ? bias[oc] : 0.0f;
-        }
-        for (std::size_t ki = 0; ki < kh; ++ki) {
-          const std::ptrdiff_t ii =
-              static_cast<std::ptrdiff_t>(i * stride_h + ki) -
-              static_cast<std::ptrdiff_t>(pad_h);
-          if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(h)) continue;
-          for (std::size_t kj = 0; kj < kw; ++kj) {
-            const std::ptrdiff_t jj =
-                static_cast<std::ptrdiff_t>(j * stride_w + kj) -
-                static_cast<std::ptrdiff_t>(pad_w);
-            if (jj < 0 || jj >= static_cast<std::ptrdiff_t>(w)) continue;
-            const float* in = xb + (static_cast<std::size_t>(ii) * w +
-                                    static_cast<std::size_t>(jj)) *
-                                       cin;
-            const float* wk = weight + (ki * kw + kj) * cin * cout;
-            for (std::size_t ic = 0; ic < cin; ++ic) {
-              const float xv = in[ic];
-              const float* wrow = wk + ic * cout;
-              for (std::size_t oc = 0; oc < cout; ++oc) out[oc] += xv * wrow[oc];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-void conv2d_naive_backward(const float* x, const float* gout, std::size_t n,
-                           std::size_t h, std::size_t w, std::size_t cin,
-                           const float* weight, std::size_t kh, std::size_t kw,
-                           std::size_t stride_h, std::size_t stride_w,
-                           std::size_t pad_h, std::size_t pad_w, std::size_t oh,
-                           std::size_t ow, std::size_t cout, float* gx,
-                           float* gw, float* gb) {
-  std::fill(gx, gx + n * h * w * cin, 0.0f);
-  for (std::size_t b = 0; b < n; ++b) {
-    const float* xb = x + b * h * w * cin;
-    float* gxb = gx + b * h * w * cin;
-    for (std::size_t i = 0; i < oh; ++i) {
-      for (std::size_t j = 0; j < ow; ++j) {
-        const float* g = gout + ((b * oh + i) * ow + j) * cout;
-        for (std::size_t oc = 0; oc < cout; ++oc) gb[oc] += g[oc];
-        for (std::size_t ki = 0; ki < kh; ++ki) {
-          const std::ptrdiff_t ii =
-              static_cast<std::ptrdiff_t>(i * stride_h + ki) -
-              static_cast<std::ptrdiff_t>(pad_h);
-          if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(h)) continue;
-          for (std::size_t kj = 0; kj < kw; ++kj) {
-            const std::ptrdiff_t jj =
-                static_cast<std::ptrdiff_t>(j * stride_w + kj) -
-                static_cast<std::ptrdiff_t>(pad_w);
-            if (jj < 0 || jj >= static_cast<std::ptrdiff_t>(w)) continue;
-            const std::size_t off = (static_cast<std::size_t>(ii) * w +
-                                     static_cast<std::size_t>(jj)) *
-                                    cin;
-            const float* in = xb + off;
-            float* gin = gxb + off;
-            const std::size_t base = (ki * kw + kj) * cin * cout;
-            for (std::size_t ic = 0; ic < cin; ++ic) {
-              const float xv = in[ic];
-              const float* wrow = weight + base + ic * cout;
-              float* gwrow = gw + base + ic * cout;
-              float acc = 0.0f;
-              for (std::size_t oc = 0; oc < cout; ++oc) {
-                const float gv = g[oc];
-                gwrow[oc] += xv * gv;
-                acc += wrow[oc] * gv;
-              }
-              gin[ic] += acc;
-            }
-          }
         }
       }
     }

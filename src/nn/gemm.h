@@ -1,7 +1,7 @@
 // Dense float kernels backing the CNN layers: a cache-blocked,
-// register-tiled GEMM (three storage variants), im2col/col2im lowering
-// for convolution, and a retained naive convolution used as the
-// reference in parity tests.
+// register-tiled GEMM (three storage variants) and im2col/col2im
+// lowering for convolution. The naive convolution the lowering is
+// checked against lives in tests/test_layers.cpp.
 //
 // Determinism contract: every output element is the result of separate
 // IEEE steps c <- c + a*b (a multiply, then an add; never fused), with
@@ -34,12 +34,6 @@ void gemm_at(std::size_t m, std::size_t n, std::size_t k, const float* a,
 void gemm_bt(std::size_t m, std::size_t n, std::size_t k, const float* a,
              const float* b, float* c, bool accumulate = false);
 
-/// Output extent of a convolution axis: floor((in + 2*pad - k)/stride)+1.
-/// Returns 0 when the (padded) input is smaller than the kernel.
-[[nodiscard]] std::size_t conv_out_dim(std::size_t in, std::size_t kernel,
-                                       std::size_t stride,
-                                       std::size_t pad) noexcept;
-
 /// Lowers one NHWC image (h x w x c) to a patch matrix: row r = output
 /// position (r / ow, r % ow), columns ordered (kh, kw, c) — matching the
 /// [KH, KW, Cin, Cout] weight layout, so convolution is col · W.
@@ -65,25 +59,5 @@ void col2im(const float* col, std::size_t h, std::size_t w, std::size_t c,
             std::size_t kh, std::size_t kw, std::size_t stride_h,
             std::size_t stride_w, std::size_t pad_h, std::size_t pad_w,
             std::size_t oh, std::size_t ow, float* in);
-
-/// Naive direct convolution over an NHWC batch, retained as the
-/// reference implementation for the im2col+GEMM path. Weight layout
-/// [KH, KW, Cin, Cout]; `y` must hold n*oh*ow*cout floats.
-void conv2d_naive_forward(const float* x, std::size_t n, std::size_t h,
-                          std::size_t w, std::size_t cin, const float* weight,
-                          const float* bias, std::size_t kh, std::size_t kw,
-                          std::size_t stride_h, std::size_t stride_w,
-                          std::size_t pad_h, std::size_t pad_w, std::size_t oh,
-                          std::size_t ow, std::size_t cout, float* y);
-
-/// Naive convolution backward: writes dX into `gx` (n*h*w*cin, zeroed
-/// here), accumulates dW into `gw` and db into `gb` (caller zeroes).
-void conv2d_naive_backward(const float* x, const float* gout, std::size_t n,
-                           std::size_t h, std::size_t w, std::size_t cin,
-                           const float* weight, std::size_t kh, std::size_t kw,
-                           std::size_t stride_h, std::size_t stride_w,
-                           std::size_t pad_h, std::size_t pad_w, std::size_t oh,
-                           std::size_t ow, std::size_t cout, float* gx,
-                           float* gw, float* gb);
 
 }  // namespace emoleak::nn

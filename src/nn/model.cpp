@@ -217,38 +217,6 @@ std::pair<double, double> Sequential::evaluate(const Tensor& x,
   return {loss, static_cast<double>(correct) / static_cast<double>(n)};
 }
 
-Sgd::Sgd(std::vector<Parameter*> params, double learning_rate, double momentum,
-         long total_steps)
-    : params_{std::move(params)},
-      lr_{learning_rate},
-      momentum_{momentum},
-      total_steps_{total_steps} {
-  velocity_.reserve(params_.size());
-  for (const Parameter* p : params_) {
-    velocity_.emplace_back(p->value.size(), 0.0f);
-  }
-}
-
-double Sgd::current_learning_rate() const noexcept {
-  if (total_steps_ <= 0) return lr_;
-  const double progress =
-      std::min(1.0, static_cast<double>(t_) / static_cast<double>(total_steps_));
-  return 0.5 * lr_ * (1.0 + std::cos(3.14159265358979323846 * progress));
-}
-
-void Sgd::step() {
-  const double lr = current_learning_rate();
-  ++t_;
-  for (std::size_t p = 0; p < params_.size(); ++p) {
-    Parameter& param = *params_[p];
-    for (std::size_t i = 0; i < param.value.size(); ++i) {
-      velocity_[p][i] = static_cast<float>(momentum_ * velocity_[p][i] -
-                                           lr * param.grad[i]);
-      param.value[i] += velocity_[p][i];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, double learning_rate)
     : params_{std::move(params)}, lr_{learning_rate} {
   m_.reserve(params_.size());

@@ -90,27 +90,6 @@ class Sequential {
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 
-/// SGD with classical momentum and optional cosine learning-rate decay.
-class Sgd {
- public:
-  /// `total_steps` > 0 enables cosine decay from learning_rate to ~0
-  /// across that many step() calls.
-  Sgd(std::vector<Parameter*> params, double learning_rate,
-      double momentum = 0.9, long total_steps = 0);
-
-  void step();
-
-  [[nodiscard]] double current_learning_rate() const noexcept;
-
- private:
-  std::vector<Parameter*> params_;
-  double lr_;
-  double momentum_;
-  long total_steps_;
-  long t_ = 0;
-  std::vector<std::vector<float>> velocity_;
-};
-
 /// Adam optimizer over a parameter set.
 class Adam {
  public:

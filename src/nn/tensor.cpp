@@ -79,11 +79,4 @@ void Tensor::fill(float value) noexcept {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-Tensor Tensor::reshaped(std::vector<std::size_t> new_shape) const {
-  if (shape_size(new_shape) != data_.size()) {
-    throw util::DataError{"Tensor::reshaped: element count mismatch"};
-  }
-  return Tensor{std::move(new_shape), data_};
-}
-
 }  // namespace emoleak::nn

@@ -75,9 +75,6 @@ class Tensor {
     resize(std::span<const std::size_t>{dims.begin(), dims.size()});
   }
 
-  /// Reinterprets the tensor with a new shape of equal element count.
-  [[nodiscard]] Tensor reshaped(std::vector<std::size_t> new_shape) const;
-
   /// True if shapes match exactly.
   [[nodiscard]] bool same_shape(const Tensor& other) const noexcept {
     return shape_ == other.shape_;

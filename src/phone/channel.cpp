@@ -125,20 +125,4 @@ double effective_accel_rate(const PhoneProfile& profile) noexcept {
              : profile.accel_rate_hz;
 }
 
-std::vector<double> sample_accelerometer(std::span<const double> vibration,
-                                         double audio_rate_hz,
-                                         const PhoneProfile& profile,
-                                         util::Rng& rng) {
-  profile.validate();
-  std::vector<double> sampled =
-      accel_sampling_chain(vibration, audio_rate_hz, profile);
-  for (double& s : sampled) {
-    s += profile.accel_noise_sigma * rng.normal();
-    if (profile.accel_lsb > 0.0) {
-      s = std::round(s / profile.accel_lsb) * profile.accel_lsb;
-    }
-  }
-  return sampled;
-}
-
 }  // namespace emoleak::phone

@@ -54,11 +54,4 @@ enum class Posture {
 /// cap when active, else the native ODR.
 [[nodiscard]] double effective_accel_rate(const PhoneProfile& profile) noexcept;
 
-/// Samples a vibration waveform with the profile's accelerometer:
-/// the sampling chain above plus additive white sensor noise and LSB
-/// quantization.
-[[nodiscard]] std::vector<double> sample_accelerometer(
-    std::span<const double> vibration, double audio_rate_hz,
-    const PhoneProfile& profile, util::Rng& rng);
-
 }  // namespace emoleak::phone

@@ -48,10 +48,4 @@ std::size_t RequestBatcher::drain(
   return total;
 }
 
-std::size_t RequestBatcher::pending() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->size();
-  return total;
-}
-
 }  // namespace emoleak::serve

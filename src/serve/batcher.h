@@ -77,7 +77,6 @@ class RequestBatcher {
     return static_cast<std::size_t>(x % shards_.size());
   }
 
-  [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] const BatcherConfig& config() const noexcept { return config_; }
 
  private:

@@ -125,9 +125,4 @@ std::vector<ModelRegistry::NameInfo> ModelRegistry::stats() const {
   return out;
 }
 
-std::size_t ModelRegistry::size() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  return entries_.size();
-}
-
 }  // namespace emoleak::serve

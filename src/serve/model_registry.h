@@ -118,7 +118,6 @@ class ModelRegistry {
   [[nodiscard]] std::vector<ModelInfo> list() const;
   /// Per-name active versions, sorted by name.
   [[nodiscard]] std::vector<NameInfo> stats() const;
-  [[nodiscard]] std::size_t size() const;
 
  private:
   struct Entry {

@@ -156,9 +156,6 @@ void encode_payload(std::string& out, const Message& msg) {
           put_i32(out, m.event.predicted_class);
           put_u32(out, static_cast<std::uint32_t>(m.event.probabilities.size()));
           for (const double v : m.event.probabilities) put_f64(out, v);
-        } else if constexpr (std::is_same_v<T, ModelSwapMsg>) {
-          put_u8(out, static_cast<std::uint8_t>(MsgType::kModelSwap));
-          put_u32(out, m.version);
         } else if constexpr (std::is_same_v<T, AckMsg>) {
           put_u8(out, static_cast<std::uint8_t>(MsgType::kAck));
           put_u8(out, static_cast<std::uint8_t>(m.status));
@@ -242,12 +239,6 @@ Message decode_payload(std::string_view payload) {
       m.event.predicted_class = c.i32();
       m.event.probabilities = c.f64_array();
       msg = std::move(m);
-      break;
-    }
-    case MsgType::kModelSwap: {
-      ModelSwapMsg m;
-      m.version = c.u32();
-      msg = m;
       break;
     }
     case MsgType::kAck: {

@@ -44,13 +44,13 @@ inline constexpr std::size_t kMaxPayload = std::size_t{64} << 20;  // 64 MiB
 
 /// Frame type bytes. Every value is pinned, so peers from any revision
 /// agree on the types they share. Any other byte — 0, the retired 4
-/// and 5 (a stats request/reply pair), or past 12 — is an unknown type:
-/// a corrupt frame.
+/// and 5 (a stats request/reply pair), the retired 6 (a model swap; a
+/// registry version is activated in process), or past 12 — is an
+/// unknown type: a corrupt frame.
 enum class MsgType : std::uint8_t {
   kChunkPush = 1,       ///< client -> service: samples for one stream
   kStreamFinish = 2,    ///< client -> service: end-of-stream flush
   kEvent = 3,           ///< service -> client: one classified speech region
-  kModelSwap = 6,       ///< client -> service: activate a registry version
   kAck = 7,             ///< service -> client: request status
   kStreamStart = 8,     ///< client -> service: open a stream, optionally
                         ///< binding it to a named model
@@ -99,14 +99,10 @@ struct EventMsg {
   core::EmotionEvent event;
 };
 
-struct ModelSwapMsg {
-  std::uint32_t version = 0;
-};
-
 struct AckMsg {
   Status status = Status::kOk;
-  /// For kOverloaded: how long the client should back off before
-  /// retrying the rejected request. The wire-level face of the
+  /// For kOverloaded and kNoCapacity: how long the client should back
+  /// off before retrying the rejected request. The wire-level face of the
   /// reject-on-overload admission policy — the service sheds load and
   /// tells the peer when to come back instead of queueing unboundedly.
   /// 0 for every other status.
@@ -136,9 +132,8 @@ struct TraceReplyMsg {
 };
 
 using Message = std::variant<ChunkPushMsg, StreamFinishMsg, EventMsg,
-                             ModelSwapMsg, AckMsg, StreamStartMsg,
-                             MetricsRequestMsg, MetricsReplyMsg,
-                             TraceRequestMsg, TraceReplyMsg>;
+                             AckMsg, StreamStartMsg, MetricsRequestMsg,
+                             MetricsReplyMsg, TraceRequestMsg, TraceReplyMsg>;
 
 /// Appends one length-prefixed frame for `msg` to `out`. Throws
 /// util::DataError — leaving `out` untouched — when the message cannot

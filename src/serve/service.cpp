@@ -31,9 +31,30 @@ Status ServeService::admit(PushRequest request) {
     request.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
   const std::uint64_t flow = request.flow;
-  if (!batcher_.submit(std::move(request))) {
-    counters_.rejected_overload.add(1);
-    return Status::kOverloaded;
+  const bool finish = request.finish;
+  {
+    // The ledger must change in the order the shard FIFOs see the
+    // requests, so the submit happens under the same lock.
+    std::lock_guard<std::mutex> lock{admission_mutex_};
+    const auto it = admitted_.try_emplace(request.stream_id).first;
+    Admission& entry = it->second;
+    const bool opens = !finish && !entry.open;
+    Status status = Status::kOk;
+    if (opens && admitted_sessions_ >= config_.session.max_sessions) {
+      counters_.rejected_capacity.add(1);
+      status = Status::kNoCapacity;
+    } else if (!batcher_.submit(std::move(request))) {
+      counters_.rejected_overload.add(1);
+      status = Status::kOverloaded;
+    } else if (opens) {
+      entry.open = true;
+      ++entry.sessions;
+      ++admitted_sessions_;
+    } else if (finish) {
+      entry.open = false;
+    }
+    if (entry.sessions == 0) admitted_.erase(it);
+    if (status != Status::kOk) return status;
   }
   // Flow begins only for admitted work — a rejected request never
   // crosses a thread, so there is nothing to link.
@@ -106,20 +127,15 @@ void ServeService::process(PushRequest& request) {
     sessions_.finish(request.stream_id, request.flow, request.arrival_ns);
     return;
   }
-  SessionManager::Session* session = sessions_.acquire(request.stream_id);
-  if (session == nullptr) {
-    // Admission control, second gate: the queue had room but the
-    // session table is full. The chunk is dropped (and counted) rather
-    // than parked — parking would be unbounded queueing by another name.
-    counters_.rejected_capacity.add(1);
-    return;
-  }
+  // Admission counted this stream against max_sessions, so the table
+  // has room for it.
+  SessionManager::Session& session = sessions_.acquire(request.stream_id);
   if (request.start) {
     // Ordered ahead of the stream's subsequent chunks by the shard
     // FIFO, so the binding is in place before any sample of the stream
     // is processed.
-    session->model_name = std::move(request.model_name);
-    bind_session(*session);
+    session.model_name = std::move(request.model_name);
+    bind_session(session);
     return;
   }
   // Lazy hot-swap: an add()/activate() since this session's last
@@ -127,27 +143,27 @@ void ServeService::process(PushRequest& request) {
   // closes. The generation probe is one relaxed atomic load; the
   // registry lock is only taken when a swap actually happened (or on
   // the session's very first request).
-  if (session->task == nullptr ||
-      session->model_generation != registry_->generation()) {
-    bind_session(*session);
+  if (session.task == nullptr ||
+      session.model_generation != registry_->generation()) {
+    bind_session(session);
   }
   const std::uint64_t t0 = obs::trace_now_ns();
-  std::vector<core::EmotionEvent> events = session->attack.push(
+  std::vector<core::EmotionEvent> events = session.attack.push(
       std::span<const double>{request.samples.data(), request.samples.size()});
   counters_.chunks_processed.add(1);
   counters_.samples_processed.add(request.samples.size());
-  session->task->samples.add(request.samples.size());
+  session.task->samples.add(request.samples.size());
   if (!events.empty()) {
     counters_.events_emitted.add(events.size());
-    session->task->events.add(events.size());
+    session.task->events.add(events.size());
     // Attribute the chunk's wall time to the task only when a region
     // actually closed — classification dominates the cost, and this is
     // the per-task latency the mitigation study compares.
-    session->task->region_ns.record(obs::trace_now_ns() - t0);
+    session.task->region_ns.record(obs::trace_now_ns() - t0);
     // The closing chunk's telemetry riders travel with the event: the
     // flow id links this region's spans across threads, the arrival
     // stamp feeds serve.e2e_latency_ns at write-out.
-    session->append(events, request.flow, request.arrival_ns);
+    session.append(events, request.flow, request.arrival_ns);
   }
 }
 
@@ -161,7 +177,16 @@ std::size_t ServeService::drain() {
       [this](PushRequest& request) { process(request); },
       config_.parallelism);
   run_batched_classify();
-  sessions_.release_finished();
+  const std::vector<std::uint64_t> released = sessions_.release_finished();
+  if (!released.empty()) {
+    std::lock_guard<std::mutex> admission{admission_mutex_};
+    for (const std::uint64_t stream_id : released) {
+      const auto it = admitted_.find(stream_id);
+      --it->second.sessions;
+      --admitted_sessions_;
+      if (it->second.sessions == 0 && !it->second.open) admitted_.erase(it);
+    }
+  }
   if (processed > 0) {
     const auto t1 = std::chrono::steady_clock::now();
     counters_.record_drain_latency(
@@ -243,15 +268,6 @@ std::vector<EventMsg> ServeService::take_events() {
   return out;
 }
 
-Status ServeService::swap_model(std::uint32_t version) {
-  try {
-    registry_->activate(version);
-    return Status::kOk;
-  } catch (const util::DataError&) {
-    return Status::kError;
-  }
-}
-
 obs::RegistrySnapshot ServeService::metrics_snapshot() const {
   // Service-local first (serve.*, serve.task.*, net.* registered by the
   // transport), then the process-wide registry (kernel/cache/pool) —
@@ -284,10 +300,11 @@ HandleResult ServeService::handle_frames(std::string_view bytes) {
           using T = std::decay_t<decltype(m)>;
           const auto ack = [this, &result](Status status) {
             AckMsg a{status};
-            if (status == Status::kOverloaded) {
+            if (status == Status::kOverloaded ||
+                status == Status::kNoCapacity) {
               a.retry_after_ms = kRetryAfterMs;
-              ++result.overloaded;
             }
+            if (status == Status::kOverloaded) ++result.overloaded;
             encode(result.reply, a);
           };
           if constexpr (std::is_same_v<T, ChunkPushMsg>) {
@@ -320,8 +337,6 @@ HandleResult ServeService::handle_frames(std::string_view bytes) {
             } catch (const util::DataError&) {
               ack(Status::kError);
             }
-          } else if constexpr (std::is_same_v<T, ModelSwapMsg>) {
-            ack(swap_model(m.version));
           } else {
             // Server-to-client message types arriving at the service
             // (Event, Ack, MetricsReply, TraceReply) are protocol

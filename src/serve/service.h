@@ -5,15 +5,17 @@
 // against pre-trained models. ServeService wires the pieces together:
 //
 //   push/finish  -> RequestBatcher (bounded shard queues, admission
-//                   control: full queue => Status::kOverloaded)
+//                   control: full queue => Status::kOverloaded, a new
+//                   stream past max_sessions => Status::kNoCapacity)
 //   drain        -> shards fan out over util::ThreadPool; each shard
 //                   feeds its streams' StreamingAttack sequentially,
 //                   so per-stream event sequences are bit-identical to
 //                   a standalone StreamingAttack at any thread count
 //   SessionManager  bounded session table; a session lives from its
 //                   stream's first request to the drain that finishes it
-//   ModelRegistry   versioned models, atomic hot-swap; sessions pick
-//                   up a swap lazily at their next processed request
+//   ModelRegistry   versioned models, atomic hot-swap (add/activate in
+//                   process); sessions pick up a swap lazily at their
+//                   next processed request
 //   counters     -> serve.* metrics in a service-owned obs::Registry,
 //                   the one telemetry surface (metrics_snapshot() in
 //                   process, kMetricsRequest over the wire)
@@ -28,6 +30,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/batcher.h"
@@ -85,8 +88,12 @@ class ServeService {
   // ---- typed API -----------------------------------------------------
   /// Enqueues a chunk for `stream_id`. kOverloaded when the stream's
   /// shard queue is full — the caller should drain (or back off) and
-  /// retry; nothing was enqueued. kError, also with nothing enqueued,
-  /// when a sample is NaN or infinite.
+  /// retry; nothing was enqueued. kNoCapacity when the chunk would open
+  /// a new session while max_sessions streams are admitted and not yet
+  /// released (a finished stream holds its slot until the drain that
+  /// processes its finish ends); nothing was enqueued, retry after a
+  /// drain. kError, also with nothing enqueued, when a sample is NaN or
+  /// infinite.
   Status push(std::uint64_t stream_id, std::vector<double> samples);
 
   /// Enqueues an end-of-stream flush (emits the final open region, if
@@ -96,10 +103,11 @@ class ServeService {
   /// Opens (or rebinds) a stream against a named registry model; empty
   /// name = the registry default. kError when the name is unknown —
   /// checked before enqueueing, so a bad name never consumes queue
-  /// room. The start travels through the stream's shard FIFO, so it is
-  /// applied before any chunk submitted after it (mixed-task
-  /// determinism). Optional for default-task streams: a bare push with
-  /// a fresh stream id still auto-binds to the default model.
+  /// room. kNoCapacity as for push(). The start travels through the
+  /// stream's shard FIFO, so it is applied before any chunk submitted
+  /// after it (mixed-task determinism). Optional for default-task
+  /// streams: a bare push with a fresh stream id still auto-binds to
+  /// the default model.
   Status start_stream(std::uint64_t stream_id, std::string model_name);
 
   /// Runs one batch cycle: processes every queued request (per-stream
@@ -112,14 +120,9 @@ class ServeService {
   /// emission order).
   [[nodiscard]] std::vector<EventMsg> take_events();
 
-  /// Activates a registry version for subsequent work; kError for an
-  /// unknown version. Sessions apply the swap at their next processed
-  /// request — regions already closed keep their old predictions.
-  Status swap_model(std::uint32_t version);
-
   // ---- wire API --------------------------------------------------------
   /// Decodes each complete frame in `bytes`, applies it, and returns
-  /// the reply frames (Ack per push/finish/swap, MetricsReply or
+  /// the reply frames (Ack per push/start/finish, MetricsReply or
   /// TraceReply per telemetry request) plus framing metadata. Never
   /// throws on bad input: a corrupt frame yields a kError ack and stops
   /// the batch with `corrupt` set, preserving the replies of earlier
@@ -151,8 +154,9 @@ class ServeService {
  private:
   /// The one admission path behind push/finish_stream/start_stream:
   /// stamps push and finish requests with an arrival time and a flow id
-  /// (starts carry neither), submits to the stream's shard, and counts
-  /// serve.accepted or serve.rejected_overload.
+  /// (starts carry neither), checks session capacity, submits to the
+  /// stream's shard, and counts serve.accepted, serve.rejected_capacity
+  /// or serve.rejected_overload.
   Status admit(PushRequest request);
   void process(PushRequest& request);
   /// Batch-classifies every deferred window collected this drain:
@@ -172,6 +176,22 @@ class ServeService {
   SessionManager sessions_;
   RequestBatcher batcher_;
   std::mutex drain_mutex_;          ///< one drain cycle at a time
+  /// Admitted sessions of one stream id: how many are not yet released
+  /// (a finished one stays until the end of the drain that processes
+  /// its finish) and whether the newest is open (no finish admitted).
+  struct Admission {
+    std::size_t sessions = 0;
+    bool open = false;
+  };
+  /// Guards the admission ledger below. The typed API may be called
+  /// from several producer threads; the TCP transport admits from its
+  /// loop thread only, so there the lock is uncontended.
+  std::mutex admission_mutex_;
+  std::unordered_map<std::uint64_t, Admission> admitted_;
+  /// Sum of admitted_[*].sessions. Every session in the table or
+  /// awaiting release is counted here, so admitting only while this is
+  /// below max_sessions keeps SessionManager::acquire within the cap.
+  std::size_t admitted_sessions_ = 0;
   /// Flow-id mint for causal tracing: each admitted push/finish
   /// gets a unique nonzero id, and the events its windows produce
   /// inherit it — linking one request's spans across the event-loop

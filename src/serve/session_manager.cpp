@@ -46,21 +46,20 @@ SessionManager::SessionManager(SessionConfig config,
   }
 }
 
-SessionManager::Session* SessionManager::acquire(std::uint64_t stream_id) {
+SessionManager::Session& SessionManager::acquire(std::uint64_t stream_id) {
   std::lock_guard<std::mutex> lock{mutex_};
   const auto it = sessions_.find(stream_id);
-  if (it != sessions_.end()) return it->second.get();
-  if (sessions_.size() >= config_.max_sessions) return nullptr;
+  if (it != sessions_.end()) return *it->second;
 
   auto [model, generation] = registry_->current_with_generation();
   auto session = std::make_unique<Session>(config_, std::move(model));
   session->stream_id = stream_id;
   session->model_generation = generation;
   counters_.sessions_created.add(1);
-  Session* raw = session.get();
+  Session& created = *session;
   sessions_.emplace(stream_id, std::move(session));
   counters_.sessions_active.set(static_cast<std::int64_t>(sessions_.size()));
-  return raw;
+  return created;
 }
 
 bool SessionManager::finish(std::uint64_t stream_id, std::uint64_t flow,
@@ -105,14 +104,18 @@ std::vector<SessionManager::PendingEntry> SessionManager::take_pending() {
   return out;
 }
 
-void SessionManager::release_finished() {
+std::vector<std::uint64_t> SessionManager::release_finished() {
   std::lock_guard<std::mutex> lock{mutex_};
+  std::vector<std::uint64_t> released;
+  released.reserve(finished_.size());
   for (const std::unique_ptr<Session>& session : finished_) {
     for (core::EmotionEvent& event : session->outbox) {
       orphaned_events_.emplace_back(session->stream_id, std::move(event));
     }
+    released.push_back(session->stream_id);
   }
   finished_.clear();
+  return released;
 }
 
 std::vector<std::pair<std::uint64_t, core::EmotionEvent>>

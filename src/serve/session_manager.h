@@ -36,7 +36,7 @@ namespace emoleak::serve {
 struct SessionConfig {
   core::StreamingConfig stream;     ///< detector knobs for every session
   double sample_rate_hz = 420.0;    ///< accelerometer rate of the fleet
-  std::size_t max_sessions = 64;    ///< hard cap on live sessions
+  std::size_t max_sessions = 64;    ///< hard cap on admitted sessions
 
   void validate() const;
 };
@@ -80,10 +80,12 @@ class SessionManager {
   SessionManager(SessionConfig config, std::shared_ptr<ModelRegistry> registry,
                  ServeCounters& counters);
 
-  /// The session for `stream_id`, creating one if the cap allows;
-  /// nullptr when the table is full. The returned pointer stays valid
-  /// until the end of the drain that finishes the stream.
-  [[nodiscard]] Session* acquire(std::uint64_t stream_id);
+  /// The session for `stream_id`, creating one if there is none. The
+  /// table is not capped here: ServeService admits a new stream only
+  /// while its admitted, unreleased streams number fewer than
+  /// max_sessions, so every acquire fits. The returned reference stays
+  /// valid until the end of the drain that finishes the stream.
+  [[nodiscard]] Session& acquire(std::uint64_t stream_id);
 
   /// Takes the session out of the table and flushes its open region
   /// (if any) into the outbox as a deferred window, stamped with the
@@ -108,8 +110,9 @@ class SessionManager {
   [[nodiscard]] std::vector<PendingEntry> take_pending();
 
   /// Moves the finished sessions' events aside for take_events() and
-  /// frees the sessions. Call after the batch step.
-  void release_finished();
+  /// frees the sessions. Call after the batch step. Returns the stream
+  /// id of each session freed, one entry per session.
+  std::vector<std::uint64_t> release_finished();
 
   /// Moves every queued event out, ordered by (stream id, emission
   /// order); a finished session's events come before those of a stream

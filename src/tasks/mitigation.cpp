@@ -77,12 +77,6 @@ std::vector<double> MitigationFilter::push(std::span<const double> samples) {
   return out;
 }
 
-void MitigationFilter::reset() {
-  lowpass_.reset();
-  in_index_ = 0;
-  out_index_ = 0;
-}
-
 phone::Recording apply_mitigation(const phone::Recording& recording,
                                   const MitigationConfig& config) {
   if (config.is_noop()) return recording;

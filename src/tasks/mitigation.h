@@ -56,9 +56,6 @@ class MitigationFilter {
   /// one whole-signal call.
   [[nodiscard]] std::vector<double> push(std::span<const double> samples);
 
-  /// Rewinds filter state and sample counters for reuse.
-  void reset();
-
   [[nodiscard]] double output_rate_hz() const noexcept { return out_rate_; }
 
  private:

@@ -147,18 +147,6 @@ ml::Dataset media_dataset(const TaskTrainConfig& config) {
   return out;
 }
 
-TrainedTask train_task(const TaskSpec& spec, const TaskTrainConfig& config) {
-  OBS_SPAN_ARG("tasks.train", "task", spec.name.size());
-  if (spec.kind == TaskKind::kMedia) {
-    return fit_and_score(spec, FingerprintClassifier{config.fingerprint},
-                         media_dataset(config), config);
-  }
-  const audio::Corpus corpus = scenario_corpus(config.scenario);
-  const core::ExtractedData data = capture_mitigated(config);
-  return fit_and_score(spec, ml::LogisticRegression{config.logistic},
-                       build_dataset(spec, data, corpus), config);
-}
-
 std::vector<TrainedTask> train_builtin_tasks(const TaskTrainConfig& config) {
   // The schedule-labelled tasks share one capture: the attacker gets
   // one trace and derives every label view from the same schedule.

@@ -65,12 +65,6 @@ struct TrainedTask {
 /// image the serving route (FeatureRoute::kSpectrogramImage) computes.
 [[nodiscard]] ml::Dataset media_dataset(const TaskTrainConfig& config);
 
-/// Trains one task end to end and reports its held-out accuracy. The
-/// returned model is fitted on the training split only, so the
-/// accuracy is honest for exactly the model being served.
-[[nodiscard]] TrainedTask train_task(const TaskSpec& spec,
-                                     const TaskTrainConfig& config);
-
 /// Trains all four built-in tasks. The schedule-labelled tasks share
 /// one capture; media replays its clip library separately.
 [[nodiscard]] std::vector<TrainedTask> train_builtin_tasks(

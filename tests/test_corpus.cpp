@@ -141,15 +141,6 @@ TEST(CorpusTest, OutOfRangeThrows) {
   EXPECT_THROW((void)c.synthesize(c.size()), emoleak::util::DataError);
 }
 
-TEST(CorpusTest, EmotionClassMapping) {
-  const Corpus c{tess_spec(), 1};
-  EXPECT_EQ(c.emotion_class(Emotion::kAngry), 0);
-  EXPECT_EQ(c.emotion_class(Emotion::kSad), 6);
-  const Corpus cremad{scaled_spec(cremad_spec(), 0.02), 1};
-  EXPECT_THROW((void)cremad.emotion_class(Emotion::kSurprise),
-               emoleak::util::DataError);
-}
-
 TEST(CorpusTest, ClassNamesMatchEmotionOrder) {
   const Corpus c{tess_spec(), 1};
   const auto names = c.class_names();

@@ -1,4 +1,4 @@
-// Tests for envelope estimation (dsp/envelope.h).
+// Tests for the moving-RMS envelope (dsp/envelope.h).
 #include "dsp/envelope.h"
 
 #include <gtest/gtest.h>
@@ -10,41 +10,7 @@
 
 namespace {
 
-using emoleak::dsp::envelope_follower;
-using emoleak::dsp::frame_energy;
 using emoleak::dsp::moving_rms;
-
-TEST(EnvelopeFollowerTest, TracksConstantAmplitude) {
-  std::vector<double> x(4000);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::sin(2.0 * std::numbers::pi * 50.0 * static_cast<double>(i) / 1000.0);
-  }
-  const auto env = envelope_follower(x, 1000.0, 0.05);
-  // After settling, the envelope of |sin| should hover near 2/pi.
-  for (std::size_t i = 2000; i < env.size(); ++i) {
-    EXPECT_NEAR(env[i], 2.0 / std::numbers::pi, 0.15);
-  }
-}
-
-TEST(EnvelopeFollowerTest, DecaysAfterBurst) {
-  std::vector<double> x(1000, 0.0);
-  for (std::size_t i = 100; i < 200; ++i) x[i] = 1.0;
-  const auto env = envelope_follower(x, 1000.0, 0.02);
-  EXPECT_GT(env[190], 0.5);
-  EXPECT_LT(env[400], 0.01);
-  EXPECT_GT(env[210], env[400]);  // monotone-ish decay
-}
-
-TEST(EnvelopeFollowerTest, NonNegative) {
-  std::vector<double> x{-5.0, 3.0, -2.0, 0.0, 7.0};
-  for (const double v : envelope_follower(x, 100.0, 0.01)) EXPECT_GE(v, 0.0);
-}
-
-TEST(EnvelopeFollowerTest, InvalidArgsThrow) {
-  const std::vector<double> x(10, 0.0);
-  EXPECT_THROW((void)envelope_follower(x, 0.0, 0.1), emoleak::util::ConfigError);
-  EXPECT_THROW((void)envelope_follower(x, 100.0, 0.0), emoleak::util::ConfigError);
-}
 
 TEST(MovingRmsTest, ConstantSignalGivesConstantRms) {
   const std::vector<double> x(100, 3.0);
@@ -89,38 +55,6 @@ TEST(MovingRmsTest, ZeroWindowThrows) {
 
 TEST(MovingRmsTest, EmptySignalOk) {
   EXPECT_TRUE(moving_rms(std::vector<double>{}, 5).empty());
-}
-
-TEST(FrameEnergyTest, SumsSquaresPerFrame) {
-  const std::vector<double> x{1.0, 1.0, 2.0, 2.0, 3.0, 3.0};
-  const auto e = frame_energy(x, 2);
-  ASSERT_EQ(e.size(), 3u);
-  EXPECT_DOUBLE_EQ(e[0], 2.0);
-  EXPECT_DOUBLE_EQ(e[1], 8.0);
-  EXPECT_DOUBLE_EQ(e[2], 18.0);
-}
-
-TEST(FrameEnergyTest, PartialLastFrame) {
-  const std::vector<double> x{1.0, 1.0, 5.0};
-  const auto e = frame_energy(x, 2);
-  ASSERT_EQ(e.size(), 2u);
-  EXPECT_DOUBLE_EQ(e[1], 25.0);
-}
-
-TEST(FrameEnergyTest, TotalEnergyConserved) {
-  std::vector<double> x(97);
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i % 5) - 2.0;
-  const auto e = frame_energy(x, 8);
-  double framed = 0.0;
-  for (const double v : e) framed += v;
-  double direct = 0.0;
-  for (const double v : x) direct += v * v;
-  EXPECT_NEAR(framed, direct, 1e-9);
-}
-
-TEST(FrameEnergyTest, ZeroFrameThrows) {
-  EXPECT_THROW((void)frame_energy(std::vector<double>(5, 1.0), 0),
-               emoleak::util::ConfigError);
 }
 
 }  // namespace

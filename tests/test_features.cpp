@@ -18,11 +18,17 @@ namespace {
 
 using emoleak::features::extract_features;
 using emoleak::features::feature_names;
-using emoleak::features::freq_features;
 using emoleak::features::kFeatureCount;
 using emoleak::features::kFreqFeatureCount;
 using emoleak::features::kTimeFeatureCount;
 using emoleak::features::time_features;
+
+/// The frequency features at the 50 Hz split extraction uses.
+std::array<double, kFreqFeatureCount> freq_features(
+    std::span<const double> region, double rate_hz) {
+  return emoleak::features::freq_features(region, rate_hz, 50.0,
+                                          emoleak::util::thread_workspace());
+}
 
 std::vector<double> sine(double freq_hz, double rate_hz, std::size_t n,
                          double amp = 1.0, double dc = 0.0) {

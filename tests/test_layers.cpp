@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -517,6 +519,110 @@ TEST(GemmTest, AccumulateAddsOntoExistingValues) {
   expect_layout_matches_reference(Layout::kBt, /*accumulate=*/true);
 }
 
+/// Output extent of a convolution axis: floor((in + 2*pad - k)/stride)+1.
+/// Returns 0 when the (padded) input is smaller than the kernel.
+std::size_t conv_out_dim(std::size_t in, std::size_t kernel, std::size_t stride,
+                         std::size_t pad) noexcept {
+  const std::size_t padded = in + 2 * pad;
+  if (padded < kernel || stride == 0) return 0;
+  return (padded - kernel) / stride + 1;
+}
+
+/// Naive direct convolution over an NHWC batch, the reference for the
+/// im2col+GEMM path. Weight layout [KH, KW, Cin, Cout]; `y` must hold
+/// n*oh*ow*cout floats.
+void conv2d_naive_forward(const float* x, std::size_t n, std::size_t h,
+                          std::size_t w, std::size_t cin, const float* weight,
+                          const float* bias, std::size_t kh, std::size_t kw,
+                          std::size_t stride_h, std::size_t stride_w,
+                          std::size_t pad_h, std::size_t pad_w, std::size_t oh,
+                          std::size_t ow, std::size_t cout, float* y) {
+  for (std::size_t b = 0; b < n; ++b) {
+    const float* xb = x + b * h * w * cin;
+    for (std::size_t i = 0; i < oh; ++i) {
+      for (std::size_t j = 0; j < ow; ++j) {
+        float* out = y + ((b * oh + i) * ow + j) * cout;
+        for (std::size_t oc = 0; oc < cout; ++oc) {
+          out[oc] = bias != nullptr ? bias[oc] : 0.0f;
+        }
+        for (std::size_t ki = 0; ki < kh; ++ki) {
+          const std::ptrdiff_t ii =
+              static_cast<std::ptrdiff_t>(i * stride_h + ki) -
+              static_cast<std::ptrdiff_t>(pad_h);
+          if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(h)) continue;
+          for (std::size_t kj = 0; kj < kw; ++kj) {
+            const std::ptrdiff_t jj =
+                static_cast<std::ptrdiff_t>(j * stride_w + kj) -
+                static_cast<std::ptrdiff_t>(pad_w);
+            if (jj < 0 || jj >= static_cast<std::ptrdiff_t>(w)) continue;
+            const float* in = xb + (static_cast<std::size_t>(ii) * w +
+                                    static_cast<std::size_t>(jj)) *
+                                       cin;
+            const float* wk = weight + (ki * kw + kj) * cin * cout;
+            for (std::size_t ic = 0; ic < cin; ++ic) {
+              const float xv = in[ic];
+              const float* wrow = wk + ic * cout;
+              for (std::size_t oc = 0; oc < cout; ++oc) out[oc] += xv * wrow[oc];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Naive convolution backward: writes dX into `gx` (n*h*w*cin, zeroed
+/// here), accumulates dW into `gw` and db into `gb` (caller zeroes).
+void conv2d_naive_backward(const float* x, const float* gout, std::size_t n,
+                           std::size_t h, std::size_t w, std::size_t cin,
+                           const float* weight, std::size_t kh, std::size_t kw,
+                           std::size_t stride_h, std::size_t stride_w,
+                           std::size_t pad_h, std::size_t pad_w, std::size_t oh,
+                           std::size_t ow, std::size_t cout, float* gx,
+                           float* gw, float* gb) {
+  std::fill(gx, gx + n * h * w * cin, 0.0f);
+  for (std::size_t b = 0; b < n; ++b) {
+    const float* xb = x + b * h * w * cin;
+    float* gxb = gx + b * h * w * cin;
+    for (std::size_t i = 0; i < oh; ++i) {
+      for (std::size_t j = 0; j < ow; ++j) {
+        const float* g = gout + ((b * oh + i) * ow + j) * cout;
+        for (std::size_t oc = 0; oc < cout; ++oc) gb[oc] += g[oc];
+        for (std::size_t ki = 0; ki < kh; ++ki) {
+          const std::ptrdiff_t ii =
+              static_cast<std::ptrdiff_t>(i * stride_h + ki) -
+              static_cast<std::ptrdiff_t>(pad_h);
+          if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(h)) continue;
+          for (std::size_t kj = 0; kj < kw; ++kj) {
+            const std::ptrdiff_t jj =
+                static_cast<std::ptrdiff_t>(j * stride_w + kj) -
+                static_cast<std::ptrdiff_t>(pad_w);
+            if (jj < 0 || jj >= static_cast<std::ptrdiff_t>(w)) continue;
+            const std::size_t off = (static_cast<std::size_t>(ii) * w +
+                                     static_cast<std::size_t>(jj)) *
+                                    cin;
+            const float* in = xb + off;
+            float* gin = gxb + off;
+            const std::size_t base = (ki * kw + kj) * cin * cout;
+            for (std::size_t ic = 0; ic < cin; ++ic) {
+              const float xv = in[ic];
+              const float* wrow = weight + base + ic * cout;
+              float* gwrow = gw + base + ic * cout;
+              float acc = 0.0f;
+              for (std::size_t oc = 0; oc < cout; ++oc) {
+                const float gv = g[oc];
+                gwrow[oc] += xv * gv;
+                acc += wrow[oc] * gv;
+              }
+              gin[ic] += acc;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 /// Runs forward + backward through both the im2col/GEMM pipeline and
 /// the naive reference at arbitrary stride/padding and compares.
 void expect_lowered_conv_matches_naive(std::size_t n, std::size_t h,
@@ -526,8 +632,8 @@ void expect_lowered_conv_matches_naive(std::size_t n, std::size_t h,
                                        std::size_t sw, std::size_t ph,
                                        std::size_t pw, std::uint64_t seed) {
   namespace nn = emoleak::nn;
-  const std::size_t oh = nn::conv_out_dim(h, kh, sh, ph);
-  const std::size_t ow = nn::conv_out_dim(w, kw, sw, pw);
+  const std::size_t oh = conv_out_dim(h, kh, sh, ph);
+  const std::size_t ow = conv_out_dim(w, kw, sw, pw);
   ASSERT_GT(oh, 0u);
   ASSERT_GT(ow, 0u);
   const std::vector<float> x = random_vec(n * h * w * cin, seed);
@@ -537,14 +643,14 @@ void expect_lowered_conv_matches_naive(std::size_t n, std::size_t h,
 
   // Naive reference.
   std::vector<float> y_ref(n * oh * ow * cout);
-  nn::conv2d_naive_forward(x.data(), n, h, w, cin, wt.data(), bias.data(), kh,
-                           kw, sh, sw, ph, pw, oh, ow, cout, y_ref.data());
+  conv2d_naive_forward(x.data(), n, h, w, cin, wt.data(), bias.data(), kh,
+                       kw, sh, sw, ph, pw, oh, ow, cout, y_ref.data());
   std::vector<float> gx_ref(x.size());
   std::vector<float> gw_ref(wt.size(), 0.0f);
   std::vector<float> gb_ref(cout, 0.0f);
-  nn::conv2d_naive_backward(x.data(), gout.data(), n, h, w, cin, wt.data(), kh,
-                            kw, sh, sw, ph, pw, oh, ow, cout, gx_ref.data(),
-                            gw_ref.data(), gb_ref.data());
+  conv2d_naive_backward(x.data(), gout.data(), n, h, w, cin, wt.data(), kh,
+                        kw, sh, sw, ph, pw, oh, ow, cout, gx_ref.data(),
+                        gw_ref.data(), gb_ref.data());
 
   // Lowered pipeline: im2col -> GEMM (forward), GEMMs + col2im (backward).
   const std::size_t rows = oh * ow;
@@ -621,7 +727,6 @@ TEST(ConvLoweringTest, StridePaddingChannelSweep) {
 TEST(ConvLoweringTest, LayerMatchesNaiveReference) {
   // End-to-end: the Conv2D layer itself against the naive kernels, both
   // padding modes, forward and backward.
-  namespace nn = emoleak::nn;
   for (const bool same : {true, false}) {
     Conv2D conv{3, 5, 3, 3, same, 42};
     const Tensor x = random_tensor({2, 7, 6, 3}, 77);
@@ -629,10 +734,10 @@ TEST(ConvLoweringTest, LayerMatchesNaiveReference) {
     const std::size_t oh = y.dim(1), ow = y.dim(2);
     const std::size_t pad = same ? 1 : 0;
     std::vector<float> y_ref(y.size());
-    nn::conv2d_naive_forward(x.data(), 2, 7, 6, 3,
-                             conv.parameters()[0]->value.data(),
-                             conv.parameters()[1]->value.data(), 3, 3, 1, 1,
-                             pad, pad, oh, ow, 5, y_ref.data());
+    conv2d_naive_forward(x.data(), 2, 7, 6, 3,
+                         conv.parameters()[0]->value.data(),
+                         conv.parameters()[1]->value.data(), 3, 3, 1, 1,
+                         pad, pad, oh, ow, 5, y_ref.data());
     for (std::size_t i = 0; i < y.size(); ++i) {
       ASSERT_NEAR(y[i], y_ref[i], 1e-4f * (1.0f + std::abs(y_ref[i])))
           << "same=" << same << " i=" << i;
@@ -643,10 +748,10 @@ TEST(ConvLoweringTest, LayerMatchesNaiveReference) {
     std::vector<float> gx_ref(x.size());
     std::vector<float> gw_ref(conv.parameters()[0]->value.size(), 0.0f);
     std::vector<float> gb_ref(5, 0.0f);
-    nn::conv2d_naive_backward(x.data(), g.data(), 2, 7, 6, 3,
-                              conv.parameters()[0]->value.data(), 3, 3, 1, 1,
-                              pad, pad, oh, ow, 5, gx_ref.data(),
-                              gw_ref.data(), gb_ref.data());
+    conv2d_naive_backward(x.data(), g.data(), 2, 7, 6, 3,
+                          conv.parameters()[0]->value.data(), 3, 3, 1, 1,
+                          pad, pad, oh, ow, 5, gx_ref.data(),
+                          gw_ref.data(), gb_ref.data());
     for (std::size_t i = 0; i < gx.size(); ++i) {
       ASSERT_NEAR(gx[i], gx_ref[i], 1e-4f * (1.0f + std::abs(gx_ref[i])));
     }

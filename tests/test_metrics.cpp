@@ -1,15 +1,8 @@
-// Tests for extended metrics (ml/metrics.h) and feature selection
-// (features/selection.h) and the SGD optimizer (nn/model.h).
+// Tests for extended metrics (ml/metrics.h).
 #include "ml/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <memory>
-
-#include "features/selection.h"
-#include "nn/model.h"
-#include "util/error.h"
 #include "util/rng.h"
 
 namespace {
@@ -18,7 +11,6 @@ using emoleak::ml::classification_report;
 using emoleak::ml::cohens_kappa;
 using emoleak::ml::ConfusionMatrix;
 using emoleak::ml::matthews_corrcoef;
-using emoleak::ml::micro_f1;
 
 ConfusionMatrix perfect(int classes, int per_class) {
   ConfusionMatrix cm{classes};
@@ -61,11 +53,6 @@ TEST(KappaTest, KnownTwoClassValue) {
   EXPECT_NEAR(cohens_kappa(cm), 0.4, 1e-12);
 }
 
-TEST(MicroF1Test, EqualsAccuracy) {
-  const ConfusionMatrix cm = random_preds(3, 500, 2);
-  EXPECT_DOUBLE_EQ(micro_f1(cm), cm.accuracy());
-}
-
 TEST(MatthewsTest, PerfectIsOneRandomIsZero) {
   EXPECT_NEAR(matthews_corrcoef(perfect(3, 20)), 1.0, 1e-12);
   EXPECT_NEAR(matthews_corrcoef(random_preds(3, 20000, 3)), 0.0, 0.02);
@@ -86,135 +73,6 @@ TEST(ReportTest, ContainsClassesAndSummary) {
   EXPECT_NE(report.find("accuracy"), std::string::npos);
   EXPECT_NE(report.find("Cohen's kappa"), std::string::npos);
   EXPECT_NE(report.find("1.000"), std::string::npos);
-}
-
-// ---- feature selection -------------------------------------------------
-
-using emoleak::features::project;
-using emoleak::features::select_features;
-using emoleak::features::SelectionConfig;
-using emoleak::ml::Dataset;
-
-Dataset selection_dataset(std::uint64_t seed) {
-  emoleak::util::Rng rng{seed};
-  Dataset d;
-  d.class_count = 2;
-  d.feature_names = {"signal", "copy", "noise1", "noise2"};
-  for (int i = 0; i < 400; ++i) {
-    const int y = static_cast<int>(rng.uniform_int(2));
-    const double signal = y + 0.2 * rng.normal();
-    d.x.push_back({signal, signal * 2.0 + 1e-4 * rng.normal(), rng.normal(),
-                   rng.normal()});
-    d.y.push_back(y);
-  }
-  return d;
-}
-
-TEST(SelectionTest, PicksInformativeDropsNoise) {
-  const Dataset d = selection_dataset(4);
-  SelectionConfig cfg;
-  cfg.max_features = 2;
-  cfg.min_gain_bits = 0.05;
-  const auto selected = select_features(d, cfg);
-  ASSERT_GE(selected.size(), 1u);
-  EXPECT_TRUE(selected[0] == 0 || selected[0] == 1);  // the signal pair
-  for (const std::size_t c : selected) EXPECT_LT(c, 2u);  // never noise
-}
-
-TEST(SelectionTest, RedundancyFilterDropsDuplicateFeature) {
-  const Dataset d = selection_dataset(5);
-  SelectionConfig cfg;
-  cfg.max_features = 4;
-  cfg.min_gain_bits = 0.05;
-  cfg.max_redundancy = 0.9;  // "copy" correlates ~1.0 with "signal"
-  const auto selected = select_features(d, cfg);
-  ASSERT_EQ(selected.size(), 1u);  // only one of the correlated pair
-}
-
-TEST(SelectionTest, DisabledRedundancyKeepsBoth) {
-  const Dataset d = selection_dataset(6);
-  SelectionConfig cfg;
-  cfg.max_features = 4;
-  cfg.min_gain_bits = 0.05;
-  cfg.max_redundancy = 1.0;
-  const auto selected = select_features(d, cfg);
-  EXPECT_EQ(selected.size(), 2u);
-}
-
-TEST(SelectionTest, ProjectCarriesNamesAndLabels) {
-  const Dataset d = selection_dataset(7);
-  const std::vector<std::size_t> cols{2, 0};
-  const Dataset p = project(d, cols);
-  EXPECT_EQ(p.dim(), 2u);
-  EXPECT_EQ(p.feature_names[0], "noise1");
-  EXPECT_EQ(p.feature_names[1], "signal");
-  EXPECT_EQ(p.y, d.y);
-  EXPECT_DOUBLE_EQ(p.x[5][1], d.x[5][0]);
-}
-
-TEST(SelectionTest, ProjectOutOfRangeThrows) {
-  const Dataset d = selection_dataset(8);
-  const std::vector<std::size_t> cols{9};
-  EXPECT_THROW((void)project(d, cols), emoleak::util::DataError);
-}
-
-TEST(SelectionTest, ConfigValidation) {
-  SelectionConfig cfg;
-  cfg.max_features = 0;
-  EXPECT_THROW((void)select_features(selection_dataset(9), cfg),
-               emoleak::util::ConfigError);
-  cfg = SelectionConfig{};
-  cfg.max_redundancy = 0.0;
-  EXPECT_THROW((void)select_features(selection_dataset(9), cfg),
-               emoleak::util::ConfigError);
-}
-
-// ---- SGD optimizer -------------------------------------------------------
-
-using emoleak::nn::Dense;
-using emoleak::nn::Parameter;
-using emoleak::nn::Sgd;
-using emoleak::nn::Tensor;
-
-TEST(SgdTest, DescendsQuadratic) {
-  // One parameter, loss = 0.5 * w^2 => grad = w. SGD must converge to 0.
-  Parameter p;
-  p.value = Tensor{{1}, {4.0f}};
-  p.grad = Tensor{{1}};
-  Sgd sgd{{&p}, 0.1, 0.0};
-  for (int i = 0; i < 200; ++i) {
-    p.grad[0] = p.value[0];
-    sgd.step();
-  }
-  EXPECT_NEAR(p.value[0], 0.0f, 1e-4f);
-}
-
-TEST(SgdTest, MomentumAcceleratesDescent) {
-  const auto loss_after = [](double momentum) {
-    Parameter p;
-    p.value = Tensor{{1}, {4.0f}};
-    p.grad = Tensor{{1}};
-    Sgd sgd{{&p}, 0.01, momentum};
-    for (int i = 0; i < 50; ++i) {
-      p.grad[0] = p.value[0];
-      sgd.step();
-    }
-    return std::abs(p.value[0]);
-  };
-  EXPECT_LT(loss_after(0.9), loss_after(0.0));
-}
-
-TEST(SgdTest, CosineDecayReachesNearZeroLr) {
-  Parameter p;
-  p.value = Tensor{{1}, {1.0f}};
-  p.grad = Tensor{{1}};
-  Sgd sgd{{&p}, 0.1, 0.0, /*total_steps=*/100};
-  EXPECT_NEAR(sgd.current_learning_rate(), 0.1, 1e-12);
-  for (int i = 0; i < 100; ++i) {
-    p.grad[0] = 0.0f;
-    sgd.step();
-  }
-  EXPECT_NEAR(sgd.current_learning_rate(), 0.0, 1e-6);
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ std::string mixed_frames() {
   event.probabilities = {0.125, 0.25, 0.625};
   serve::encode(buffer, serve::EventMsg{9, event});
   serve::encode(buffer, serve::MetricsRequestMsg{});
-  serve::encode(buffer, serve::ModelSwapMsg{5});
+  serve::encode(buffer, serve::StreamStartMsg{9, "fingerprint"});
   serve::encode(buffer, serve::AckMsg{Status::kOverloaded, 3});
   return buffer;
 }
@@ -241,8 +241,8 @@ TEST(ResumableFramingTest, PartialIsResumableCorruptThrows) {
 /// The mutants' seeds: one valid frame of every message type and the
 /// StreamStart v1 short form, then kCorruptSeeds frames the decoder
 /// refuses: a chunk carrying non-finite samples and frames of the
-/// retired type bytes 4 and 5.
-constexpr std::size_t kCorruptSeeds = 3;
+/// retired type bytes 4, 5 and 6.
+constexpr std::size_t kCorruptSeeds = 4;
 
 std::vector<std::string> seed_frames() {
   std::vector<std::string> seeds;
@@ -257,7 +257,6 @@ std::vector<std::string> seed_frames() {
   event.predicted_class = 1;
   event.probabilities = {0.25, 0.5, 0.25};
   add(serve::EventMsg{6, event});
-  add(serve::ModelSwapMsg{2});
   add(serve::AckMsg{Status::kOverloaded, 7});
   add(serve::StreamStartMsg{8, "fingerprint"});
   add(serve::StreamStartMsg{9, ""});  // encodes as the v1 short form
@@ -272,7 +271,7 @@ std::vector<std::string> seed_frames() {
   add(serve::ChunkPushMsg{4,
                           {std::numeric_limits<double>::quiet_NaN(),
                            -std::numeric_limits<double>::infinity()}});
-  for (const char type : {4, 5}) {
+  for (const char type : {4, 5, 6}) {
     std::string frame = serve::encode_one(serve::StreamFinishMsg{1});
     frame[4] = type;
     seeds.push_back(std::move(frame));
@@ -437,8 +436,9 @@ TEST(EncodeLimitsTest, RetryAfterAckRoundTrips) {
 // ---- handle_frames error isolation ------------------------------------
 
 TEST(HandleFramesTest, CorruptFramePreservesEarlierReplies) {
-  // Unknown types: the retired stats pair (4, 5) and a byte past the end.
-  for (const char type : {4, 5, 99}) {
+  // Unknown types: the retired stats pair (4, 5), the retired model
+  // swap (6) and a byte past the end.
+  for (const char type : {4, 5, 6, 99}) {
     SCOPED_TRACE("type=" + std::to_string(type));
     auto registry = std::make_shared<serve::ModelRegistry>();
     registry->add("m", make_model(3, 7));

@@ -22,7 +22,6 @@ using emoleak::phone::handheld_noise;
 using emoleak::phone::oneplus_7t;
 using emoleak::phone::PhoneProfile;
 using emoleak::phone::pixel_5;
-using emoleak::phone::sample_accelerometer;
 using emoleak::phone::SpeakerKind;
 using emoleak::phone::with_rate_cap;
 using emoleak::util::Rng;
@@ -191,31 +190,6 @@ TEST(SamplingChainTest, SoftwareCapRemovesFoldedContent) {
   EXPECT_LT(emoleak::dsp::rms(soft), 0.5 * emoleak::dsp::rms(native));
 }
 
-TEST(SampleAccelerometerTest, AddsNoiseAndQuantizes) {
-  PhoneProfile p = oneplus_7t();
-  p.accel_lsb = 0.01;
-  Rng rng{8};
-  const auto out = sample_accelerometer(std::vector<double>(4000, 0.0), 2000.0,
-                                        p, rng);
-  bool any_nonzero = false;
-  for (const double v : out) {
-    // Quantized to the LSB grid.
-    EXPECT_NEAR(std::round(v / p.accel_lsb) * p.accel_lsb, v, 1e-12);
-    if (v != 0.0) any_nonzero = true;
-  }
-  EXPECT_TRUE(any_nonzero);  // sensor noise present
-}
-
-TEST(SampleAccelerometerTest, NoiseMagnitudeMatchesSigma) {
-  PhoneProfile p = oneplus_7t();
-  p.accel_lsb = 0.0;  // disable quantization for a clean estimate
-  Rng rng{9};
-  const auto out = sample_accelerometer(std::vector<double>(100000, 0.0),
-                                        2000.0, p, rng);
-  EXPECT_NEAR(emoleak::dsp::rms(out), p.accel_noise_sigma,
-              0.15 * p.accel_noise_sigma);
-}
-
 // Property: the channel is well-behaved for every device and speaker.
 class ChannelSweep
     : public ::testing::TestWithParam<std::tuple<int, SpeakerKind>> {};
@@ -224,8 +198,7 @@ TEST_P(ChannelSweep, FiniteBoundedOutput) {
   const auto [phone_idx, speaker] = GetParam();
   const PhoneProfile p = all_phones()[static_cast<std::size_t>(phone_idx)];
   const auto vib = conduct(sine(130.0, 2000.0, 6000), 2000.0, p, speaker);
-  Rng rng{99};
-  const auto out = sample_accelerometer(vib, 2000.0, p, rng);
+  const auto out = accel_sampling_chain(vib, 2000.0, p);
   EXPECT_FALSE(out.empty());
   for (const double v : out) {
     EXPECT_TRUE(std::isfinite(v));

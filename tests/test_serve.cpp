@@ -145,7 +145,6 @@ TEST(ServeProtocolTest, RoundTripsEveryMessageType) {
   serve::encode(buffer, serve::ChunkPushMsg{9, {1.0, -2.5, 0.0, 3.25}});
   serve::encode(buffer, serve::StreamFinishMsg{9});
   serve::encode(buffer, serve::EventMsg{9, event});
-  serve::encode(buffer, serve::ModelSwapMsg{5});
   serve::encode(buffer, serve::AckMsg{Status::kOverloaded});
 
   serve::FrameReader reader{buffer};
@@ -159,7 +158,6 @@ TEST(ServeProtocolTest, RoundTripsEveryMessageType) {
   EXPECT_EQ(ev.event.end_sample, 400u);
   EXPECT_EQ(ev.event.predicted_class, 2);
   EXPECT_EQ(ev.event.probabilities, event.probabilities);
-  EXPECT_EQ(std::get<serve::ModelSwapMsg>(*reader.next()).version, 5u);
   EXPECT_EQ(std::get<serve::AckMsg>(*reader.next()).status,
             Status::kOverloaded);
   EXPECT_FALSE(reader.next().has_value());
@@ -254,14 +252,13 @@ TEST(ServeProtocolTest, RoundTripsTelemetryFrames) {
 
 TEST(ServeProtocolTest, TelemetryTypesAreVersionCompatibleAppends) {
   // Every type byte is pinned: peers from any revision agree on the
-  // types they share. Bytes 4 and 5 stay retired. An old peer that never
-  // learned the telemetry types sees 9..12 as unknown and throws
+  // types they share. Bytes 4, 5 and 6 stay retired. An old peer that
+  // never learned the telemetry types sees 9..12 as unknown and throws
   // DataError — exactly the downgrade signal handle_frames turns into a
   // kError ack.
   EXPECT_EQ(static_cast<std::uint8_t>(serve::MsgType::kChunkPush), 1);
   EXPECT_EQ(static_cast<std::uint8_t>(serve::MsgType::kStreamFinish), 2);
   EXPECT_EQ(static_cast<std::uint8_t>(serve::MsgType::kEvent), 3);
-  EXPECT_EQ(static_cast<std::uint8_t>(serve::MsgType::kModelSwap), 6);
   EXPECT_EQ(static_cast<std::uint8_t>(serve::MsgType::kAck), 7);
   EXPECT_EQ(static_cast<std::uint8_t>(serve::MsgType::kStreamStart), 8);
   EXPECT_EQ(static_cast<std::uint8_t>(serve::MsgType::kMetricsRequest), 9);
@@ -588,37 +585,74 @@ TEST(ServeServiceTest, OverloadRejectsInsteadOfQueueing) {
 }
 
 TEST(ServeServiceTest, SessionCapacityFreedByFinish) {
-  auto registry = std::make_shared<ModelRegistry>();
-  registry->add("m", make_model(3, 7));
-  serve::ServeConfig cfg = service_config(1);
-  cfg.session.max_sessions = 2;
-  ServeService service{cfg, registry};
+  // A stream that would open a session past max_sessions is refused at
+  // admission with kNoCapacity, so a chunk acked kOk is never dropped:
+  // at any thread count, kOk chunk acks == serve.chunks_processed.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto registry = std::make_shared<ModelRegistry>();
+    registry->add("m", make_model(3, 7));
+    serve::ServeConfig cfg = service_config(threads);
+    cfg.session.max_sessions = 2;
+    ServeService service{cfg, registry};
 
-  const std::vector<double> chunk(64, 9.81);
-  ASSERT_EQ(service.push(1, chunk), Status::kOk);
-  ASSERT_EQ(service.push(2, chunk), Status::kOk);
-  service.drain();  // sessions 1 and 2 created
-  obs::RegistrySnapshot metrics = service.metrics_snapshot();
-  EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
-  EXPECT_EQ(metrics.counter("serve.sessions.created"), 2u);
+    const std::vector<double> chunk(64, 9.81);
+    std::uint64_t ok_chunks = 0;
+    std::uint64_t no_capacity = 0;
+    const auto push = [&](std::uint64_t stream_id) {
+      const Status status = service.push(stream_id, chunk);
+      ok_chunks += status == Status::kOk ? 1 : 0;
+      no_capacity += status == Status::kNoCapacity ? 1 : 0;
+      return status;
+    };
 
-  // Table full: stream 3's chunk is dropped and counted, however many
-  // drains pass — only a finish frees a slot.
-  ASSERT_EQ(service.push(3, chunk), Status::kOk);
-  service.drain();
-  service.drain();
-  metrics = service.metrics_snapshot();
-  EXPECT_EQ(metrics.counter("serve.rejected_capacity"), 1u);
-  EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
+    ASSERT_EQ(push(1), Status::kOk);
+    ASSERT_EQ(push(2), Status::kOk);
+    EXPECT_EQ(push(3), Status::kNoCapacity);
+    service.drain();  // sessions 1 and 2 created
+    obs::RegistrySnapshot metrics = service.metrics_snapshot();
+    EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
+    EXPECT_EQ(metrics.counter("serve.sessions.created"), 2u);
 
-  // Stream 1 finishes and stream 3 takes its slot in the same drain.
-  ASSERT_EQ(service.finish_stream(1), Status::kOk);
-  ASSERT_EQ(service.push(3, chunk), Status::kOk);
-  service.drain();
-  metrics = service.metrics_snapshot();
-  EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
-  EXPECT_EQ(metrics.counter("serve.sessions.created"), 3u);
-  EXPECT_EQ(metrics.counter("serve.rejected_capacity"), 1u);
+    // Table full, however many drains pass: only a finish frees a slot.
+    service.drain();
+    EXPECT_EQ(push(3), Status::kNoCapacity);
+    // Over the wire the refusal carries a back-off.
+    const std::string reply =
+        service.handle(serve::encode_one(serve::ChunkPushMsg{3, chunk}));
+    serve::FrameReader reader{reply};
+    const auto ack = std::get<serve::AckMsg>(*reader.next());
+    EXPECT_EQ(ack.status, Status::kNoCapacity);
+    EXPECT_EQ(ack.retry_after_ms, serve::kRetryAfterMs);
+    ++no_capacity;
+
+    // A finished stream holds its slot until the drain that processes
+    // its finish ends; then stream 3 takes it.
+    ASSERT_EQ(service.finish_stream(1), Status::kOk);
+    EXPECT_EQ(push(3), Status::kNoCapacity);
+    service.drain();
+    EXPECT_EQ(push(3), Status::kOk);
+    service.drain();
+    metrics = service.metrics_snapshot();
+    EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
+    EXPECT_EQ(metrics.counter("serve.sessions.created"), 3u);
+
+    // Churn through the two slots: five stream ids take turns, some
+    // finish and restart, drains fall between.
+    for (std::uint64_t round = 0; round < 60; ++round) {
+      const std::uint64_t stream_id = 10 + round % 5;
+      (void)push(stream_id);
+      if (round % 3 == 2) {
+        ASSERT_EQ(service.finish_stream(stream_id), Status::kOk);
+      }
+      if (round % 4 == 3) service.drain();
+    }
+    service.drain();
+    metrics = service.metrics_snapshot();
+    EXPECT_EQ(metrics.counter("serve.chunks_processed"), ok_chunks);
+    EXPECT_EQ(metrics.counter("serve.rejected_capacity"), no_capacity);
+    EXPECT_GT(no_capacity, 3u);
+  }
 }
 
 TEST(ServeServiceTest, SecondStreamThroughSingleSlotMatchesStandalone) {
@@ -679,15 +713,12 @@ TEST(ServeServiceTest, ModelHotSwapAppliesToLaterRegions) {
       }
     };
 
-    // First burst under v1, then a swap over the wire, then the rest:
+    // First burst under v1, then an in-process swap, then the rest:
     // regions closed before the swap keep their 3-class distribution,
     // later regions get the 4-class model.
     push_range(0, 12000);
     service.drain();
-    const std::string reply =
-        service.handle(serve::encode_one(serve::ModelSwapMsg{2}));
-    serve::FrameReader reader{reply};
-    EXPECT_EQ(std::get<serve::AckMsg>(*reader.next()).status, Status::kOk);
+    registry->activate(2);
     push_range(12000, trace.size());
     ASSERT_EQ(service.finish_stream(1), Status::kOk);
     service.drain();
@@ -696,10 +727,6 @@ TEST(ServeServiceTest, ModelHotSwapAppliesToLaterRegions) {
     ASSERT_GE(events.size(), 2u);
     EXPECT_EQ(events.front().event.probabilities.size(), 3u);
     EXPECT_EQ(events.back().event.probabilities.size(), 4u);
-    EXPECT_EQ(registry->generation(), 2u);
-
-    // Unknown version: rejected without disturbing the active model.
-    EXPECT_EQ(service.swap_model(9), Status::kError);
     EXPECT_EQ(registry->generation(), 2u);
   }
 }

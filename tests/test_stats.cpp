@@ -14,17 +14,13 @@
 
 namespace {
 
-using emoleak::dsp::correlation;
-using emoleak::dsp::energy;
 using emoleak::dsp::mean;
 using emoleak::dsp::mean_crossing_rate;
 using emoleak::dsp::quantile;
 using emoleak::dsp::quantile_sorted;
 using emoleak::dsp::rms;
-using emoleak::dsp::stddev;
 using emoleak::dsp::summarize;
 using emoleak::dsp::Summary;
-using emoleak::dsp::variance;
 
 TEST(SummarizeTest, KnownSmallSample) {
   const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
@@ -78,11 +74,9 @@ TEST(SummarizeTest, EmptyThrows) {
   EXPECT_THROW((void)rms(std::vector<double>{}), emoleak::util::DataError);
 }
 
-TEST(MeanVarianceTest, AgreeWithSummary) {
+TEST(MeanTest, AgreesWithSummary) {
   const std::vector<double> x{1.0, 5.0, -3.0, 2.0};
   EXPECT_DOUBLE_EQ(mean(x), summarize(x).mean);
-  EXPECT_DOUBLE_EQ(variance(x), summarize(x).variance);
-  EXPECT_DOUBLE_EQ(stddev(x), summarize(x).stddev);
 }
 
 TEST(QuantileTest, MedianOfOddSample) {
@@ -163,40 +157,9 @@ TEST(MeanCrossingRateTest, OffsetInvariant) {
   EXPECT_NEAR(mean_crossing_rate(x), base, 0.01);
 }
 
-TEST(EnergyRmsTest, KnownValues) {
+TEST(RmsTest, KnownValue) {
   const std::vector<double> x{3.0, 4.0};
-  EXPECT_DOUBLE_EQ(energy(x), 25.0);
   EXPECT_NEAR(rms(x), std::sqrt(12.5), 1e-12);
-}
-
-TEST(CorrelationTest, PerfectPositiveAndNegative) {
-  const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(correlation(x, y), 1.0, 1e-12);
-  const std::vector<double> z{8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(correlation(x, z), -1.0, 1e-12);
-}
-
-TEST(CorrelationTest, IndependentNoiseNearZero) {
-  emoleak::util::Rng rng{8};
-  std::vector<double> x(20000), y(20000);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = rng.normal();
-    y[i] = rng.normal();
-  }
-  EXPECT_NEAR(correlation(x, y), 0.0, 0.03);
-}
-
-TEST(CorrelationTest, ConstantInputGivesZero) {
-  const std::vector<double> x(5, 1.0);
-  const std::vector<double> y{1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(correlation(x, y), 0.0);
-}
-
-TEST(CorrelationTest, MismatchedSizesThrow) {
-  EXPECT_THROW((void)correlation(std::vector<double>(3, 1.0),
-                                 std::vector<double>(4, 1.0)),
-               emoleak::util::DataError);
 }
 
 }  // namespace

@@ -136,14 +136,6 @@ TEST(StftTest, BinFrequenciesSpanNyquist) {
   EXPECT_NEAR(spec.bin_frequency_hz(spec.bins() - 1), 250.0, 1e-9);
 }
 
-TEST(StftTest, FrameTimesAdvanceByHop) {
-  StftConfig c;
-  c.window_length = 32;
-  c.hop = 8;
-  const auto spec = stft(std::vector<double>(128, 0.0), 100.0, c);
-  EXPECT_NEAR(spec.frame_time_s(1) - spec.frame_time_s(0), 0.08, 1e-12);
-}
-
 TEST(StftTest, ShortSignalStillProducesOneFrame) {
   StftConfig c;
   c.window_length = 64;

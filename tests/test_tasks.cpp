@@ -282,11 +282,6 @@ TEST(MitigationTest, ChunkInvariantAndMatchesOfflineResample) {
     ASSERT_EQ(streamed[i], offline[i]) << "i=" << i;
   }
 
-  // reset() rewinds to a bit-identical replay.
-  tasks::MitigationFilter replay{config, kRate};
-  const auto first = replay.push(signal);
-  replay.reset();
-  EXPECT_EQ(replay.push(signal), first);
 }
 
 TEST(MitigationTest, ValidateRejectsBadConfigs) {

@@ -53,20 +53,6 @@ TEST(TensorTest, FillSetsAll) {
   for (std::size_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 2.5f);
 }
 
-TEST(TensorTest, ReshapePreservesData) {
-  Tensor t{{2, 6}};
-  for (std::size_t i = 0; i < 12; ++i) t[i] = static_cast<float>(i);
-  const Tensor r = t.reshaped({3, 4});
-  EXPECT_EQ(r.rank(), 2u);
-  EXPECT_EQ(r.dim(0), 3u);
-  for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(r[i], static_cast<float>(i));
-}
-
-TEST(TensorTest, ReshapeWrongCountThrows) {
-  const Tensor t{{2, 6}};
-  EXPECT_THROW((void)t.reshaped({5, 5}), emoleak::util::DataError);
-}
-
 TEST(TensorTest, SameShape) {
   EXPECT_TRUE((Tensor{{2, 3}}.same_shape(Tensor{{2, 3}})));
   EXPECT_FALSE((Tensor{{2, 3}}.same_shape(Tensor{{3, 2}})));

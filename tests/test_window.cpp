@@ -1,109 +1,62 @@
-// Tests for analysis windows (dsp/window.h).
+// Tests for the Hann analysis window (dsp/window.h).
 #include "dsp/window.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <vector>
 
 #include "util/error.h"
 
 namespace {
 
-using emoleak::dsp::apply_window;
-using emoleak::dsp::make_window;
-using emoleak::dsp::to_string;
-using emoleak::dsp::window_energy;
-using emoleak::dsp::WindowType;
-
-TEST(WindowTest, RectangularIsAllOnes) {
-  const auto w = make_window(WindowType::kRectangular, 16);
-  for (const double v : w) EXPECT_DOUBLE_EQ(v, 1.0);
+std::vector<double> hann(std::size_t length) {
+  std::vector<double> w(length);
+  emoleak::dsp::fill_hann(w);
+  return w;
 }
 
 TEST(WindowTest, HannStartsAtZero) {
-  const auto w = make_window(WindowType::kHann, 64);
+  const auto w = hann(64);
   EXPECT_NEAR(w[0], 0.0, 1e-12);
 }
 
 TEST(WindowTest, HannPeaksAtCenter) {
-  const auto w = make_window(WindowType::kHann, 64);
+  const auto w = hann(64);
   EXPECT_NEAR(w[32], 1.0, 1e-12);  // periodic window peaks at N/2
-}
-
-TEST(WindowTest, HammingEndpointsNonZero) {
-  const auto w = make_window(WindowType::kHamming, 64);
-  EXPECT_NEAR(w[0], 0.08, 1e-12);
-}
-
-TEST(WindowTest, BlackmanNearZeroAtEdges) {
-  const auto w = make_window(WindowType::kBlackman, 64);
-  EXPECT_NEAR(w[0], 0.0, 1e-9);
 }
 
 TEST(WindowTest, PeriodicSymmetry) {
   // A periodic (DFT-even) window satisfies w[i] == w[N - i] for i >= 1.
-  for (const WindowType type :
-       {WindowType::kHann, WindowType::kHamming, WindowType::kBlackman}) {
-    const auto w = make_window(type, 32);
-    for (std::size_t i = 1; i < 32; ++i) {
-      EXPECT_NEAR(w[i], w[32 - i], 1e-12) << to_string(type) << " i=" << i;
-    }
+  const auto w = hann(32);
+  for (std::size_t i = 1; i < 32; ++i) {
+    EXPECT_NEAR(w[i], w[32 - i], 1e-12) << "i=" << i;
   }
 }
 
 TEST(WindowTest, ValuesWithinUnitRange) {
-  for (const WindowType type :
-       {WindowType::kHann, WindowType::kHamming, WindowType::kBlackman}) {
-    for (const std::size_t len : {2u, 7u, 33u, 128u}) {
-      for (const double v : make_window(type, len)) {
-        EXPECT_GE(v, -1e-12);
-        EXPECT_LE(v, 1.0 + 1e-12);
-      }
+  for (const std::size_t len : {2u, 7u, 33u, 128u}) {
+    for (const double v : hann(len)) {
+      EXPECT_GE(v, -1e-12);
+      EXPECT_LE(v, 1.0 + 1e-12);
     }
   }
 }
 
 TEST(WindowTest, LengthOneIsUnity) {
-  for (const WindowType type :
-       {WindowType::kRectangular, WindowType::kHann, WindowType::kHamming,
-        WindowType::kBlackman}) {
-    const auto w = make_window(type, 1);
-    ASSERT_EQ(w.size(), 1u);
-    EXPECT_DOUBLE_EQ(w[0], 1.0);
-  }
+  const auto w = hann(1);
+  ASSERT_EQ(w.size(), 1u);
+  EXPECT_DOUBLE_EQ(w[0], 1.0);
 }
 
 TEST(WindowTest, ZeroLengthThrows) {
-  EXPECT_THROW((void)make_window(WindowType::kHann, 0),
-               emoleak::util::DataError);
+  EXPECT_THROW(emoleak::dsp::fill_hann({}), emoleak::util::DataError);
 }
 
 TEST(WindowTest, HannEnergyIsThreeEighthsN) {
   // Sum of hann^2 over a periodic window = 3N/8.
-  const auto w = make_window(WindowType::kHann, 256);
-  EXPECT_NEAR(window_energy(w), 3.0 * 256.0 / 8.0, 1e-9);
-}
-
-TEST(ApplyWindowTest, MultipliesElementwise) {
-  const std::vector<double> frame{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> window{0.5, 0.5, 2.0, 0.0};
-  const auto out = apply_window(frame, window);
-  EXPECT_DOUBLE_EQ(out[0], 0.5);
-  EXPECT_DOUBLE_EQ(out[2], 6.0);
-  EXPECT_DOUBLE_EQ(out[3], 0.0);
-}
-
-TEST(ApplyWindowTest, SizeMismatchThrows) {
-  EXPECT_THROW((void)apply_window(std::vector<double>(3, 1.0),
-                                  std::vector<double>(4, 1.0)),
-               emoleak::util::DataError);
-}
-
-TEST(WindowTest, ToStringNames) {
-  EXPECT_EQ(to_string(WindowType::kHann), "hann");
-  EXPECT_EQ(to_string(WindowType::kRectangular), "rectangular");
-  EXPECT_EQ(to_string(WindowType::kHamming), "hamming");
-  EXPECT_EQ(to_string(WindowType::kBlackman), "blackman");
+  double energy = 0.0;
+  for (const double v : hann(256)) energy += v * v;
+  EXPECT_NEAR(energy, 3.0 * 256.0 / 8.0, 1e-9);
 }
 
 }  // namespace
