@@ -133,6 +133,27 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction)->Arg(420)->Arg(840);
 
+void BM_FeatureExtractionRegions(benchmark::State& state) {
+  // Served regions vary in length and content, so a kernel timed on one
+  // repeated input hides the sort's branch misses and the FFT plan
+  // churn. Cycles through 128 distinct lengths in [380, 820] samples
+  // (fleet_sparse's closing regions, p50 652), each with its own
+  // noise; time per iteration is the mean per-region cost.
+  constexpr std::size_t kRegions = 128;
+  std::vector<std::vector<double>> regions;
+  for (std::size_t i = 0; i < kRegions; ++i) {
+    // 37 is coprime to 441, so the lengths are distinct.
+    regions.push_back(noise_signal(380 + (i * 37) % 441, 100 + i));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto f = features::extract_features(regions[i], 420.0);
+    benchmark::DoNotOptimize(f.data());
+    i = i + 1 == kRegions ? 0 : i + 1;
+  }
+}
+BENCHMARK(BM_FeatureExtractionRegions);
+
 void BM_UtteranceSynthesis(benchmark::State& state) {
   const audio::Corpus corpus{audio::scaled_spec(audio::tess_spec(), 0.01), 5};
   std::size_t i = 0;

@@ -70,15 +70,65 @@ NoiseFloor::NoiseFloor(std::size_t capacity, double threshold_k,
   }
 }
 
-void NoiseFloor::push(double value) {
-  if (count_ >= capacity_) {
-    std::vector<double>& old = phases_[(count_ - capacity_) % kStride];
-    old.erase(std::lower_bound(old.begin(), old.end(), ring_[ring_pos_]));
+namespace {
+
+// Index of the first element of sorted [base, base + n) for which
+// `before` is false — std::partition_point with a conditional move in
+// place of the data-dependent branch, which the envelope's noise makes
+// unpredictable. Each step keeps every element before `base` true and
+// the answer within the remaining `n` values.
+template <typename Before>
+std::size_t partition_index(const double* base, std::size_t n,
+                            Before before) {
+  if (n == 0) return 0;
+  const double* const first = base;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = before(base[half]) ? base + half : base;
+    n -= half;
   }
+  return static_cast<std::size_t>(base - first) + (before(*base) ? 1 : 0);
+}
+
+// Replaces `old` (present in sorted `v`) by `value`, leaving exactly the
+// vector erase(lower_bound(old)) + insert(upper_bound(value)) leaves, in
+// one shift: `at` is the slot the erase empties, and the insert's slot
+// in the shortened vector is `upper` - 1 when `old` is among the values
+// not above `value`, `upper` otherwise.
+void replace_sorted(std::vector<double>& v, double old, double value) {
+  const std::size_t at = partition_index(
+      v.data(), v.size(), [old](double x) { return x < old; });
+  const std::size_t upper = partition_index(
+      v.data(), v.size(), [value](double x) { return !(value < x); });
+  const auto slot = [&v](std::size_t i) {
+    return v.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  if (!(value < old)) {
+    std::move(slot(at + 1), slot(upper), slot(at));
+    v[upper - 1] = value;
+  } else {
+    std::move_backward(slot(upper), slot(at), slot(at + 1));
+    v[upper] = value;
+  }
+}
+
+}  // namespace
+
+void NoiseFloor::push(double value) {
+  const double evicted = ring_[ring_pos_];
   ring_[ring_pos_] = value;
   ring_pos_ = ring_pos_ + 1 == capacity_ ? 0 : ring_pos_ + 1;
   std::vector<double>& phase = phases_[count_ % kStride];
-  phase.insert(std::upper_bound(phase.begin(), phase.end(), value), value);
+  if (count_ >= capacity_ && capacity_ % kStride == 0) {
+    // The evicted value's class is the new value's class.
+    replace_sorted(phase, evicted, value);
+  } else {
+    if (count_ >= capacity_) {
+      std::vector<double>& old = phases_[(count_ - capacity_) % kStride];
+      old.erase(std::lower_bound(old.begin(), old.end(), evicted));
+    }
+    phase.insert(std::upper_bound(phase.begin(), phase.end(), value), value);
+  }
   ++count_;
 }
 

@@ -87,10 +87,14 @@ namespace detail {
 /// window is kept as 8 sorted phase classes (one per absolute index
 /// mod 8) fed from a ring of the raw values: push() makes one sorted
 /// insert and one erase, allocates nothing, and threshold() reads both
-/// quantiles by index from the front's class. The values it selects
-/// are those a copy-and-sort of the decimated window selects, so the
-/// threshold is bit-identical to it. Values must be finite (an erase
-/// must find the evicted value again); StreamingAttack::push checks.
+/// quantiles by index from the front's class. Once the window is full
+/// and its capacity is a multiple of 8 (the 10 s default at 420 Hz is
+/// 4200), the evicted value and the new one share a class, and push()
+/// replaces one with the other in a single shift instead. The values it
+/// selects are those a copy-and-sort of the decimated window selects,
+/// so the threshold is bit-identical to it. Values must be finite (an
+/// erase must find the evicted value again); StreamingAttack::push
+/// checks.
 class NoiseFloor {
  public:
   static constexpr std::size_t kStride = 8;

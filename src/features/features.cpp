@@ -31,6 +31,38 @@ std::string schema_signature() {
   return sig;
 }
 
+namespace {
+
+// The lower index dsp::quantile_sorted interpolates from.
+std::size_t quantile_index(std::size_t n, double q) {
+  return static_cast<std::size_t>(q * static_cast<double>(n - 1));
+}
+
+// dsp::quantile_sorted(sorted(v), q) without sorting: places the
+// order statistic `idx` (quantile_index(v.size(), q)) by nth_element
+// and takes its upper neighbour as the minimum of what lies above it.
+// Every element of v[0, from) must be no greater than those at and
+// after `from`, so `idx` may be selected within v[from, n) — or, when
+// idx < from, be already in place. The two neighbours are the values a
+// sort puts there up to the sign of a zero, and the interpolation
+// a + frac * (b - a) maps every mix of +-0 to +0, so the bits agree.
+double quantile_by_selection(std::vector<double>& v, std::size_t from,
+                             std::size_t idx, double q) {
+  const auto at = v.begin() + static_cast<std::ptrdiff_t>(idx);
+  if (idx >= from) {
+    std::nth_element(v.begin() + static_cast<std::ptrdiff_t>(from), at,
+                     v.end());
+  }
+  if (idx + 1 >= v.size()) return *at;
+  const double lo = *at;
+  const double hi = *std::min_element(at + 1, v.end());
+  const double frac =
+      q * static_cast<double>(v.size() - 1) - static_cast<double>(idx);
+  return lo + frac * (hi - lo);
+}
+
+}  // namespace
+
 std::array<double, kTimeFeatureCount> time_features(
     std::span<const double> region) {
   if (region.empty()) throw util::DataError{"time_features: empty region"};
@@ -45,10 +77,12 @@ std::array<double, kTimeFeatureCount> time_features(
   f[6] = std::abs(s.mean) > 1e-12 ? s.stddev / std::abs(s.mean) : 0.0;
   f[7] = s.skewness;
   f[8] = s.kurtosis;
-  std::vector<double> sorted{region.begin(), region.end()};
-  std::sort(sorted.begin(), sorted.end());
-  f[9] = dsp::quantile_sorted(sorted, 0.25);
-  f[10] = dsp::quantile_sorted(sorted, 0.50);
+  // q50 is selected within the part the q25 selection left above i25.
+  std::vector<double> v{region.begin(), region.end()};
+  const std::size_t i25 = quantile_index(v.size(), 0.25);
+  f[9] = quantile_by_selection(v, 0, i25, 0.25);
+  f[10] = quantile_by_selection(v, i25 + 1, quantile_index(v.size(), 0.50),
+                                0.50);
   f[11] = dsp::mean_crossing_rate(region);
   return f;
 }

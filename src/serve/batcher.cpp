@@ -41,9 +41,16 @@ std::size_t RequestBatcher::drain(
   }
   if (total == 0) return 0;
   OBS_SPAN_ARG("serve.batch", "requests", total);
-  util::parallel_for(parallelism, backlog.size(), [&](std::size_t s) {
-    OBS_SPAN_ARG("serve.shard", "shard", s);
-    for (PushRequest& request : backlog[s]) process(request);
+  // Fan out only over shards with a backlog. A drain whose requests all
+  // sit in one shard (nearly every drain under open-loop load) then
+  // runs inline on the calling thread instead of waking the pool.
+  std::vector<std::size_t> busy;
+  for (std::size_t s = 0; s < backlog.size(); ++s) {
+    if (!backlog[s].empty()) busy.push_back(s);
+  }
+  util::parallel_for(parallelism, busy.size(), [&](std::size_t i) {
+    OBS_SPAN_ARG("serve.shard", "shard", busy[i]);
+    for (PushRequest& request : backlog[busy[i]]) process(request);
   });
   return total;
 }

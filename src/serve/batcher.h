@@ -4,8 +4,9 @@
 // a full queue rejects at submit() — the service answers "overloaded"
 // instead of queueing unboundedly, which is the backpressure policy the
 // whole layer is built around. drain() snapshots every shard's backlog
-// and fans the shards out over the PR-1 thread pool: one task per
-// shard, so all requests for a stream (same shard, FIFO queue) are
+// and fans the busy shards out over the shared thread pool: one task
+// per shard with a backlog (a single busy shard runs inline on the
+// caller), so all requests for a stream (same shard, FIFO queue) are
 // processed sequentially in arrival order while distinct shards run in
 // parallel. That sharding is the whole determinism argument — a
 // stream's event sequence depends only on its own chunk order, never on
@@ -60,8 +61,9 @@ class RequestBatcher {
   [[nodiscard]] bool submit(PushRequest request);
 
   /// Drains every shard's current backlog, invoking `process` for each
-  /// request (per-shard sequentially, shards in parallel across up to
-  /// `parallelism` threads). Returns the number of requests processed.
+  /// request (per-shard sequentially, busy shards in parallel across up
+  /// to `parallelism` threads; one busy shard runs on the caller).
+  /// Returns the number of requests processed.
   /// `process` must be safe to call concurrently for requests of
   /// *different* shards. Only one drain may run at a time (the service
   /// serializes callers).

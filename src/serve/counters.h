@@ -40,6 +40,7 @@ class ServeCounters {
         sessions_active{registry_.gauge("serve.sessions.active")},
         drain_latency_ns_{registry_.histogram("serve.drain_latency_ns")},
         e2e_latency_ns_{registry_.histogram("serve.e2e_latency_ns")},
+        fifo_wait_ns_{registry_.histogram("serve.stage.fifo_wait_ns")},
         batch_size_{registry_.histogram("serve.batch_size")} {}
 
   obs::Counter& requests;
@@ -76,6 +77,11 @@ class ServeCounters {
   void record_e2e_latency(std::uint64_t ns) noexcept {
     e2e_latency_ns_.record(ns);
   }
+
+  /// Records one request's wait in its shard FIFO: arrival at push()
+  /// to the start of its processing in a drain. The first stage of a
+  /// served window's latency budget.
+  void record_fifo_wait(std::uint64_t ns) noexcept { fifo_wait_ns_.record(ns); }
 
   /// The service-local registry backing these counters; exposed so
   /// callers can render all serve metrics as text in one place.
@@ -114,6 +120,7 @@ class ServeCounters {
  private:
   obs::Histogram& drain_latency_ns_;
   obs::Histogram& e2e_latency_ns_;
+  obs::Histogram& fifo_wait_ns_;
   obs::Histogram& batch_size_;
   mutable std::mutex tasks_mutex_;
   std::unordered_map<std::string, std::unique_ptr<TaskCounters>> tasks_;

@@ -123,6 +123,12 @@ void ServeService::bind_session(SessionManager::Session& session) {
 void ServeService::process(PushRequest& request) {
   OBS_SPAN_ARG("serve.process", "stream", request.stream_id);
   if (request.flow != 0) OBS_FLOW_STEP("serve.flow", request.flow);
+  if (request.arrival_ns != 0) {
+    const std::uint64_t now = obs::trace_now_ns();
+    if (now >= request.arrival_ns) {
+      counters_.record_fifo_wait(now - request.arrival_ns);
+    }
+  }
   if (request.finish) {
     sessions_.finish(request.stream_id, request.flow, request.arrival_ns);
     return;

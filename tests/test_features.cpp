@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "dsp/stats.h"
 #include "dsp/stft.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -72,6 +74,46 @@ TEST(TimeFeaturesTest, CvZeroWhenMeanZero) {
 TEST(TimeFeaturesTest, EmptyThrows) {
   EXPECT_THROW((void)time_features(std::vector<double>{}),
                emoleak::util::DataError);
+}
+
+// time_features selects q25 and q50 (nth_element, upper neighbour as
+// the minimum above) instead of sorting; both must carry the bits of
+// a full sort read through dsp::quantile_sorted. Ties and +-0 mixes
+// are where a selection could pick a different element than the sort:
+// equal values are interchangeable, and the interpolation turns every
+// mix of zero signs into +0.
+TEST(TimeFeaturesTest, SelectionQuantilesMatchSortBitForBit) {
+  emoleak::util::Rng rng{91};
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 70; ++n) sizes.push_back(n);
+  sizes.push_back(420);
+  sizes.push_back(840);
+  for (const std::size_t n : sizes) {
+    for (int shape = 0; shape < 3; ++shape) {
+      std::vector<double> x(n);
+      for (double& v : x) {
+        if (shape == 0) {  // continuous
+          v = rng.normal();
+        } else if (shape == 1) {  // heavily tied: 4 distinct levels
+          v = 0.5 * static_cast<double>(rng.uniform_int(4)) - 0.5;
+        } else {  // +0, -0 and a few nonzero values around them
+          const std::uint64_t pick = rng.uniform_int(4);
+          v = pick == 0 ? 0.0 : pick == 1 ? -0.0 : 0.01 * rng.normal();
+        }
+      }
+      std::vector<double> sorted = x;
+      std::sort(sorted.begin(), sorted.end());
+      const auto f = time_features(x);
+      const double q25 = emoleak::dsp::quantile_sorted(sorted, 0.25);
+      const double q50 = emoleak::dsp::quantile_sorted(sorted, 0.50);
+      EXPECT_EQ(std::memcmp(&f[9], &q25, sizeof q25), 0)
+          << "n=" << n << " shape=" << shape << " q25 " << f[9] << " vs "
+          << q25;
+      EXPECT_EQ(std::memcmp(&f[10], &q50, sizeof q50), 0)
+          << "n=" << n << " shape=" << shape << " q50 " << f[10] << " vs "
+          << q50;
+    }
+  }
 }
 
 TEST(FreqFeaturesTest, CentroidTracksToneFrequency) {

@@ -12,6 +12,8 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <numbers>
 #include <optional>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "core/streaming.h"
 #include "ml/dataset.h"
 #include "ml/logistic.h"
+#include "serve/batcher.h"
 #include "serve/protocol.h"
 #include "util/bounded_queue.h"
 #include "util/error.h"
@@ -303,6 +306,77 @@ TEST(BoundedQueueTest, CapacityFifoAndClose) {
   q.close();
   EXPECT_FALSE(q.try_push(6));
   EXPECT_THROW(util::BoundedQueue<int>{0}, util::ConfigError);
+}
+
+// ---- request batcher --------------------------------------------------
+
+std::uint64_t pool_tasks() {
+  return obs::Registry::instance().counter("pool.tasks").value();
+}
+
+serve::PushRequest request_for(std::uint64_t stream_id, std::uint64_t flow) {
+  serve::PushRequest request;
+  request.stream_id = stream_id;
+  request.flow = flow;
+  return request;
+}
+
+TEST(RequestBatcherTest, OneBusyShardDrainsOnTheCallingThread) {
+  // Nearly every served drain holds one stream's chunk: it runs inline
+  // on the caller, and the pool never sees it.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    serve::RequestBatcher batcher{{.shard_count = 8, .queue_capacity = 16}};
+    for (std::size_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE(batcher.submit(request_for(7, i + 1)));
+    }
+    const std::uint64_t tasks = pool_tasks();
+    std::vector<std::thread::id> ran_on;
+    EXPECT_EQ(batcher.drain(
+                  [&ran_on](serve::PushRequest&) {
+                    ran_on.push_back(std::this_thread::get_id());
+                  },
+                  util::Parallelism{.threads = threads}),
+              5u);
+    EXPECT_EQ(ran_on, std::vector<std::thread::id>(
+                          5, std::this_thread::get_id()));
+    EXPECT_EQ(pool_tasks(), tasks) << "threads=" << threads;
+  }
+}
+
+TEST(RequestBatcherTest, SeveralBusyShardsStillFanOut) {
+  for (const std::size_t threads : {2u, 4u}) {
+    serve::RequestBatcher batcher{{.shard_count = 8, .queue_capacity = 16}};
+    // Three streams on three distinct shards, four requests each.
+    std::vector<std::uint64_t> streams;
+    std::vector<bool> taken(8, false);
+    for (std::uint64_t id = 0; streams.size() < 3; ++id) {
+      const std::size_t shard = batcher.shard_of(id);
+      if (taken[shard]) continue;
+      taken[shard] = true;
+      streams.push_back(id);
+    }
+    for (std::size_t seq = 0; seq < 4; ++seq) {
+      for (const std::uint64_t id : streams) {
+        ASSERT_TRUE(batcher.submit(request_for(id, seq + 1)));
+      }
+    }
+    const std::uint64_t tasks = pool_tasks();
+    std::mutex mutex;
+    std::map<std::uint64_t, std::vector<std::uint64_t>> order;
+    EXPECT_EQ(batcher.drain(
+                  [&](serve::PushRequest& request) {
+                    const std::lock_guard<std::mutex> lock{mutex};
+                    order[request.stream_id].push_back(request.flow);
+                  },
+                  util::Parallelism{.threads = threads}),
+              12u);
+    // One pool task per busy shard, none for the five idle ones.
+    EXPECT_EQ(pool_tasks() - tasks, 3u) << "threads=" << threads;
+    for (const std::uint64_t id : streams) {
+      EXPECT_EQ(order[id], (std::vector<std::uint64_t>{1, 2, 3, 4}))
+          << "stream " << id;
+    }
+  }
 }
 
 // ---- model registry ---------------------------------------------------
@@ -816,8 +890,9 @@ TEST(ServeServiceTest, MetricsRequestAnswersWithLiveCounters) {
     EXPECT_TRUE(has(snapshot.counters, name)) << name;
   }
   EXPECT_TRUE(has(snapshot.gauges, "serve.sessions.active"));
-  for (const char* name : {"serve.drain_latency_ns", "serve.e2e_latency_ns",
-                           "serve.batch_size", "serve.task.m.region_ns"}) {
+  for (const char* name :
+       {"serve.drain_latency_ns", "serve.e2e_latency_ns", "serve.batch_size",
+        "serve.stage.fifo_wait_ns", "serve.task.m.region_ns"}) {
     EXPECT_TRUE(has(snapshot.histograms, name)) << name;
   }
   const obs::RegistrySnapshot local = service.metrics_snapshot();
@@ -847,6 +922,12 @@ TEST(ServeServiceTest, MetricsRequestAnswersWithLiveCounters) {
   const obs::HistogramSnapshot& e2e = snapshot.histogram("serve.e2e_latency_ns");
   EXPECT_EQ(e2e.count, reference.size());
   EXPECT_EQ(e2e.count, snapshot.counter("serve.events_emitted"));
+
+  // The shard-FIFO wait (arrival stamp -> process()) counts every
+  // stamped request: each chunk and stream 4's finish.
+  const obs::HistogramSnapshot& fifo =
+      snapshot.histogram("serve.stage.fifo_wait_ns");
+  EXPECT_EQ(fifo.count, snapshot.counter("serve.chunks_processed") + 1);
 }
 
 TEST(ServeServiceTest, ReplyTypesSentToServerGetErrorAck) {

@@ -96,8 +96,8 @@ TEST(QuantileTest, Extremes) {
   EXPECT_DOUBLE_EQ(quantile(x, 1.0), 9.0);
 }
 
-// time_features sorts a region once and reads both quantiles from that
-// copy; quantile_sorted must give quantile's bits exactly.
+// quantile_sorted over a caller's sorted copy must give quantile's bits
+// exactly (test_features checks time_features' selection against it).
 TEST(QuantileTest, SortedMatchesQuantileBitForBit) {
   emoleak::util::Rng rng{23};
   for (const std::size_t n : {1u, 2u, 3u, 4u, 7u, 10u, 101u, 256u}) {

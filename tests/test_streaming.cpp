@@ -332,7 +332,11 @@ TEST(NoiseFloorTest, MatchesCopyAndSortReferenceOnEverySample) {
   // Capacities 1-8 (each phase class holds at most one value), sizes
   // that are not multiples of 8, and the default 10 s window at 420 Hz
   // (4200) next to 4203. Each stream runs through the filling phase
-  // and three full windows of steady state.
+  // and three full windows of steady state. Once full, capacities 8,
+  // 64 and 4200 (multiples of 8) take push()'s in-place replace branch
+  // and 4203 takes erase+insert. At 8 each class holds one value, so a
+  // mis-shifted replace (writing the new value at the evicted slot
+  // without shifting) first fails at 64.
   std::vector<std::size_t> capacities = {1, 2, 3, 4, 5, 6, 7, 8,
                                          9, 17, 63, 64, 4200, 4203};
   util::Rng rng{2024};
