@@ -174,7 +174,6 @@ EmotionEvent StreamingAttack::close_region(std::size_t start, std::size_t end,
   EmotionEvent event;
   event.start_sample = start > pad_samples_ ? start - pad_samples_ : 0;
   event.end_sample = end + pad_samples_;
-  ++events_;
 
   // Slice the raw history for feature extraction. Both bounds clamp
   // against history_start_ before subtracting: a padded region that has

@@ -142,20 +142,15 @@ class StreamingAttack {
   /// event).
   [[nodiscard]] std::optional<EmotionEvent> finish();
 
-  /// Swaps the model used for subsequent regions (hot-swap in the
-  /// serving layer). Pass nullptr for detection-only mode. Regions
-  /// closed before the call keep their old predictions. The route keeps
-  /// its current value unless the two-argument overload names one.
-  void set_classifier(std::shared_ptr<const ml::Classifier> classifier) {
-    classifier_ = std::move(classifier);
-  }
+  /// Swaps the model, and the input view it was trained on, used for
+  /// subsequent regions (hot-swap in the serving layer). Pass nullptr
+  /// for detection-only mode. Regions closed before the call keep their
+  /// old predictions.
   void set_classifier(std::shared_ptr<const ml::Classifier> classifier,
                       FeatureRoute route) {
     classifier_ = std::move(classifier);
     route_ = route;
   }
-
-  [[nodiscard]] FeatureRoute route() const noexcept { return route_; }
 
   /// In deferred mode push() leaves classified regions' events at
   /// predicted_class == -1 and queues {slot, classifier, input} in the
@@ -165,13 +160,11 @@ class StreamingAttack {
   /// take_pending() after every push and finish — slots are relative
   /// to that call's events.
   void set_deferred(bool deferred) noexcept { deferred_ = deferred; }
-  [[nodiscard]] bool deferred() const noexcept { return deferred_; }
   [[nodiscard]] std::vector<PendingWindow> take_pending() {
     return std::move(pending_);
   }
 
   [[nodiscard]] std::size_t samples_seen() const noexcept { return absolute_; }
-  [[nodiscard]] std::size_t events_emitted() const noexcept { return events_; }
 
  private:
   void process_sample(double raw, std::vector<EmotionEvent>& out);
@@ -203,7 +196,6 @@ class StreamingAttack {
   std::size_t history_start_ = 0;  ///< absolute index of history front
 
   std::size_t absolute_ = 0;
-  std::size_t events_ = 0;
   bool in_region_ = false;
   std::size_t region_start_ = 0;
   std::size_t below_count_ = 0;  ///< consecutive sub-threshold samples

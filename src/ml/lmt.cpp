@@ -108,6 +108,9 @@ void LogisticModelTree::deserialize(std::istream& in) {
     if (present) {
       auto model = std::make_unique<LogisticRegression>();
       model->deserialize(in);
+      if (model->classes() != classes_) {
+        throw util::DataError{"LMT::deserialize: leaf model class mismatch"};
+      }
       leaf_models_[leaf] = std::move(model);
     }
   }

@@ -39,6 +39,7 @@ class LogisticRegression final : public Classifier {
   void deserialize(std::istream& in) override;
 
   [[nodiscard]] const LogisticConfig& config() const noexcept { return config_; }
+  [[nodiscard]] int classes() const noexcept { return classes_; }
 
  private:
   /// Logits for a scaled row.

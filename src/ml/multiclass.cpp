@@ -80,6 +80,10 @@ void OneVsRestLogistic::deserialize(std::istream& in) {
   for (int c = 0; c < classes_; ++c) {
     LogisticRegression model;
     model.deserialize(in);
+    // predict_proba reads each member's probability of class 1.
+    if (model.classes() != 2) {
+      throw util::DataError{"OneVsRest::deserialize: member is not binary"};
+    }
     binary_.push_back(std::move(model));
   }
   if (!in) throw util::DataError{"OneVsRest::deserialize: truncated"};

@@ -14,12 +14,12 @@ void BatcherConfig::validate() const {
   }
 }
 
-RequestBatcher::RequestBatcher(BatcherConfig config) : config_{config} {
-  config_.validate();
-  shards_.reserve(config_.shard_count);
-  for (std::size_t s = 0; s < config_.shard_count; ++s) {
+RequestBatcher::RequestBatcher(BatcherConfig config) {
+  config.validate();
+  shards_.reserve(config.shard_count);
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
     shards_.push_back(
-        std::make_unique<util::BoundedQueue<PushRequest>>(config_.queue_capacity));
+        std::make_unique<util::BoundedQueue<PushRequest>>(config.queue_capacity));
   }
 }
 

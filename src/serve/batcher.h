@@ -31,6 +31,8 @@ struct BatcherConfig {
   void validate() const;
 };
 
+struct Session;
+
 /// One unit of work: a chunk of samples for a stream, an end-of-stream
 /// flush (`finish` set, `samples` empty), or a stream-open binding the
 /// stream to a named model (`start` set). Starts travel through the
@@ -43,6 +45,11 @@ struct PushRequest {
   bool finish = false;
   bool start = false;
   std::string model_name;  ///< for `start`: empty = registry default
+  /// The stream's session, set at admission (ServeService): the one it
+  /// opened or found open, or nullptr for a finish of a stream with no
+  /// open session. The shard reaches it through this pointer without
+  /// a table lookup or a lock.
+  Session* session = nullptr;
   /// Telemetry riders (never touch classification): `flow` is the
   /// causal-trace id minted at admission and inherited by the events
   /// this request closes; `arrival_ns` is the obs::trace_now_ns()
@@ -79,10 +86,7 @@ class RequestBatcher {
     return static_cast<std::size_t>(x % shards_.size());
   }
 
-  [[nodiscard]] const BatcherConfig& config() const noexcept { return config_; }
-
  private:
-  BatcherConfig config_;
   std::vector<std::unique_ptr<util::BoundedQueue<PushRequest>>> shards_;
 };
 

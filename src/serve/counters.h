@@ -52,7 +52,8 @@ class ServeCounters {
   obs::Counter& events_emitted;
   obs::Counter& drains;
   obs::Counter& windows_batched;
-  // Session-table lifecycle, bumped by SessionManager under its lock.
+  // Session-table lifecycle, bumped by ServeService under its
+  // session-table mutex: created at admission, active = table size.
   obs::Counter& sessions_created;
   obs::Gauge& sessions_active;
 

@@ -57,14 +57,6 @@ ModelRegistry::ModelPtr ModelRegistry::current() const {
   return entries_[default_version_ - 1].model;
 }
 
-std::pair<ModelRegistry::ModelPtr, std::uint64_t>
-ModelRegistry::current_with_generation() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  ModelPtr model =
-      default_version_ == 0 ? nullptr : entries_[default_version_ - 1].model;
-  return {std::move(model), generation_.load(std::memory_order_acquire)};
-}
-
 ModelRegistry::Resolved ModelRegistry::resolve_locked(
     const std::string& name) const {
   Resolved out;

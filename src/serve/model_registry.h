@@ -91,11 +91,6 @@ class ModelRegistry {
   /// The default model; nullptr before any registration.
   [[nodiscard]] ModelPtr current() const;
 
-  /// Default model plus the generation it belongs to, read atomically
-  /// (sessions cache the generation to detect swaps).
-  [[nodiscard]] std::pair<ModelPtr, std::uint64_t> current_with_generation()
-      const;
-
   /// Resolves a model name to its active model (empty name = the
   /// default). `model` is nullptr for an unknown name or an empty
   /// registry; `name` echoes the entry's registered name, so callers

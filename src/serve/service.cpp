@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <utility>
 
 #include "obs/obs.h"
@@ -11,18 +12,50 @@
 
 namespace emoleak::serve {
 
+void SessionConfig::validate() const {
+  stream.validate();
+  if (sample_rate_hz <= 0.0) {
+    throw util::ConfigError{"SessionConfig: sample_rate_hz <= 0"};
+  }
+  if (max_sessions == 0) {
+    throw util::ConfigError{"SessionConfig: max_sessions == 0"};
+  }
+}
+
 void ServeConfig::validate() const {
   session.validate();
   batcher.validate();
 }
 
+namespace {
+
+/// Appends the events one attack.push() or attack.finish() just
+/// returned, stamped with the closing request's telemetry riders (see
+/// EmotionEvent), and rebases that call's deferred windows from its
+/// event slots onto the outbox.
+void append(Session& session, std::span<core::EmotionEvent> events,
+            std::uint64_t flow, std::uint64_t arrival_ns) {
+  const std::size_t outbox_base = session.outbox.size();
+  for (core::EmotionEvent& event : events) {
+    event.flow = flow;
+    event.arrival_ns = arrival_ns;
+    session.outbox.push_back(std::move(event));
+  }
+  for (core::PendingWindow& window : session.attack.take_pending()) {
+    window.slot += outbox_base;
+    session.pending.push_back(std::move(window));
+  }
+}
+
+}  // namespace
+
 ServeService::ServeService(ServeConfig config,
                            std::shared_ptr<ModelRegistry> registry)
     : config_{std::move(config)},
       registry_{std::move(registry)},
-      sessions_{config_.session, registry_, counters_},
       batcher_{config_.batcher} {
   config_.validate();
+  if (!registry_) throw util::ConfigError{"ServeService: null model registry"};
 }
 
 Status ServeService::admit(PushRequest request) {
@@ -31,30 +64,40 @@ Status ServeService::admit(PushRequest request) {
     request.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
   const std::uint64_t flow = request.flow;
-  const bool finish = request.finish;
   {
-    // The ledger must change in the order the shard FIFOs see the
-    // requests, so the submit happens under the same lock.
-    std::lock_guard<std::mutex> lock{admission_mutex_};
-    const auto it = admitted_.try_emplace(request.stream_id).first;
-    Admission& entry = it->second;
-    const bool opens = !finish && !entry.open;
-    Status status = Status::kOk;
-    if (opens && admitted_sessions_ >= config_.session.max_sessions) {
-      counters_.rejected_capacity.add(1);
-      status = Status::kNoCapacity;
-    } else if (!batcher_.submit(std::move(request))) {
-      counters_.rejected_overload.add(1);
-      status = Status::kOverloaded;
-    } else if (opens) {
-      entry.open = true;
-      ++entry.sessions;
-      ++admitted_sessions_;
-    } else if (finish) {
-      entry.open = false;
+    std::lock_guard<std::mutex> lock{sessions_mutex_};
+    // The stream's newest session, if no finish for it was admitted.
+    const std::uint64_t stream_id = request.stream_id;
+    const auto after = sessions_.upper_bound(
+        {stream_id, std::numeric_limits<std::uint64_t>::max()});
+    if (after != sessions_.begin()) {
+      auto& [key, newest] = *std::prev(after);
+      if (key.first == stream_id && !newest.closed) request.session = &newest;
     }
-    if (entry.sessions == 0) admitted_.erase(it);
-    if (status != Status::kOk) return status;
+    auto opened = sessions_.end();
+    if (request.session == nullptr && !request.finish) {
+      if (sessions_.size() >= config_.session.max_sessions) {
+        counters_.rejected_capacity.add(1);
+        return Status::kNoCapacity;
+      }
+      opened = sessions_
+                   .try_emplace({stream_id, sessions_opened_++},
+                                config_.session)
+                   .first;
+      request.session = &opened->second;
+    }
+    Session* const session = request.session;
+    const bool finish = request.finish;
+    if (!batcher_.submit(std::move(request))) {
+      if (opened != sessions_.end()) sessions_.erase(opened);
+      counters_.rejected_overload.add(1);
+      return Status::kOverloaded;
+    }
+    if (opened != sessions_.end()) {
+      counters_.sessions_created.add(1);
+      counters_.sessions_active.set(static_cast<std::int64_t>(sessions_.size()));
+    }
+    if (finish && session != nullptr) session->closed = true;
   }
   // Flow begins only for admitted work — a rejected request never
   // crosses a thread, so there is nothing to link.
@@ -103,7 +146,7 @@ Status ServeService::start_stream(std::uint64_t stream_id,
   return admit(std::move(request));
 }
 
-void ServeService::bind_session(SessionManager::Session& session) {
+void ServeService::bind_session(Session& session) {
   const ModelRegistry::Resolved resolved =
       registry_->resolve(session.model_name);
   session.attack.set_classifier(resolved.model, resolved.route);
@@ -129,19 +172,21 @@ void ServeService::process(PushRequest& request) {
       counters_.record_fifo_wait(now - request.arrival_ns);
     }
   }
+  Session* const session = request.session;
+  if (session == nullptr) return;  // finish of a stream with no session
   if (request.finish) {
-    sessions_.finish(request.stream_id, request.flow, request.arrival_ns);
+    if (auto last = session->attack.finish()) {
+      append(*session, {&*last, 1}, request.flow, request.arrival_ns);
+    }
+    session->finished = true;
     return;
   }
-  // Admission counted this stream against max_sessions, so the table
-  // has room for it.
-  SessionManager::Session& session = sessions_.acquire(request.stream_id);
   if (request.start) {
     // Ordered ahead of the stream's subsequent chunks by the shard
     // FIFO, so the binding is in place before any sample of the stream
     // is processed.
-    session.model_name = std::move(request.model_name);
-    bind_session(session);
+    session->model_name = std::move(request.model_name);
+    bind_session(*session);
     return;
   }
   // Lazy hot-swap: an add()/activate() since this session's last
@@ -149,27 +194,27 @@ void ServeService::process(PushRequest& request) {
   // closes. The generation probe is one relaxed atomic load; the
   // registry lock is only taken when a swap actually happened (or on
   // the session's very first request).
-  if (session.task == nullptr ||
-      session.model_generation != registry_->generation()) {
-    bind_session(session);
+  if (session->task == nullptr ||
+      session->model_generation != registry_->generation()) {
+    bind_session(*session);
   }
   const std::uint64_t t0 = obs::trace_now_ns();
-  std::vector<core::EmotionEvent> events = session.attack.push(
+  std::vector<core::EmotionEvent> events = session->attack.push(
       std::span<const double>{request.samples.data(), request.samples.size()});
   counters_.chunks_processed.add(1);
   counters_.samples_processed.add(request.samples.size());
-  session.task->samples.add(request.samples.size());
+  session->task->samples.add(request.samples.size());
   if (!events.empty()) {
     counters_.events_emitted.add(events.size());
-    session.task->events.add(events.size());
+    session->task->events.add(events.size());
     // Attribute the chunk's wall time to the task only when a region
     // actually closed — classification dominates the cost, and this is
     // the per-task latency the mitigation study compares.
-    session.task->region_ns.record(obs::trace_now_ns() - t0);
+    session->task->region_ns.record(obs::trace_now_ns() - t0);
     // The closing chunk's telemetry riders travel with the event: the
     // flow id links this region's spans across threads, the arrival
     // stamp feeds serve.e2e_latency_ns at write-out.
-    session.append(events, request.flow, request.arrival_ns);
+    append(*session, events, request.flow, request.arrival_ns);
   }
 }
 
@@ -182,18 +227,8 @@ std::size_t ServeService::drain() {
   const std::size_t processed = batcher_.drain(
       [this](PushRequest& request) { process(request); },
       config_.parallelism);
-  run_batched_classify();
-  const std::vector<std::uint64_t> released = sessions_.release_finished();
-  if (!released.empty()) {
-    std::lock_guard<std::mutex> admission{admission_mutex_};
-    for (const std::uint64_t stream_id : released) {
-      const auto it = admitted_.find(stream_id);
-      --it->second.sessions;
-      --admitted_sessions_;
-      if (it->second.sessions == 0 && !it->second.open) admitted_.erase(it);
-    }
-  }
   if (processed > 0) {
+    run_batched_classify(release_sessions());
     const auto t1 = std::chrono::steady_clock::now();
     counters_.record_drain_latency(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
@@ -201,8 +236,30 @@ std::size_t ServeService::drain() {
   return processed;
 }
 
-void ServeService::run_batched_classify() {
-  std::vector<SessionManager::PendingEntry> pending = sessions_.take_pending();
+std::vector<ServeService::PendingEntry> ServeService::release_sessions() {
+  std::vector<PendingEntry> pending;
+  std::lock_guard<std::mutex> lock{sessions_mutex_};
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    Session& session = it->second;
+    if (!session.outbox.empty()) {
+      std::vector<core::EmotionEvent>& ready = ready_[it->first];
+      const std::size_t base = ready.size();
+      ready.insert(ready.end(), std::make_move_iterator(session.outbox.begin()),
+                   std::make_move_iterator(session.outbox.end()));
+      session.outbox.clear();
+      for (core::PendingWindow& window : session.pending) {
+        pending.push_back({&ready[base + window.slot], std::move(window)});
+      }
+      session.pending.clear();
+    }
+    it = session.finished ? sessions_.erase(it) : std::next(it);
+  }
+  counters_.sessions_active.set(static_cast<std::int64_t>(sessions_.size()));
+  return pending;
+}
+
+void ServeService::run_batched_classify(
+    const std::vector<PendingEntry>& pending) {
   if (pending.empty()) return;
   OBS_SPAN_ARG("serve.batch_classify", "windows", pending.size());
   // Group by (captured model, input width) in first-seen order over the
@@ -241,8 +298,7 @@ void ServeService::run_batched_classify() {
         group.model->predict_proba_batch(rows, group.dim, count);
     const std::size_t classes = probs.size() / count;
     for (std::size_t i = 0; i < count; ++i) {
-      const SessionManager::PendingEntry& entry = pending[group.members[i]];
-      core::EmotionEvent& event = entry.session->outbox[entry.window.slot];
+      core::EmotionEvent& event = *pending[group.members[i]].event;
       const auto first =
           probs.begin() + static_cast<std::ptrdiff_t>(i * classes);
       const auto last = first + static_cast<std::ptrdiff_t>(classes);
@@ -260,17 +316,20 @@ std::vector<EventMsg> ServeService::take_events() {
   std::lock_guard<std::mutex> lock{drain_mutex_};
   std::vector<EventMsg> out;
   const std::uint64_t now = obs::trace_now_ns();
-  for (auto& [stream_id, event] : sessions_.take_events()) {
-    // End of the causal chain: the event is leaving for encoding. The
-    // e2e histogram covers chunk arrival -> here, which (unlike drain
-    // latency) includes shard-FIFO queueing and any ticks a deferred
-    // window waited for its batch.
-    if (event.arrival_ns != 0 && now >= event.arrival_ns) {
-      counters_.record_e2e_latency(now - event.arrival_ns);
+  for (auto& [key, events] : ready_) {
+    for (core::EmotionEvent& event : events) {
+      // End of the causal chain: the event is leaving for encoding. The
+      // e2e histogram covers chunk arrival -> here, which (unlike drain
+      // latency) includes shard-FIFO queueing and any ticks a deferred
+      // window waited for its batch.
+      if (event.arrival_ns != 0 && now >= event.arrival_ns) {
+        counters_.record_e2e_latency(now - event.arrival_ns);
+      }
+      if (event.flow != 0) OBS_FLOW_END("serve.flow", event.flow);
+      out.push_back(EventMsg{key.first, std::move(event)});
     }
-    if (event.flow != 0) OBS_FLOW_END("serve.flow", event.flow);
-    out.push_back(EventMsg{stream_id, std::move(event)});
   }
+  ready_.clear();
   return out;
 }
 

@@ -4,15 +4,15 @@
 // accelerometer streams from many devices are classified centrally
 // against pre-trained models. ServeService wires the pieces together:
 //
-//   push/finish  -> RequestBatcher (bounded shard queues, admission
-//                   control: full queue => Status::kOverloaded, a new
-//                   stream past max_sessions => Status::kNoCapacity)
+//   push/finish  -> admission: the session table (one Session per
+//                   admitted stream, at most max_sessions, else
+//                   Status::kNoCapacity) and the RequestBatcher's
+//                   bounded shard queues (full queue =>
+//                   Status::kOverloaded)
 //   drain        -> shards fan out over util::ThreadPool; each shard
 //                   feeds its streams' StreamingAttack sequentially,
 //                   so per-stream event sequences are bit-identical to
 //                   a standalone StreamingAttack at any thread count
-//   SessionManager  bounded session table; a session lives from its
-//                   stream's first request to the drain that finishes it
 //   ModelRegistry   versioned models, atomic hot-swap (add/activate in
 //                   process); sessions pick up a swap lazily at their
 //                   next processed request
@@ -26,18 +26,19 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "core/streaming.h"
 #include "serve/batcher.h"
 #include "serve/counters.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
-#include "serve/session_manager.h"
 #include "util/parallel.h"
 
 namespace emoleak::serve {
@@ -47,6 +48,49 @@ namespace emoleak::serve {
 /// end of the wakeup that filled the queue and at least every backstop
 /// tick, so a retry this much later finds queue room.
 inline constexpr std::uint32_t kRetryAfterMs = 1;
+
+struct SessionConfig {
+  core::StreamingConfig stream;     ///< detector knobs for every session
+  double sample_rate_hz = 420.0;    ///< accelerometer rate of the fleet
+  std::size_t max_sessions = 64;    ///< hard cap on admitted sessions
+
+  void validate() const;
+};
+
+/// One admitted stream's state. A session lives from the admission of
+/// the push or start that opened it to the end of the drain that
+/// processes its finish. While shards run, only the shard that owns its
+/// stream id touches it (through PushRequest::session); after the
+/// shard barrier the drain's release walk does. Admission touches only
+/// `closed`, under the session-table mutex.
+struct Session {
+  explicit Session(const SessionConfig& config)
+      : attack{config.stream, config.sample_rate_hz, nullptr} {}
+  // Queued requests hold its address.
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  core::StreamingAttack attack;
+  /// Events emitted in the running drain, in emission order; moved out
+  /// for take_events() when the drain ends.
+  std::vector<core::EmotionEvent> outbox;
+  /// Regions whose classification waits for the drain's batch step.
+  /// `slot` is the event's index in `outbox`; the model is the one
+  /// captured when the region closed, so a mid-drain rebind cannot
+  /// change which model scores it.
+  std::vector<core::PendingWindow> pending;
+  /// Registry name this stream is bound to (empty = default). Set by a
+  /// StreamStart request; re-resolved lazily on generation bumps so a
+  /// hot-swapped model under the same name takes effect.
+  std::string model_name;
+  std::uint64_t model_generation = 0;
+  /// Per-task counter bundle, cached at bind time so the shard's hot
+  /// path bumps lock-free. nullptr = not yet bound: the session binds
+  /// on its first processed request.
+  ServeCounters::TaskCounters* task = nullptr;
+  bool closed = false;    ///< its finish was admitted (admission side)
+  bool finished = false;  ///< its finish was processed (shard side)
+};
 
 struct ServeConfig {
   SessionConfig session;
@@ -111,9 +155,10 @@ class ServeService {
   Status start_stream(std::uint64_t stream_id, std::string model_name);
 
   /// Runs one batch cycle: processes every queued request (per-stream
-  /// sequential, streams parallel), batch-classifies the deferred
-  /// windows, then frees the sessions finished in it. Returns requests
-  /// processed. Thread-safe; concurrent callers are serialized.
+  /// sequential, streams parallel), frees the sessions whose finish it
+  /// processed and batch-classifies the deferred windows. Returns
+  /// requests processed. Thread-safe; concurrent callers are
+  /// serialized.
   std::size_t drain();
 
   /// Events completed since the last call, ordered by (stream id,
@@ -152,46 +197,59 @@ class ServeService {
   [[nodiscard]] obs::RegistrySnapshot metrics_snapshot() const;
 
  private:
+  /// A session's place in the table: (stream id, admission order). Map
+  /// order lists a stream's finished sessions before the one restarted
+  /// under its id, which is the order take_events() promises.
+  using SessionKey = std::pair<std::uint64_t, std::uint64_t>;
+
   /// The one admission path behind push/finish_stream/start_stream:
   /// stamps push and finish requests with an arrival time and a flow id
-  /// (starts carry neither), checks session capacity, submits to the
-  /// stream's shard, and counts serve.accepted, serve.rejected_capacity
-  /// or serve.rejected_overload.
+  /// (starts carry neither), creates the stream's session when a push
+  /// or start opens one (kNoCapacity at max_sessions), closes it when
+  /// a finish is admitted, submits to the stream's shard, and counts
+  /// serve.accepted, serve.rejected_capacity or serve.rejected_overload.
   Status admit(PushRequest request);
   void process(PushRequest& request);
-  /// Batch-classifies every deferred window collected this drain:
-  /// groups by (captured model, input width), one predict_proba_batch
-  /// per group, results scattered back to each session's outbox by
-  /// slot. Runs under drain_mutex_ after the shard barrier, so no shard
-  /// task is touching any session.
-  void run_batched_classify();
+  /// One deferred window and the ready_ event it patches.
+  struct PendingEntry {
+    core::EmotionEvent* event = nullptr;
+    core::PendingWindow window;
+  };
+  /// One walk of the table after the shard barrier: moves every
+  /// session's outbox to ready_ and its deferred windows to the result,
+  /// and frees the sessions whose finish this drain processed. The
+  /// windows come in table order — by stream id, a finished session
+  /// before one restarted under its id, each session's in slot order —
+  /// independent of shard scheduling and thread count.
+  std::vector<PendingEntry> release_sessions();
+  /// Batch-classifies the deferred windows: groups by (captured model,
+  /// input width), one predict_proba_batch per group, results scattered
+  /// back to the ready events.
+  void run_batched_classify(const std::vector<PendingEntry>& pending);
   /// (Re)binds a session to its model_name: resolves the registry,
   /// swings the classifier + feature route, caches the per-task counter
   /// bundle, and counts a stream for the task the session landed on.
-  void bind_session(SessionManager::Session& session);
+  void bind_session(Session& session);
 
   ServeConfig config_;
   std::shared_ptr<ModelRegistry> registry_;
-  ServeCounters counters_;  ///< before sessions_, which records into it
-  SessionManager sessions_;
+  ServeCounters counters_;
   RequestBatcher batcher_;
-  std::mutex drain_mutex_;          ///< one drain cycle at a time
-  /// Admitted sessions of one stream id: how many are not yet released
-  /// (a finished one stays until the end of the drain that processes
-  /// its finish) and whether the newest is open (no finish admitted).
-  struct Admission {
-    std::size_t sessions = 0;
-    bool open = false;
-  };
-  /// Guards the admission ledger below. The typed API may be called
-  /// from several producer threads; the TCP transport admits from its
-  /// loop thread only, so there the lock is uncontended.
-  std::mutex admission_mutex_;
-  std::unordered_map<std::uint64_t, Admission> admitted_;
-  /// Sum of admitted_[*].sessions. Every session in the table or
-  /// awaiting release is counted here, so admitting only while this is
-  /// below max_sessions keeps SessionManager::acquire within the cap.
-  std::size_t admitted_sessions_ = 0;
+  std::mutex drain_mutex_;  ///< one drain cycle at a time; guards ready_
+  /// Guards the session table's structure and every Session::closed.
+  /// The typed API may be called from several producer threads; the
+  /// TCP transport admits from its loop thread only, so there the lock
+  /// is uncontended. Admission submits to the shard under it, so the
+  /// table changes in the order the shard FIFOs see the requests.
+  std::mutex sessions_mutex_;
+  /// Every admitted, unreleased session: its size is
+  /// serve.sessions.active, and admission keeps it <= max_sessions.
+  /// Map nodes never move, so a queued request's Session pointer stays
+  /// valid until the drain that frees the session.
+  std::map<SessionKey, Session> sessions_;
+  std::uint64_t sessions_opened_ = 0;  ///< admission order of the next key
+  /// Events of finished drains awaiting take_events(), per session.
+  std::map<SessionKey, std::vector<core::EmotionEvent>> ready_;
   /// Flow-id mint for causal tracing: each admitted push/finish
   /// gets a unique nonzero id, and the events its windows produce
   /// inherit it — linking one request's spans across the event-loop

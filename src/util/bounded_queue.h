@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -29,21 +28,12 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Enqueues unless the queue is full or closed; never blocks.
+  /// Enqueues unless the queue is full; never blocks.
   [[nodiscard]] bool try_push(T value) {
     std::lock_guard<std::mutex> lock{mutex_};
-    if (closed_ || items_.size() >= capacity_) return false;
+    if (items_.size() >= capacity_) return false;
     items_.push_back(std::move(value));
     return true;
-  }
-
-  /// Dequeues the oldest element, if any.
-  [[nodiscard]] std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock{mutex_};
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    return value;
   }
 
   /// Moves everything currently queued into `out` (appending) in FIFO
@@ -56,25 +46,10 @@ class BoundedQueue {
     return n;
   }
 
-  /// After close(), try_push always fails; queued elements stay
-  /// poppable so a consumer can finish the backlog.
-  void close() {
-    std::lock_guard<std::mutex> lock{mutex_};
-    closed_ = true;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lock{mutex_};
-    return items_.size();
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::deque<T> items_;
   std::size_t capacity_;
-  bool closed_ = false;
 };
 
 }  // namespace emoleak::util

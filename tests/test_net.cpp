@@ -4,7 +4,8 @@
 // isolation, loopback round-trip parity with the in-process transport,
 // overload -> retry-after acks, mid-stream disconnect finishing, stream
 // ownership released by a finish, graceful shutdown flushing open
-// sessions, and seeded frame mutants. The loopback tests run the
+// sessions, seeded frame mutants, and random chunkings written at
+// random split points. The loopback tests run the
 // server's accept/drain loop against concurrent clients and are the
 // TSan target for the transport (see the sanitizer recipe in
 // ROADMAP.md).
@@ -612,6 +613,57 @@ TEST(NetServerTest, LoopbackRoundTripMatchesInProcess) {
   EXPECT_GT(metrics.histogram("net.loop_stall_ns").count, 0u);
 }
 
+/// A chunk length in [1, 2000], log-uniform: most chunks are short, a
+/// few come near the ceiling.
+std::size_t random_chunk(util::Rng& rng) {
+  return static_cast<std::size_t>(std::exp(rng.uniform(0.0, std::log(2000.0))));
+}
+
+// One trace cut into random chunks, its frames written to the socket at
+// random split points (frames torn across writes and reads), is served
+// bit-identically to a standalone StreamingAttack fed it whole.
+TEST(NetServerTest, RandomChunksAndWriteSplitsMatchStandalone) {
+  ServerFixture fx{service_config(2)};
+  const auto trace = default_trace(64);
+  const auto reference =
+      standalone_events(trace, trace.size(), fx.registry->current());
+  ASSERT_FALSE(reference.empty());
+
+  util::Rng rng{0x7C95};
+  std::string bytes;
+  std::size_t frames = 0;
+  for (std::size_t i = 0; i < trace.size(); ++frames) {
+    const std::size_t hi = std::min(trace.size(), i + random_chunk(rng));
+    serve::encode(bytes, serve::ChunkPushMsg{8, slice(trace, i, hi)});
+    i = hi;
+  }
+  serve::encode(bytes, serve::StreamFinishMsg{8});
+  ++frames;
+
+  net::BlockingClient client{fx.server->port()};
+  client.set_recv_timeout(10000);
+  for (std::size_t at = 0; at < bytes.size();) {
+    const std::size_t n =
+        std::min<std::size_t>(bytes.size() - at, 1 + rng.uniform_int(4096));
+    client.send_bytes(std::string_view{bytes}.substr(at, n));
+    at += n;
+    std::this_thread::sleep_for(std::chrono::microseconds{rng.uniform_int(200)});
+  }
+  std::size_t acks = 0;
+  std::vector<core::EmotionEvent> events;
+  while (acks < frames || events.size() < reference.size()) {
+    auto msg = client.recv();
+    ASSERT_TRUE(msg.has_value());
+    if (auto* event = std::get_if<serve::EventMsg>(&*msg)) {
+      events.push_back(std::move(event->event));
+    } else {
+      EXPECT_EQ(std::get<serve::AckMsg>(*msg).status, Status::kOk);
+      ++acks;
+    }
+  }
+  expect_same_events(events, reference);
+}
+
 TEST(NetServerTest, OverloadAckCarriesRetryAfter) {
   serve::ServeConfig cfg = service_config(1);
   cfg.batcher.shard_count = 1;
@@ -702,7 +754,8 @@ TEST(NetServerTest, DisconnectEvictsSession) {
     client.set_recv_timeout(10000);
     client.send(serve::ChunkPushMsg{7, std::vector<double>(256, 9.81)});
     EXPECT_EQ(std::get<serve::AckMsg>(*client.recv()).status, Status::kOk);
-    // Wait until the chunk was actually processed (session exists).
+    // Admission opened the session before the ack was written; the
+    // loop waits only for this thread to see the gauge.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds{10};
     while (sessions_active(fx) == 0 &&

@@ -1,10 +1,16 @@
 // Tests for model serialization (ml/serialize.h): every supported
-// classifier must round-trip to identical predictions.
+// classifier must round-trip to identical predictions, and malformed
+// or mutated model files must fail with util::DataError, never a crash
+// or an oversized allocation.
 #include "ml/serialize.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cctype>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 
 #include "ml/ensemble.h"
@@ -14,6 +20,25 @@
 #include "ml/tree.h"
 #include "util/error.h"
 #include "util/rng.h"
+
+// The largest single operator-new request since the last reset: the
+// mutation test checks that no decoder allocates past what its count
+// caps allow. Both functions stay out of line, so the compiler never
+// pairs an inlined malloc with a free it cannot match.
+std::atomic<std::size_t> g_largest_allocation{0};
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_allocation.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -208,6 +233,24 @@ TEST(SerializeTest, SubspaceColumnOutOfRangeRejected) {
                              "2 1 1\n0 0 -1 -1 0 2 0.5 0.5\n"));
 }
 
+TEST(SerializeTest, OneVsRestNonBinaryMemberRejected) {
+  // Found by ModelMutantTest: a one-class member loaded, and
+  // predict_proba then read its class-1 probability past the end of a
+  // one-element distribution.
+  const std::string one_class = "1 1\n0 \n1 \n0.5 0.5 \n";
+  expect_rejected(model_file("multiClassClassifier", "2\n" + one_class +
+                                                         one_class));
+}
+
+TEST(SerializeTest, LmtLeafModelClassMismatchRejected) {
+  // A 3-class leaf model in a 2-class tree would hand the caller a
+  // distribution of the wrong size.
+  expect_rejected(model_file("trees.lmt",
+                             "2 1\n"
+                             "2 1 1\n0 0 -1 -1 0 2 0.5 0.5\n"
+                             "1\n3 1\n0 \n1 \n0 0 0 0 0 0 \n"));
+}
+
 TEST(SerializeTest, BadScalerStddevRejected) {
   // Zero stddev would divide by zero on every later predict.
   expect_rejected(model_file("Logistic", "2 1\n0.0 \n0.0 \n1 2 3 4 \n"));
@@ -228,6 +271,129 @@ TEST(SerializeTest, LoadedTreeGuardsNarrowRows) {
   const auto loaded = load_model(buffer);
   const std::vector<double> empty;
   EXPECT_THROW((void)loaded->predict(empty), emoleak::util::DataError);
+}
+
+// ---- seeded mutants ---------------------------------------------------
+
+/// One saved model of every kind load_model knows, small enough that a
+/// mutant decodes in microseconds.
+std::vector<std::string> seed_models() {
+  const Dataset d = blobs(12, 3, 21);
+  std::vector<std::unique_ptr<Classifier>> models;
+  models.push_back(std::make_unique<LogisticRegression>());
+  models.push_back(std::make_unique<OneVsRestLogistic>());
+  models.push_back(std::make_unique<DecisionTree>());
+  RandomForestConfig forest;
+  forest.tree_count = 3;
+  models.push_back(std::make_unique<RandomForest>(forest));
+  RandomSubspaceConfig subspace;
+  subspace.ensemble_size = 3;
+  models.push_back(std::make_unique<RandomSubspace>(subspace));
+  models.push_back(std::make_unique<LogisticModelTree>());
+  std::vector<std::string> seeds;
+  for (const auto& model : models) {
+    model->fit(d);
+    std::stringstream out;
+    save_model(out, *model);
+    seeds.push_back(out.str());
+  }
+  return seeds;
+}
+
+/// One to three edits of a random seed: bit flips, count edits (a
+/// whitespace-separated token replaced by a boundary value), truncation,
+/// and splices with another seed.
+std::string mutate_model(const std::vector<std::string>& seeds, Rng& rng) {
+  std::string text = seeds[rng.uniform_int(seeds.size())];
+  const std::uint64_t edits = 1 + rng.uniform_int(3);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    switch (rng.uniform_int(4)) {
+      case 0:
+        if (!text.empty()) {
+          text[rng.uniform_int(text.size())] ^=
+              static_cast<char>(1u << rng.uniform_int(8));
+        }
+        break;
+      case 1: {
+        std::vector<std::size_t> starts;
+        for (std::size_t i = 0; i < text.size(); ++i) {
+          const bool space = std::isspace(static_cast<unsigned char>(text[i]));
+          if (!space && (i == 0 || std::isspace(static_cast<unsigned char>(
+                                       text[i - 1])))) {
+            starts.push_back(i);
+          }
+        }
+        if (starts.empty()) break;
+        const std::size_t at = starts[rng.uniform_int(starts.size())];
+        std::size_t end = at;
+        while (end < text.size() &&
+               !std::isspace(static_cast<unsigned char>(text[end]))) {
+          ++end;
+        }
+        const std::string values[] = {
+            "0", "1", "2", "-1", "-7", "4097", "1048577", "4194305",
+            "65537", "18446744073709551615", "99999999999", "nan", "inf",
+            "1e308", std::to_string(rng.uniform_int(64))};
+        text.replace(at, end - at, values[rng.uniform_int(std::size(values))]);
+        break;
+      }
+      case 2:
+        text.resize(rng.uniform_int(text.size() + 1));
+        break;
+      default: {
+        const std::string& other = seeds[rng.uniform_int(seeds.size())];
+        text = text.substr(0, rng.uniform_int(text.size() + 1)) +
+               other.substr(rng.uniform_int(other.size() + 1));
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+// Every mutant of every model kind either loads or raises
+// util::DataError: no other exception, no crash or undefined behaviour
+// (the test runs under ASan and UBSan), and no allocation larger than
+// the count caps allow — the largest capped buffer is kMaxNodes tree
+// nodes of under 64 bytes each.
+TEST(ModelMutantTest, SeededMutantsLoadOrRaiseDataError) {
+  const std::vector<std::string> seeds = seed_models();
+  ASSERT_EQ(seeds.size(), 6u);
+  constexpr std::size_t kCeiling = detail::kMaxNodes * 64;
+  Rng rng{0x10AD};
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    const std::string mutant = mutate_model(seeds, rng);
+    std::unique_ptr<Classifier> model;
+    g_largest_allocation.store(0, std::memory_order_relaxed);
+    try {
+      std::stringstream in{mutant};
+      model = load_model(in);
+    } catch (const emoleak::util::DataError&) {
+      ++rejected;
+    }
+    EXPECT_LE(g_largest_allocation.load(std::memory_order_relaxed), kCeiling);
+    if (!model) continue;
+    ++loaded;
+    // A model that loads is safe to use: a predict either returns a
+    // distribution or refuses the row.
+    try {
+      EXPECT_FALSE(model->predict_proba(std::vector<double>{0.5, -0.25, 1.0})
+                       .empty());
+    } catch (const emoleak::util::DataError&) {
+    }
+    // And it saves to a file that loads back and saves identically.
+    std::stringstream once;
+    save_model(once, *model);
+    std::stringstream again;
+    save_model(again, *load_model(once));
+    EXPECT_EQ(again.str(), once.str());
+  }
+  // The mutants reach both outcomes.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(SerializeTest, FileRoundTrip) {

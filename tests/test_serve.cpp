@@ -1,9 +1,11 @@
 // Tests for the emoleak::serve inference service: wire-protocol
 // round-trips and malformed-frame rejection, bounded-queue admission
 // control, registry versioning/hot-swap, batching determinism at 1/2/8
-// threads, the session table's capacity and lifecycle, and overload
-// rejection. The concurrent-producer test is the TSan target for the
-// serving layer (see the sanitizer recipe in ROADMAP.md).
+// threads, the session table's capacity and lifecycle, overload
+// rejection, and a serve-path property over random chunkings,
+// interleavings and restarts. The concurrent-producer test is the TSan
+// target for the serving layer (see the sanitizer recipe in
+// ROADMAP.md).
 #include "serve/service.h"
 
 #include <gtest/gtest.h>
@@ -288,23 +290,20 @@ TEST(ServeProtocolTest, TelemetryTypesAreVersionCompatibleAppends) {
 
 // ---- bounded queue ----------------------------------------------------
 
-TEST(BoundedQueueTest, CapacityFifoAndClose) {
+TEST(BoundedQueueTest, CapacityAndFifo) {
   util::BoundedQueue<int> q{3};
   EXPECT_TRUE(q.try_push(1));
   EXPECT_TRUE(q.try_push(2));
   EXPECT_TRUE(q.try_push(3));
   EXPECT_FALSE(q.try_push(4));  // full: admission control, not blocking
-  EXPECT_EQ(q.size(), 3u);
 
   std::vector<int> out;
   EXPECT_EQ(q.drain_into(out), 3u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
   EXPECT_TRUE(q.try_push(5));
-  EXPECT_EQ(*q.try_pop(), 5);
-  EXPECT_FALSE(q.try_pop().has_value());
-
-  q.close();
-  EXPECT_FALSE(q.try_push(6));
+  EXPECT_EQ(q.drain_into(out), 1u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 5}));
+  EXPECT_EQ(q.drain_into(out), 0u);
   EXPECT_THROW(util::BoundedQueue<int>{0}, util::ConfigError);
 }
 
@@ -396,9 +395,6 @@ TEST(ModelRegistryTest, VersionsActivateAndSwap) {
   registry.activate(2);
   EXPECT_EQ(registry.generation(), 2u);
   EXPECT_EQ(registry.current(), registry.get(2));
-  const auto [model, generation] = registry.current_with_generation();
-  EXPECT_EQ(model, registry.get(2));
-  EXPECT_EQ(generation, 2u);
 
   EXPECT_EQ(registry.get(0), nullptr);
   EXPECT_EQ(registry.get(3), nullptr);
@@ -644,10 +640,19 @@ TEST(ServeServiceTest, OverloadRejectsInsteadOfQueueing) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(service.push(1, chunk), Status::kOverloaded);
   }
+  // Refused requests leave no trace: no session for a push or start
+  // that would have opened one, and stream 1's stays open.
+  EXPECT_EQ(service.push(2, chunk), Status::kOverloaded);
+  EXPECT_EQ(service.start_stream(3, ""), Status::kOverloaded);
+  EXPECT_EQ(service.finish_stream(1), Status::kOverloaded);
   obs::RegistrySnapshot metrics = service.metrics_snapshot();
-  EXPECT_EQ(metrics.counter("serve.requests"), 5u);
+  EXPECT_EQ(metrics.counter("serve.requests"), 8u);
   EXPECT_EQ(metrics.counter("serve.accepted"), 2u);
-  EXPECT_EQ(metrics.counter("serve.rejected_overload"), 3u);
+  EXPECT_EQ(metrics.counter("serve.rejected_overload"), 6u);
+  // Admission created stream 1's session; the gauge counts it before
+  // any drain has run.
+  EXPECT_EQ(metrics.counter("serve.sessions.created"), 1u);
+  EXPECT_EQ(metrics.gauge("serve.sessions.active"), 1);
 
   // A drain empties the queue; the service recovers without losing the
   // admitted work.
@@ -655,7 +660,9 @@ TEST(ServeServiceTest, OverloadRejectsInsteadOfQueueing) {
   EXPECT_EQ(service.push(1, chunk), Status::kOk);
   metrics = service.metrics_snapshot();
   EXPECT_EQ(metrics.counter("serve.chunks_processed"), 2u);
-  EXPECT_EQ(metrics.counter("serve.rejected_overload"), 3u);
+  EXPECT_EQ(metrics.counter("serve.rejected_overload"), 6u);
+  EXPECT_EQ(metrics.counter("serve.sessions.created"), 1u);
+  EXPECT_EQ(metrics.gauge("serve.sessions.active"), 1);
 }
 
 TEST(ServeServiceTest, SessionCapacityFreedByFinish) {
@@ -683,8 +690,15 @@ TEST(ServeServiceTest, SessionCapacityFreedByFinish) {
     ASSERT_EQ(push(1), Status::kOk);
     ASSERT_EQ(push(2), Status::kOk);
     EXPECT_EQ(push(3), Status::kNoCapacity);
-    service.drain();  // sessions 1 and 2 created
+    EXPECT_EQ(service.start_stream(3, ""), Status::kNoCapacity);
+    ++no_capacity;
+    // Admission created sessions 1 and 2 and nothing for the refusals:
+    // the gauge counts admitted, unreleased sessions before any drain.
     obs::RegistrySnapshot metrics = service.metrics_snapshot();
+    EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
+    EXPECT_EQ(metrics.counter("serve.sessions.created"), 2u);
+    service.drain();
+    metrics = service.metrics_snapshot();
     EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
     EXPECT_EQ(metrics.counter("serve.sessions.created"), 2u);
 
@@ -704,8 +718,15 @@ TEST(ServeServiceTest, SessionCapacityFreedByFinish) {
     // its finish ends; then stream 3 takes it.
     ASSERT_EQ(service.finish_stream(1), Status::kOk);
     EXPECT_EQ(push(3), Status::kNoCapacity);
+    metrics = service.metrics_snapshot();
+    EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
+    EXPECT_EQ(metrics.counter("serve.sessions.created"), 2u);
     service.drain();
+    EXPECT_EQ(service.metrics_snapshot().gauge("serve.sessions.active"), 1);
     EXPECT_EQ(push(3), Status::kOk);
+    metrics = service.metrics_snapshot();
+    EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
+    EXPECT_EQ(metrics.counter("serve.sessions.created"), 3u);
     service.drain();
     metrics = service.metrics_snapshot();
     EXPECT_EQ(metrics.gauge("serve.sessions.active"), 2);
@@ -1011,6 +1032,128 @@ TEST(ServeServiceTest, NonFiniteSamplesAreRejectedBeforeTheSession) {
     if (msg.stream_id == 7) served.push_back(std::move(msg.event));
   }
   expect_same_events(served, standalone_events(trace, kChunk, model));
+}
+
+// ---- serve-path property ----------------------------------------------
+
+/// A chunk length in [1, 2000], log-uniform: most chunks are short, a
+/// few come near the ceiling.
+std::size_t random_chunk(util::Rng& rng) {
+  return static_cast<std::size_t>(std::exp(rng.uniform(0.0, std::log(2000.0))));
+}
+
+// Whatever the chunking, the interleaving of streams, the drain points
+// and the finish-then-restart of stream ids, every run of a stream id is
+// served bit-identically to a standalone StreamingAttack fed the run's
+// samples whole, at any thread count. Between requests,
+// serve.sessions.active counts the admitted, unreleased sessions.
+TEST(ServePropertyTest, RandomChunkingInterleavingAndRestartsMatchStandalone) {
+  const auto model = make_model(3, 7);
+  constexpr std::uint64_t kStreams = 4;
+  util::Rng rng{0x5E12E};
+
+  // Each stream id serves one to three runs. A run is a trace cut at a
+  // random length, pushed in random chunks and finished; the next run
+  // restarts the id. Half the runs end inside the second burst, so
+  // finish() closes their last region.
+  struct Op {
+    std::size_t run = 0;
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    bool finish = false;
+  };
+  std::vector<std::vector<double>> runs;
+  std::vector<std::vector<Op>> ops(kStreams);
+  std::vector<std::vector<core::EmotionEvent>> reference(kStreams);
+  for (std::uint64_t s = 0; s < kStreams; ++s) {
+    for (std::uint64_t r = 1 + rng.uniform_int(3); r > 0; --r) {
+      std::vector<double> trace = trace_with_bursts(
+          12600, {{4500, 5200}, {8000, 8800}}, 1000 + runs.size());
+      trace.resize(rng.uniform_int(2) == 0 ? 8100 + rng.uniform_int(700)
+                                           : 6000 + rng.uniform_int(6601));
+      for (const auto& event : standalone_events(trace, trace.size(), model)) {
+        reference[s].push_back(event);
+      }
+      for (std::size_t i = 0; i < trace.size();) {
+        const std::size_t hi = std::min(trace.size(), i + random_chunk(rng));
+        ops[s].push_back({runs.size(), i, hi, false});
+        i = hi;
+      }
+      ops[s].push_back({runs.size(), 0, 0, true});
+      runs.push_back(std::move(trace));
+    }
+  }
+
+  // One interleaving for every thread count: at each step a random
+  // stream with requests left sends its next one; a drain follows one
+  // step in four, and half of those drains hand their events out.
+  struct Step {
+    std::uint64_t stream_id = 0;
+    bool drain = false;
+    bool take = false;
+  };
+  std::vector<Step> schedule;
+  std::vector<std::size_t> next(kStreams, 0);
+  for (;;) {
+    std::vector<std::uint64_t> live;
+    for (std::uint64_t s = 0; s < kStreams; ++s) {
+      if (next[s] < ops[s].size()) live.push_back(s);
+    }
+    if (live.empty()) break;
+    const std::uint64_t s = live[rng.uniform_int(live.size())];
+    ++next[s];
+    const bool drain = rng.uniform_int(4) == 0;
+    schedule.push_back({s, drain, drain && rng.uniform_int(2) == 0});
+  }
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto registry = std::make_shared<ModelRegistry>();
+    registry->add("m", model);
+    ServeService service{service_config(threads), registry};
+    std::vector<std::vector<core::EmotionEvent>> served(kStreams);
+    const auto take = [&service, &served] {
+      for (serve::EventMsg& msg : service.take_events()) {
+        served[msg.stream_id].push_back(std::move(msg.event));
+      }
+    };
+    // Model of the table: which ids have an open session, and how many
+    // finished sessions wait for the next drain.
+    std::vector<bool> open(kStreams, false);
+    std::int64_t active = 0;
+    std::int64_t closing = 0;
+    std::fill(next.begin(), next.end(), 0);
+    for (const Step& step : schedule) {
+      const Op& op = ops[step.stream_id][next[step.stream_id]++];
+      if (op.finish) {
+        ASSERT_EQ(service.finish_stream(step.stream_id), Status::kOk);
+        closing += open[step.stream_id] ? 1 : 0;
+        open[step.stream_id] = false;
+      } else {
+        ASSERT_EQ(service.push(step.stream_id, slice(runs[op.run], op.lo, op.hi)),
+                  Status::kOk);
+        active += open[step.stream_id] ? 0 : 1;
+        open[step.stream_id] = true;
+      }
+      if (step.drain) {
+        service.drain();
+        active -= closing;
+        closing = 0;
+      }
+      if (step.take) take();
+      ASSERT_EQ(service.metrics_snapshot().gauge("serve.sessions.active"),
+                active);
+    }
+    service.drain();
+    take();
+    for (std::uint64_t s = 0; s < kStreams; ++s) {
+      SCOPED_TRACE("stream=" + std::to_string(s));
+      expect_same_events(served[s], reference[s]);
+    }
+    const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+    EXPECT_EQ(metrics.counter("serve.sessions.created"), runs.size());
+    EXPECT_EQ(metrics.gauge("serve.sessions.active"), 0);
+  }
 }
 
 TEST(ServeServiceTest, ConcurrentProducersAndDrainsAreClean) {
