@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark regression harness.
 
-Two modes:
+Four modes:
 
 Kernel mode (--bench): runs bench_micro_perf with google-benchmark's
 JSON reporter over the kernel-level benchmarks, compares each one
@@ -10,6 +10,14 @@ benchmark regresses beyond the tolerance. With --update, rewrites the
 baseline's `after_ns` numbers from the fresh run instead (the
 `before_ns` column — the pre-overhaul numbers — is preserved so the
 speedup history stays visible).
+
+Parent mode (--bench NEW --parent OLD): alternates the two
+bench_micro_perf binaries over three rounds of --repetitions each (the
+order flips every round), then gates each tracked benchmark on the
+ratio of its median over NEW's runs to its median over OLD's runs, at
+the kernel tolerance. Both sides see the same host load, so this
+answers "did this change slow a kernel down" where the committed
+absolute baseline cannot on a shared host.
 
 Serve mode (--serve): runs the TCP-transport load generator
 (examples/loadgen) against a live NetServer and compares its summary —
@@ -30,6 +38,7 @@ Usage:
   scripts/bench_compare.py --bench build/bench/bench_micro_perf
   scripts/bench_compare.py --bench ... --update     # re-baseline
   scripts/bench_compare.py --bench ... --tolerance 0.4
+  scripts/bench_compare.py --bench NEW --parent OLD --repetitions 3
   scripts/bench_compare.py --serve build/examples/loadgen
   scripts/bench_compare.py --serve ... --update     # re-baseline
   scripts/bench_compare.py --tasks build/bench/bench_tasks
@@ -40,6 +49,7 @@ Wired into CMake as the `bench_check`, `bench_serve_check`, and
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -91,6 +101,48 @@ def run_benchmarks(bench_path: Path, repetitions: int) -> dict[str, float]:
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
         results[name] = float(row["real_time"]) * scale
     return results
+
+
+# Interleaved rounds per binary in parent mode: the median of three
+# absorbs one round disturbed by a load spike on a shared host.
+PARENT_ROUNDS = 3
+
+
+def parent_main(args: argparse.Namespace) -> int:
+    runs: dict[Path, list[dict[str, float]]] = {args.bench: [],
+                                                args.parent: []}
+    for r in range(PARENT_ROUNDS):
+        order = [args.parent, args.bench]
+        for path in order if r % 2 == 0 else reversed(order):
+            runs[path].append(run_benchmarks(path, args.repetitions))
+
+    def medians(path: Path) -> dict[str, float]:
+        names = set.intersection(*(set(run) for run in runs[path]))
+        return {name: statistics.median(run[name] for run in runs[path])
+                for name in names}
+
+    new, old = medians(args.bench), medians(args.parent)
+    failures = []
+    for name in sorted(set(new) & set(old)):
+        ratio = new[name] / old[name]
+        status = "ok"
+        if ratio > 1.0 + args.tolerance:
+            status = "REGRESSION"
+            failures.append(name)
+        print(f"{name:45s} {new[name]:12.1f} ns  parent {old[name]:12.1f} ns"
+              f"  x{ratio:5.2f}  {status}")
+    for name in sorted(set(new) ^ set(old)):
+        print(f"{name:45s} measured by only one binary")
+
+    if failures:
+        print(f"\n{len(failures)} benchmark(s) regressed beyond "
+              f"{args.tolerance:.0%} of the parent: {', '.join(failures)}",
+              file=sys.stderr)
+        return 1
+    print(f"\nall {len(set(new) & set(old))} tracked benchmarks within "
+          f"{args.tolerance:.0%} of the parent ({PARENT_ROUNDS} interleaved "
+          f"rounds)")
+    return 0
 
 
 # Serve-summary fields tracked against BENCH_serve.json. Throughput
@@ -249,6 +301,9 @@ def main() -> int:
                              "for kernels, 0.75 for --serve)")
     parser.add_argument("--repetitions", type=int, default=1,
                         help="benchmark repetitions; >1 compares medians")
+    parser.add_argument("--parent", type=Path,
+                        help="a parent bench_micro_perf binary: gate --bench "
+                             "on its ratio to this one, run interleaved")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from this run")
     parser.add_argument("--serve", type=Path,
@@ -281,6 +336,8 @@ def main() -> int:
         parser.error("one of --bench or --serve is required")
     if args.tolerance is None:
         args.tolerance = 0.35
+    if args.parent is not None:
+        return parent_main(args)
 
     measured = run_benchmarks(args.bench, args.repetitions)
     if not measured:

@@ -299,9 +299,9 @@ void RandomSubspace::deserialize(std::istream& in) {
     if (!in) throw util::DataError{"RandomSubspace::deserialize: truncated"};
     detail::check_count(cols, detail::kMaxDim,
                         "RandomSubspace::deserialize subspace");
-    std::vector<std::size_t> subspace(cols);
-    for (std::size_t& c : subspace) {
-      in >> c;
+    std::vector<std::size_t> subspace;
+    detail::read_values(in, cols, subspace);
+    for (const std::size_t c : subspace) {
       if (c > detail::kMaxDim) {
         throw util::DataError{
             "RandomSubspace::deserialize: column index out of range"};

@@ -98,20 +98,19 @@ void LogisticModelTree::deserialize(std::istream& in) {
     throw util::DataError{"LMT::deserialize: structure class mismatch"};
   }
   leaf_models_.clear();
-  leaf_models_.resize(leaves);
   for (std::size_t leaf = 0; leaf < leaves; ++leaf) {
     int present = 0;
     in >> present;
     if (!in || (present != 0 && present != 1)) {
       throw util::DataError{"LMT::deserialize: bad leaf-model flag"};
     }
+    std::unique_ptr<LogisticRegression>& model = leaf_models_.emplace_back();
     if (present) {
-      auto model = std::make_unique<LogisticRegression>();
+      model = std::make_unique<LogisticRegression>();
       model->deserialize(in);
       if (model->classes() != classes_) {
         throw util::DataError{"LMT::deserialize: leaf model class mismatch"};
       }
-      leaf_models_[leaf] = std::move(model);
     }
   }
   if (!in) throw util::DataError{"LMT::deserialize: truncated"};

@@ -161,10 +161,10 @@ void LogisticRegression::deserialize(std::istream& in) {
   detail::check_count(static_cast<std::size_t>(classes_), detail::kMaxClasses,
                       "Logistic::deserialize classes");
   detail::check_count(dim_, detail::kMaxDim, "Logistic::deserialize dim");
-  std::vector<double> mean(dim_);
-  std::vector<double> stddev(dim_);
-  for (double& v : mean) in >> v;
-  for (double& v : stddev) in >> v;
+  std::vector<double> mean;
+  std::vector<double> stddev;
+  detail::read_values(in, dim_, mean);
+  detail::read_values(in, dim_, stddev);
   if (!in) throw util::DataError{"Logistic::deserialize: truncated"};
   for (const double v : stddev) {
     if (!std::isfinite(v) || v <= 0.0) {
@@ -177,8 +177,9 @@ void LogisticRegression::deserialize(std::istream& in) {
     }
   }
   scaler_.set_state(std::move(mean), std::move(stddev));
-  weights_.assign(static_cast<std::size_t>(classes_) * (dim_ + 1), 0.0);
-  for (double& v : weights_) in >> v;
+  weights_.clear();
+  detail::read_values(in, static_cast<std::size_t>(classes_) * (dim_ + 1),
+                      weights_);
   if (!in) throw util::DataError{"Logistic::deserialize: truncated"};
   for (const double v : weights_) {
     if (!std::isfinite(v)) {

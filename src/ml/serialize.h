@@ -8,9 +8,10 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
+#include <istream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ml/classifier.h"
 
@@ -38,6 +39,8 @@ namespace detail {
 // whatever the operator ships), so any count beyond these limits is a
 // malformed file, and deserialize must reject it with util::DataError
 // *before* allocating — never crash on bad_alloc or (worse) mis-load.
+// Within the caps, containers grow as values are read (read_values), so
+// a short file cannot make the loader allocate for a count it claims.
 inline constexpr std::size_t kMaxClasses = 4096;
 inline constexpr std::size_t kMaxDim = std::size_t{1} << 20;
 inline constexpr std::size_t kMaxNodes = std::size_t{1} << 22;
@@ -48,6 +51,15 @@ inline constexpr std::size_t kMaxEnsemble = std::size_t{1} << 16;
 /// failing, so the upper bound is the only thing standing between a
 /// "-1" in the file and a 2^64-element allocation.
 void check_count(std::size_t value, std::size_t max, const char* what);
+
+/// Appends up to `count` values read from `in` to `out`, one at a time,
+/// so `out` grows only with values the stream actually holds. Stops at
+/// the first failed read, leaving `in` failed.
+template <typename T>
+void read_values(std::istream& in, std::size_t count, std::vector<T>& out) {
+  T value{};
+  for (std::size_t i = 0; i < count && in >> value; ++i) out.push_back(value);
+}
 
 }  // namespace detail
 

@@ -917,16 +917,16 @@ void DecisionTree::deserialize(std::istream& in) {
   if (leaf_count_ == 0 || leaf_count_ > node_count) {
     throw util::DataError{"DecisionTree::deserialize: bad leaf count"};
   }
-  nodes_.assign(node_count, Node{});
-  for (Node& n : nodes_) {
+  nodes_.clear();
+  for (std::size_t i = 0; i < node_count; ++i) {
+    Node& n = nodes_.emplace_back();
     std::size_t dist_size = 0;
     in >> n.feature >> n.threshold >> n.left >> n.right >> n.leaf_id >>
         dist_size;
     if (!in || dist_size > detail::kMaxClasses) {
       throw util::DataError{"DecisionTree::deserialize: bad node"};
     }
-    n.distribution.assign(dist_size, 0.0);
-    for (double& v : n.distribution) in >> v;
+    detail::read_values(in, dist_size, n.distribution);
     if (!in) throw util::DataError{"DecisionTree::deserialize: truncated"};
   }
   // Structural validation: route() walks child indices unchecked on the

@@ -22,6 +22,15 @@ void SessionConfig::validate() const {
   }
 }
 
+void BatcherConfig::validate() const {
+  if (shard_count == 0) {
+    throw util::ConfigError{"BatcherConfig: shard_count == 0"};
+  }
+  if (queue_capacity == 0) {
+    throw util::ConfigError{"BatcherConfig: queue_capacity == 0"};
+  }
+}
+
 void ServeConfig::validate() const {
   session.validate();
   batcher.validate();
@@ -52,10 +61,10 @@ void append(Session& session, std::span<core::EmotionEvent> events,
 ServeService::ServeService(ServeConfig config,
                            std::shared_ptr<ModelRegistry> registry)
     : config_{std::move(config)},
-      registry_{std::move(registry)},
-      batcher_{config_.batcher} {
+      registry_{std::move(registry)} {
   config_.validate();
   if (!registry_) throw util::ConfigError{"ServeService: null model registry"};
+  shards_.resize(config_.batcher.shard_count);
 }
 
 Status ServeService::admit(PushRequest request) {
@@ -74,30 +83,28 @@ Status ServeService::admit(PushRequest request) {
       auto& [key, newest] = *std::prev(after);
       if (key.first == stream_id && !newest.closed) request.session = &newest;
     }
-    auto opened = sessions_.end();
-    if (request.session == nullptr && !request.finish) {
-      if (sessions_.size() >= config_.session.max_sessions) {
-        counters_.rejected_capacity.add(1);
-        return Status::kNoCapacity;
-      }
-      opened = sessions_
-                   .try_emplace({stream_id, sessions_opened_++},
-                                config_.session)
-                   .first;
-      request.session = &opened->second;
+    const bool opens = request.session == nullptr && !request.finish;
+    if (opens && sessions_.size() >= config_.session.max_sessions) {
+      counters_.rejected_capacity.add(1);
+      return Status::kNoCapacity;
     }
-    Session* const session = request.session;
-    const bool finish = request.finish;
-    if (!batcher_.submit(std::move(request))) {
-      if (opened != sessions_.end()) sessions_.erase(opened);
+    std::vector<PushRequest>& shard =
+        shards_[shard_of(stream_id, shards_.size())];
+    if (shard.size() >= config_.batcher.queue_capacity) {
       counters_.rejected_overload.add(1);
       return Status::kOverloaded;
     }
-    if (opened != sessions_.end()) {
+    if (opens) {
+      request.session = &sessions_
+                             .try_emplace({stream_id, sessions_opened_++},
+                                          config_.session)
+                             .first->second;
       counters_.sessions_created.add(1);
       counters_.sessions_active.set(static_cast<std::int64_t>(sessions_.size()));
+    } else if (request.finish && request.session != nullptr) {
+      request.session->closed = true;
     }
-    if (finish && session != nullptr) session->closed = true;
+    shard.push_back(std::move(request));
   }
   // Flow begins only for admitted work — a rejected request never
   // crosses a thread, so there is nothing to link.
@@ -224,15 +231,34 @@ std::size_t ServeService::drain() {
   counters_.drains.add(1);
 
   const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t processed = batcher_.drain(
-      [this](PushRequest& request) { process(request); },
-      config_.parallelism);
-  if (processed > 0) {
-    run_batched_classify(release_sessions());
-    const auto t1 = std::chrono::steady_clock::now();
-    counters_.record_drain_latency(
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
+  // Snapshot every busy shard's FIFO in one lock acquisition, so the
+  // cycle is bounded: requests admitted while the drain runs wait for
+  // the next one rather than extending this one indefinitely.
+  std::size_t processed = 0;
+  {
+    std::vector<std::pair<std::size_t, std::vector<PushRequest>>> busy;
+    {
+      std::lock_guard<std::mutex> sessions_lock{sessions_mutex_};
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        if (shards_[s].empty()) continue;
+        processed += shards_[s].size();
+        busy.emplace_back(s, std::exchange(shards_[s], {}));
+      }
+    }
+    if (processed == 0) return 0;
+    OBS_SPAN_ARG("serve.batch", "requests", processed);
+    // Fan out only over the busy shards. A drain whose requests all sit
+    // in one shard (nearly every drain under open-loop load) runs
+    // inline on the calling thread instead of waking the pool.
+    util::parallel_for(config_.parallelism, busy.size(), [&](std::size_t i) {
+      OBS_SPAN_ARG("serve.shard", "shard", busy[i].first);
+      for (PushRequest& request : busy[i].second) process(request);
+    });
   }
+  run_batched_classify(release_sessions());
+  const auto t1 = std::chrono::steady_clock::now();
+  counters_.record_drain_latency(
+      std::chrono::duration<double, std::micro>(t1 - t0).count());
   return processed;
 }
 

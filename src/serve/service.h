@@ -4,13 +4,14 @@
 // accelerometer streams from many devices are classified centrally
 // against pre-trained models. ServeService wires the pieces together:
 //
-//   push/finish  -> admission: the session table (one Session per
-//                   admitted stream, at most max_sessions, else
-//                   Status::kNoCapacity) and the RequestBatcher's
-//                   bounded shard queues (full queue =>
-//                   Status::kOverloaded)
-//   drain        -> shards fan out over util::ThreadPool; each shard
-//                   feeds its streams' StreamingAttack sequentially,
+//   push/finish  -> admission, under one mutex: the session table
+//                   (one Session per admitted stream, at most
+//                   max_sessions, else Status::kNoCapacity), then the
+//                   stream's shard FIFO (queue_capacity requests held
+//                   => Status::kOverloaded)
+//   drain        -> snapshots every shard FIFO under that mutex; the
+//                   busy shards fan out over util::ThreadPool, each
+//                   feeding its streams' StreamingAttack sequentially,
 //                   so per-stream event sequences are bit-identical to
 //                   a standalone StreamingAttack at any thread count
 //   ModelRegistry   versioned models, atomic hot-swap (add/activate in
@@ -35,10 +36,10 @@
 #include <vector>
 
 #include "core/streaming.h"
-#include "serve/batcher.h"
 #include "serve/counters.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
+#include "util/error.h"
 #include "util/parallel.h"
 
 namespace emoleak::serve {
@@ -56,6 +57,25 @@ struct SessionConfig {
 
   void validate() const;
 };
+
+struct BatcherConfig {
+  std::size_t shard_count = 8;
+  std::size_t queue_capacity = 256;  ///< per shard, in requests
+
+  void validate() const;
+};
+
+/// The shard that owns `stream_id`: all of a stream's requests share
+/// one FIFO, so they are processed in admission order. splitmix64
+/// finalizer: cheap, well-mixed, stable across runs.
+[[nodiscard]] inline std::size_t shard_of(std::uint64_t stream_id,
+                                          std::size_t shard_count) noexcept {
+  std::uint64_t x = stream_id + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return static_cast<std::size_t>(x % shard_count);
+}
 
 /// One admitted stream's state. A session lives from the admission of
 /// the push or start that opened it to the end of the drain that
@@ -90,6 +110,32 @@ struct Session {
   ServeCounters::TaskCounters* task = nullptr;
   bool closed = false;    ///< its finish was admitted (admission side)
   bool finished = false;  ///< its finish was processed (shard side)
+};
+
+/// One unit of work: a chunk of samples for a stream, an end-of-stream
+/// flush (`finish` set, `samples` empty), or a stream-open binding the
+/// stream to a named model (`start` set). Starts travel through the
+/// same per-stream FIFO as chunks, so a start is always applied before
+/// the chunks submitted after it — the ordering the mixed-task
+/// determinism contract rests on.
+struct PushRequest {
+  std::uint64_t stream_id = 0;
+  std::vector<double> samples;
+  bool finish = false;
+  bool start = false;
+  std::string model_name;  ///< for `start`: empty = registry default
+  /// The stream's session, set at admission: the one it opened or
+  /// found open, or nullptr for a finish of a stream with no open
+  /// session. The shard reaches it through this pointer without a
+  /// table lookup or a lock.
+  Session* session = nullptr;
+  /// Telemetry riders (never touch classification): `flow` is the
+  /// causal-trace id minted at admission and inherited by the events
+  /// this request closes; `arrival_ns` is the obs::trace_now_ns()
+  /// arrival stamp feeding the serve.e2e_latency_ns histogram. 0 = not
+  /// stamped (starts).
+  std::uint64_t flow = 0;
+  std::uint64_t arrival_ns = 0;
 };
 
 struct ServeConfig {
@@ -130,14 +176,14 @@ class ServeService {
   ServeService(ServeConfig config, std::shared_ptr<ModelRegistry> registry);
 
   // ---- typed API -----------------------------------------------------
-  /// Enqueues a chunk for `stream_id`. kOverloaded when the stream's
-  /// shard queue is full — the caller should drain (or back off) and
-  /// retry; nothing was enqueued. kNoCapacity when the chunk would open
-  /// a new session while max_sessions streams are admitted and not yet
-  /// released (a finished stream holds its slot until the drain that
-  /// processes its finish ends); nothing was enqueued, retry after a
-  /// drain. kError, also with nothing enqueued, when a sample is NaN or
-  /// infinite.
+  /// Enqueues a chunk for `stream_id`. kNoCapacity when the chunk would
+  /// open a new session while max_sessions streams are admitted and not
+  /// yet released (a finished stream holds its slot until the drain
+  /// that processes its finish ends); nothing was enqueued, retry after
+  /// a drain. Otherwise kOverloaded when the stream's shard already
+  /// holds queue_capacity requests — the caller should drain (or back
+  /// off) and retry; nothing was enqueued. kError, also with nothing
+  /// enqueued, when a sample is NaN or infinite.
   Status push(std::uint64_t stream_id, std::vector<double> samples);
 
   /// Enqueues an end-of-stream flush (emits the final open region, if
@@ -204,10 +250,12 @@ class ServeService {
 
   /// The one admission path behind push/finish_stream/start_stream:
   /// stamps push and finish requests with an arrival time and a flow id
-  /// (starts carry neither), creates the stream's session when a push
-  /// or start opens one (kNoCapacity at max_sessions), closes it when
-  /// a finish is admitted, submits to the stream's shard, and counts
-  /// serve.accepted, serve.rejected_capacity or serve.rejected_overload.
+  /// (starts carry neither), refuses a push or start that would open a
+  /// session at max_sessions (kNoCapacity) and then any request whose
+  /// shard is full (kOverloaded), creates the stream's session when the
+  /// request opens one, closes it when a finish is admitted, appends to
+  /// the stream's shard, and counts serve.accepted,
+  /// serve.rejected_capacity or serve.rejected_overload.
   Status admit(PushRequest request);
   void process(PushRequest& request);
   /// One deferred window and the ready_ event it patches.
@@ -234,14 +282,16 @@ class ServeService {
   ServeConfig config_;
   std::shared_ptr<ModelRegistry> registry_;
   ServeCounters counters_;
-  RequestBatcher batcher_;
   std::mutex drain_mutex_;  ///< one drain cycle at a time; guards ready_
-  /// Guards the session table's structure and every Session::closed.
-  /// The typed API may be called from several producer threads; the
-  /// TCP transport admits from its loop thread only, so there the lock
-  /// is uncontended. Admission submits to the shard under it, so the
-  /// table changes in the order the shard FIFOs see the requests.
+  /// Guards the session table's structure, every Session::closed and
+  /// the shard FIFOs. The typed API may be called from several producer
+  /// threads; the TCP transport admits from its loop thread only, so
+  /// there the lock is uncontended. One acquisition admits a request:
+  /// the table changes in the order the shard FIFOs see the requests.
   std::mutex sessions_mutex_;
+  /// Admitted requests awaiting a drain, one FIFO per shard (see
+  /// shard_of), each holding at most queue_capacity requests.
+  std::vector<std::vector<PushRequest>> shards_;
   /// Every admitted, unreleased session: its size is
   /// serve.sessions.active, and admission keeps it <= max_sessions.
   /// Map nodes never move, so a queued request's Session pointer stays

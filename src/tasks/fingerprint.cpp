@@ -7,7 +7,7 @@
 #include <ostream>
 
 #include "ml/logistic.h"   // softmax_inplace
-#include "ml/serialize.h"  // detail::check_count limits
+#include "ml/serialize.h"  // detail::check_count, detail::read_values
 #include "util/error.h"
 
 namespace emoleak::tasks {
@@ -123,11 +123,10 @@ void FingerprintClassifier::deserialize(std::istream& in) {
   ml::detail::check_count(classes, ml::detail::kMaxClasses,
                           "fingerprint classes");
   ml::detail::check_count(dim, ml::detail::kMaxDim, "fingerprint dim");
-  std::vector<double> templates(classes * dim);
-  for (double& v : templates) {
-    if (!(in >> v)) {
-      throw util::DataError{"FingerprintClassifier: truncated templates"};
-    }
+  std::vector<double> templates;
+  ml::detail::read_values(in, classes * dim, templates);
+  if (!in) {
+    throw util::DataError{"FingerprintClassifier: truncated templates"};
   }
   config_.sharpness = sharpness;
   classes_ = static_cast<int>(classes);

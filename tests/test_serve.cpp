@@ -1,6 +1,6 @@
 // Tests for the emoleak::serve inference service: wire-protocol
-// round-trips and malformed-frame rejection, bounded-queue admission
-// control, registry versioning/hot-swap, batching determinism at 1/2/8
+// round-trips and malformed-frame rejection, shard fan-out in a drain,
+// registry versioning/hot-swap, batching determinism at 1/2/8
 // threads, the session table's capacity and lifecycle, overload
 // rejection, and a serve-path property over random chunkings,
 // interleavings and restarts. The concurrent-producer test is the TSan
@@ -14,8 +14,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <numbers>
 #include <optional>
 #include <thread>
@@ -25,9 +23,7 @@
 #include "core/streaming.h"
 #include "ml/dataset.h"
 #include "ml/logistic.h"
-#include "serve/batcher.h"
 #include "serve/protocol.h"
-#include "util/bounded_queue.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -288,93 +284,58 @@ TEST(ServeProtocolTest, TelemetryTypesAreVersionCompatibleAppends) {
   EXPECT_TRUE(reply.snapshot.histograms.empty());
 }
 
-// ---- bounded queue ----------------------------------------------------
-
-TEST(BoundedQueueTest, CapacityAndFifo) {
-  util::BoundedQueue<int> q{3};
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_TRUE(q.try_push(3));
-  EXPECT_FALSE(q.try_push(4));  // full: admission control, not blocking
-
-  std::vector<int> out;
-  EXPECT_EQ(q.drain_into(out), 3u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(q.try_push(5));
-  EXPECT_EQ(q.drain_into(out), 1u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 5}));
-  EXPECT_EQ(q.drain_into(out), 0u);
-  EXPECT_THROW(util::BoundedQueue<int>{0}, util::ConfigError);
-}
-
-// ---- request batcher --------------------------------------------------
+// ---- shard drain ------------------------------------------------------
 
 std::uint64_t pool_tasks() {
   return obs::Registry::instance().counter("pool.tasks").value();
 }
 
-serve::PushRequest request_for(std::uint64_t stream_id, std::uint64_t flow) {
-  serve::PushRequest request;
-  request.stream_id = stream_id;
-  request.flow = flow;
-  return request;
-}
-
-TEST(RequestBatcherTest, OneBusyShardDrainsOnTheCallingThread) {
-  // Nearly every served drain holds one stream's chunk: it runs inline
-  // on the caller, and the pool never sees it.
+TEST(ServeServiceTest, OneBusyShardDrainsOnTheCallingThread) {
+  // Nearly every served drain holds one stream's chunks: they run
+  // inline on the caller, and the pool never sees them.
+  const auto model = make_model(3, 7);
+  const std::vector<double> chunk(64, 9.81);
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    serve::RequestBatcher batcher{{.shard_count = 8, .queue_capacity = 16}};
+    auto registry = std::make_shared<ModelRegistry>();
+    registry->add("m", model);
+    ServeService service{service_config(threads), registry};
     for (std::size_t i = 0; i < 5; ++i) {
-      ASSERT_TRUE(batcher.submit(request_for(7, i + 1)));
+      ASSERT_EQ(service.push(7, chunk), Status::kOk);
     }
     const std::uint64_t tasks = pool_tasks();
-    std::vector<std::thread::id> ran_on;
-    EXPECT_EQ(batcher.drain(
-                  [&ran_on](serve::PushRequest&) {
-                    ran_on.push_back(std::this_thread::get_id());
-                  },
-                  util::Parallelism{.threads = threads}),
-              5u);
-    EXPECT_EQ(ran_on, std::vector<std::thread::id>(
-                          5, std::this_thread::get_id()));
+    EXPECT_EQ(service.drain(), 5u);
     EXPECT_EQ(pool_tasks(), tasks) << "threads=" << threads;
   }
 }
 
-TEST(RequestBatcherTest, SeveralBusyShardsStillFanOut) {
+TEST(ServeServiceTest, SeveralBusyShardsStillFanOut) {
+  const auto model = make_model(3, 7);
+  const std::vector<double> chunk(64, 9.81);
   for (const std::size_t threads : {2u, 4u}) {
-    serve::RequestBatcher batcher{{.shard_count = 8, .queue_capacity = 16}};
-    // Three streams on three distinct shards, four requests each.
+    auto registry = std::make_shared<ModelRegistry>();
+    registry->add("m", model);
+    const serve::ServeConfig cfg = service_config(threads);
+    ServeService service{cfg, registry};
+    // Three streams on three distinct shards, four chunks each.
     std::vector<std::uint64_t> streams;
-    std::vector<bool> taken(8, false);
+    std::vector<bool> taken(cfg.batcher.shard_count, false);
     for (std::uint64_t id = 0; streams.size() < 3; ++id) {
-      const std::size_t shard = batcher.shard_of(id);
+      const std::size_t shard = serve::shard_of(id, cfg.batcher.shard_count);
       if (taken[shard]) continue;
       taken[shard] = true;
       streams.push_back(id);
     }
     for (std::size_t seq = 0; seq < 4; ++seq) {
       for (const std::uint64_t id : streams) {
-        ASSERT_TRUE(batcher.submit(request_for(id, seq + 1)));
+        ASSERT_EQ(service.push(id, chunk), Status::kOk);
       }
     }
     const std::uint64_t tasks = pool_tasks();
-    std::mutex mutex;
-    std::map<std::uint64_t, std::vector<std::uint64_t>> order;
-    EXPECT_EQ(batcher.drain(
-                  [&](serve::PushRequest& request) {
-                    const std::lock_guard<std::mutex> lock{mutex};
-                    order[request.stream_id].push_back(request.flow);
-                  },
-                  util::Parallelism{.threads = threads}),
-              12u);
+    EXPECT_EQ(service.drain(), 12u);
     // One pool task per busy shard, none for the five idle ones.
     EXPECT_EQ(pool_tasks() - tasks, 3u) << "threads=" << threads;
-    for (const std::uint64_t id : streams) {
-      EXPECT_EQ(order[id], (std::vector<std::uint64_t>{1, 2, 3, 4}))
-          << "stream " << id;
-    }
+    EXPECT_EQ(service.metrics_snapshot().counter("serve.chunks_processed"),
+              12u);
   }
 }
 
@@ -748,6 +709,23 @@ TEST(ServeServiceTest, SessionCapacityFreedByFinish) {
     EXPECT_EQ(metrics.counter("serve.rejected_capacity"), no_capacity);
     EXPECT_GT(no_capacity, 3u);
   }
+
+  // A full table is checked before a full shard: a push that would open
+  // a session while both are full is refused for capacity, not load.
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->add("m", make_model(3, 7));
+  serve::ServeConfig cfg = service_config(1);
+  cfg.session.max_sessions = 2;
+  cfg.batcher.shard_count = 1;
+  cfg.batcher.queue_capacity = 2;
+  ServeService service{cfg, registry};
+  const std::vector<double> chunk(64, 9.81);
+  ASSERT_EQ(service.push(1, chunk), Status::kOk);
+  ASSERT_EQ(service.push(2, chunk), Status::kOk);
+  EXPECT_EQ(service.push(3, chunk), Status::kNoCapacity);
+  const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+  EXPECT_EQ(metrics.counter("serve.rejected_capacity"), 1u);
+  EXPECT_EQ(metrics.counter("serve.rejected_overload"), 0u);
 }
 
 TEST(ServeServiceTest, SecondStreamThroughSingleSlotMatchesStandalone) {
