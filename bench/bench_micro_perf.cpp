@@ -294,8 +294,8 @@ ml::Dataset tree_bench_data(std::size_t n, std::uint64_t seed) {
 }
 
 void BM_TreeTrain(benchmark::State& state) {
-  // Presorted induction (the default); BM_TreeTrainReference below is
-  // the per-node-sort path it replaced. Both fit byte-identical trees.
+  // Presorted exact induction (the default): byte-identical to the
+  // per-node-sort CART it replaced (test_tree's oracle).
   const auto n = static_cast<std::size_t>(state.range(0));
   const ml::Dataset d = tree_bench_data(n, 51);
   for (auto _ : state) {
@@ -306,20 +306,6 @@ void BM_TreeTrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
 BENCHMARK(BM_TreeTrain)->Arg(1000)->Arg(4000);
-
-void BM_TreeTrainReference(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const ml::Dataset d = tree_bench_data(n, 51);
-  ml::TreeConfig cfg;
-  cfg.presort = false;
-  for (auto _ : state) {
-    ml::DecisionTree tree{cfg};
-    tree.fit(d);
-    benchmark::DoNotOptimize(tree.node_count());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
-}
-BENCHMARK(BM_TreeTrainReference)->Arg(1000)->Arg(4000);
 
 void BM_ForestTrain(benchmark::State& state) {
   // Single-threaded so the gate measures the induction kernel, not the
@@ -335,20 +321,6 @@ void BM_ForestTrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestTrain)->Unit(benchmark::kMillisecond);
-
-void BM_ForestTrainReference(benchmark::State& state) {
-  const ml::Dataset d = tree_bench_data(1500, 52);
-  ml::RandomForestConfig cfg;
-  cfg.tree_count = 20;
-  cfg.parallelism.threads = 1;
-  cfg.tree.presort = false;
-  for (auto _ : state) {
-    ml::RandomForest forest{cfg};
-    forest.fit(d);
-    benchmark::DoNotOptimize(forest.tree_count());
-  }
-}
-BENCHMARK(BM_ForestTrainReference)->Unit(benchmark::kMillisecond);
 
 void BM_ForestTrainBinned(benchmark::State& state) {
   // Binned induction on the same data/config as BM_ForestTrain: the
@@ -386,8 +358,8 @@ std::vector<double> pitch_bench_signal() {
 }
 
 void BM_PitchTrack(benchmark::State& state) {
-  // FFT (Wiener–Khinchin) autocorrelation; BM_PitchTrackNaive is the
-  // O(lags·N) direct path it replaced.
+  // At 16 kHz the default 50-400 Hz range dispatches every frame to the
+  // unrolled kFast correlator (test_pitch asserts the dispatch).
   const auto x = pitch_bench_signal();
   for (auto _ : state) {
     const auto track = dsp::track_pitch(x, kPitchBenchRate);
@@ -396,18 +368,6 @@ void BM_PitchTrack(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(x.size()));
 }
 BENCHMARK(BM_PitchTrack);
-
-void BM_PitchTrackNaive(benchmark::State& state) {
-  const auto x = pitch_bench_signal();
-  dsp::PitchConfig cfg;
-  cfg.exact = true;
-  for (auto _ : state) {
-    const auto track = dsp::track_pitch(x, kPitchBenchRate, cfg);
-    benchmark::DoNotOptimize(track.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(x.size()));
-}
-BENCHMARK(BM_PitchTrackNaive);
 
 core::ScenarioConfig dataset_bench_scenario() {
   core::ScenarioConfig sc = core::loudspeaker_scenario(

@@ -17,7 +17,10 @@ order flips every round), then gates each tracked benchmark on the
 ratio of its median over NEW's runs to its median over OLD's runs, at
 the kernel tolerance. Both sides see the same host load, so this
 answers "did this change slow a kernel down" where the committed
-absolute baseline cannot on a shared host.
+absolute baseline cannot on a shared host. Each row also prints the
+parent's own spread (slowest over fastest of its rounds); a failing
+row whose parent spread alone exceeds the tolerance is marked `noisy`:
+it still fails, but the host, not the change, may explain it.
 
 Serve mode (--serve): runs the TCP-transport load generator
 (examples/loadgen) against a live NetServer and compares its summary —
@@ -61,8 +64,8 @@ from pathlib import Path
 # and the per-sample streaming step (BM_StreamingPush) are gated because
 # streaming detection is the serve drain's dominant layer.
 # google-benchmark filters are partial-match regexes, so entries whose
-# name prefixes an untracked reference variant (BM_TreeTrainReference,
-# BM_PitchTrackNaive, ...) are anchored with `/` or `$`.
+# name prefixes an untracked variant (BM_SpanOverheadEnabled,
+# BM_DatasetBuildCold, ...) are anchored with `/` or `$`.
 KERNEL_FILTER = (
     "BM_FftPow2|BM_Rfft|BM_FftBluestein|BM_Stft|BM_Gemm|"
     "BM_FeatureExtraction|BM_TimefreqCnnForward|BM_SpectrogramCnnForward|"
@@ -123,14 +126,20 @@ def parent_main(args: argparse.Namespace) -> int:
 
     new, old = medians(args.bench), medians(args.parent)
     failures = []
+    noisy = []
     for name in sorted(set(new) & set(old)):
         ratio = new[name] / old[name]
+        parent_rounds = [run[name] for run in runs[args.parent]]
+        spread = max(parent_rounds) / min(parent_rounds)
         status = "ok"
         if ratio > 1.0 + args.tolerance:
-            status = "REGRESSION"
             failures.append(name)
+            status = "REGRESSION"
+            if spread > 1.0 + args.tolerance:
+                noisy.append(name)
+                status = "REGRESSION noisy"
         print(f"{name:45s} {new[name]:12.1f} ns  parent {old[name]:12.1f} ns"
-              f"  x{ratio:5.2f}  {status}")
+              f"  x{ratio:5.2f}  parent spread x{spread:5.2f}  {status}")
     for name in sorted(set(new) ^ set(old)):
         print(f"{name:45s} measured by only one binary")
 
@@ -138,6 +147,10 @@ def parent_main(args: argparse.Namespace) -> int:
         print(f"\n{len(failures)} benchmark(s) regressed beyond "
               f"{args.tolerance:.0%} of the parent: {', '.join(failures)}",
               file=sys.stderr)
+        if noisy:
+            print(f"noisy (the parent's own spread exceeds "
+                  f"{args.tolerance:.0%}): {', '.join(noisy)}",
+                  file=sys.stderr)
         return 1
     print(f"\nall {len(set(new) & set(old))} tracked benchmarks within "
           f"{args.tolerance:.0%} of the parent ({PARENT_ROUNDS} interleaved "

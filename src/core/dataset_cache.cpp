@@ -104,8 +104,6 @@ void write_pipeline(KeyWriter& k, const PipelineConfig& p) {
   k.field(p.image_size);
   k.field(p.stft.window_length);
   k.field(p.stft.hop);
-  k.field(p.stft.fft_size);
-  k.field(p.stft.center);
   // p.parallelism deliberately omitted: extraction is bit-identical at
   // any thread count (see PipelineConfig), so runs that differ only in
   // thread budget must share the cached dataset.

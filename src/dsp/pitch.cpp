@@ -23,7 +23,7 @@ void PitchConfig::validate() const {
 
 namespace {
 
-/// Direct O(lags·N) normalized autocorrelation — the parity reference.
+/// Direct O(lags·N) normalized autocorrelation.
 /// Writes corr[lag] for lag in [min_lag, max_lag]; returns the peak.
 double correlate_direct(std::span<const double> x, std::size_t min_lag,
                         std::size_t max_lag, std::span<double> corr) {
@@ -150,8 +150,7 @@ constexpr std::size_t kDirectCutoff = 1u << 14;
 }  // namespace
 
 Correlator correlator_for(std::size_t n, std::size_t min_lag,
-                          std::size_t max_lag, bool exact) noexcept {
-  if (exact) return Correlator::kDirect;
+                          std::size_t max_lag) noexcept {
   const std::size_t direct_ops = (max_lag - min_lag + 1) * n;
   if (direct_ops < kDirectCutoff) return Correlator::kDirect;
   const std::size_t nfft = next_pow2(n + max_lag);
@@ -192,8 +191,7 @@ std::optional<double> estimate_pitch_validated(std::span<const double> frame,
   // Normalized autocorrelation over the lag range.
   const std::span<double> corr = ws.take<double>(max_lag + 1);
   std::fill(corr.begin(), corr.end(), 0.0);
-  const Correlator kind =
-      correlator_for(x.size(), min_lag, max_lag, config.exact);
+  const Correlator kind = correlator_for(x.size(), min_lag, max_lag);
   // Per-frame dispatch tallies: which correlator the crossover picked.
   // Answers "is the FFT path actually winning frames?" from a live
   // process instead of an offline benchmark.
@@ -276,10 +274,6 @@ std::vector<PitchFrame> track_pitch(std::span<const double> signal,
         (static_cast<double>(start) + frame_n / 2.0) / sample_rate_hz;
     frame.f0_hz = detail::estimate_pitch_validated(
         signal.subspan(start, frame_n), sample_rate_hz, config, ws);
-    // Confidence re-derived cheaply: voiced frames carry their peak via
-    // estimate_pitch's acceptance; report 1/0 granularity plus the
-    // threshold as a floor.
-    frame.confidence = frame.f0_hz ? config.voicing_threshold : 0.0;
     track.push_back(frame);
   }
   return track;

@@ -9,7 +9,7 @@
 //
 // Three correlator kernels back the tracker, picked per frame by a
 // work estimate (detail::correlator_for):
-//  - kDirect: the O(lags·N) reference sum. Small frames (the
+//  - kDirect: the O(lags·N) direct sum. Small frames (the
 //    accelerometer rates, where the lag grid is tens of entries) stay
 //    here, bitwise-identical to the pre-overhaul implementation, so
 //    seed-corpus outputs are unchanged by construction.
@@ -20,9 +20,9 @@
 //    autocorrelation numerator is one rfft/irfft pair over the power
 //    spectrum (O(N log N) per frame), denominators again via prefix
 //    sums.
-// PitchConfig::exact forces kDirect everywhere as the parity
-// reference; all kernels agree to ~1e-9 in normalized correlation and
-// make identical voiced/unvoiced decisions (test_pitch).
+// test_pitch holds a direct-sum estimator as the parity oracle: every
+// kernel agrees with it to ~1e-9 in F0 and makes identical
+// voiced/unvoiced decisions, and kDirect frames match it bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -40,12 +40,6 @@ struct PitchConfig {
   double frame_s = 0.08;       ///< analysis frame length
   double hop_s = 0.02;         ///< frame hop
   double voicing_threshold = 0.35;  ///< min normalized autocorr peak
-  /// Force the O(lags·N) direct autocorrelation everywhere instead of
-  /// letting larger lag grids dispatch to the unrolled or FFT
-  /// (Wiener–Khinchin) kernels. Kept as the bitwise reference the
-  /// parity tests compare against; the default auto-dispatches on
-  /// per-frame work (see detail::correlator_for).
-  bool exact = false;
 
   void validate() const;
 };
@@ -54,7 +48,6 @@ struct PitchConfig {
 struct PitchFrame {
   double time_s = 0.0;
   std::optional<double> f0_hz;  ///< nullopt = unvoiced / no pitch found
-  double confidence = 0.0;      ///< normalized autocorrelation peak
 };
 
 /// Estimates F0 on one frame via the normalized autocorrelation method
@@ -90,8 +83,7 @@ namespace detail {
 /// so the parity tests can assert each kernel is actually exercised.
 enum class Correlator { kDirect, kFast, kFft };
 [[nodiscard]] Correlator correlator_for(std::size_t n, std::size_t min_lag,
-                                        std::size_t max_lag,
-                                        bool exact) noexcept;
+                                        std::size_t max_lag) noexcept;
 
 }  // namespace detail
 

@@ -12,9 +12,6 @@ namespace emoleak::dsp {
 void StftConfig::validate() const {
   if (window_length == 0) throw util::ConfigError{"StftConfig: window_length == 0"};
   if (hop == 0) throw util::ConfigError{"StftConfig: hop == 0"};
-  if (fft_size != 0 && fft_size < window_length) {
-    throw util::ConfigError{"StftConfig: fft_size < window_length"};
-  }
 }
 
 Spectrogram::Spectrogram(std::vector<double> magnitudes, std::size_t frames,
@@ -71,25 +68,22 @@ std::size_t reflect_index(std::size_t k, std::size_t n) {
 StftShape stft_shape(std::size_t signal_len, const StftConfig& config) {
   config.validate();
   const std::size_t win_len = config.window_length;
-  const std::size_t fft_size =
-      config.fft_size == 0 ? next_pow2(win_len) : config.fft_size;
-  const std::size_t padded_len =
-      config.center ? signal_len + 2 * (win_len / 2) : signal_len;
+  const std::size_t padded_len = signal_len + 2 * (win_len / 2);
   StftShape shape;
-  shape.bins = fft_size / 2 + 1;
+  shape.bins = next_pow2(win_len) / 2 + 1;
+  // The padding leaves at least win_len - 1 samples, so only an empty
+  // signal under an odd window falls short of one frame; it gets the
+  // same single zero frame as every other empty signal.
   shape.frames =
-      padded_len >= win_len ? (padded_len - win_len) / config.hop + 1 : 0;
-  if (shape.frames == 0) shape.frames = 1;  // always >= one (zero-padded) frame
+      padded_len >= win_len ? (padded_len - win_len) / config.hop + 1 : 1;
   return shape;
 }
 
 void stft_magnitudes(std::span<const double> signal, const StftConfig& config,
                      std::span<double> mags, util::Workspace& ws) {
-  config.validate();
-  const std::size_t win_len = config.window_length;
-  const std::size_t fft_size =
-      config.fft_size == 0 ? next_pow2(win_len) : config.fft_size;
   const StftShape shape = stft_shape(signal.size(), config);
+  const std::size_t win_len = config.window_length;
+  const std::size_t fft_size = next_pow2(win_len);
   if (mags.size() != shape.cells()) {
     throw util::DataError{"stft_magnitudes: output size != frames * bins"};
   }
@@ -105,31 +99,26 @@ void stft_magnitudes(std::span<const double> signal, const StftConfig& config,
   std::span<double> window = ws.take<double>(win_len);
   fill_hann(window);
 
-  // Optionally reflect-pad by half a window on both ends so frame
-  // centers align with signal samples (librosa-style `center=True`).
-  std::span<const double> x = signal;
-  if (config.center) {
-    // Front and back pads mirror symmetrically around the first / last
-    // sample; reflect_index keeps folding for signals shorter than half
-    // a window instead of clamping to an edge sample.
-    const std::size_t pad = win_len / 2;
-    std::span<double> padded = ws.take<double>(signal.size() + 2 * pad);
-    for (std::size_t i = 0; i < pad; ++i) {
-      padded[i] = signal.empty()
-                      ? 0.0
-                      : signal[reflect_index(pad - i, signal.size())];
-    }
-    std::copy(signal.begin(), signal.end(), padded.begin() + static_cast<std::ptrdiff_t>(pad));
-    for (std::size_t i = 0; i < pad; ++i) {
-      padded[pad + signal.size() + i] =
-          signal.empty() ? 0.0
-                         : signal[reflect_index(signal.size() + i, signal.size())];
-    }
-    x = padded;
+  // Reflect-pad by half a window on both ends so frame centers align
+  // with signal samples. Front and back pads mirror symmetrically
+  // around the first / last sample; reflect_index keeps folding for
+  // signals shorter than half a window instead of clamping to an edge
+  // sample.
+  const std::size_t pad = win_len / 2;
+  const std::span<double> x = ws.take<double>(signal.size() + 2 * pad);
+  for (std::size_t i = 0; i < pad; ++i) {
+    x[i] = signal.empty() ? 0.0
+                          : signal[reflect_index(pad - i, signal.size())];
+  }
+  std::copy(signal.begin(), signal.end(),
+            x.begin() + static_cast<std::ptrdiff_t>(pad));
+  for (std::size_t i = 0; i < pad; ++i) {
+    x[pad + signal.size() + i] =
+        signal.empty() ? 0.0
+                       : signal[reflect_index(signal.size() + i, signal.size())];
   }
 
-  const bool pow2 = is_pow2(fft_size);
-  const FftPlan* plan = pow2 ? &FftPlan::get(fft_size) : nullptr;
+  const FftPlan& plan = FftPlan::get(fft_size);
   std::span<double> frame_buf = ws.take<double>(fft_size);
   for (std::size_t f = 0; f < shape.frames; ++f) {
     const std::size_t start = f * config.hop;
@@ -139,13 +128,7 @@ void stft_magnitudes(std::span<const double> signal, const StftConfig& config,
     }
     std::fill(frame_buf.begin() + static_cast<std::ptrdiff_t>(win_len),
               frame_buf.end(), 0.0);
-    std::span<double> row = mags.subspan(f * shape.bins, shape.bins);
-    if (plan != nullptr) {
-      plan->rfft_magnitude(frame_buf, row, ws);
-    } else {
-      const std::vector<double> mag = rfft_magnitude(frame_buf);
-      std::copy(mag.begin(), mag.end(), row.begin());
-    }
+    plan.rfft_magnitude(frame_buf, mags.subspan(f * shape.bins, shape.bins), ws);
   }
 }
 

@@ -14,11 +14,13 @@
 
 namespace emoleak::dsp {
 
+/// Frames are Hann-windowed, zero-padded to an FFT of
+/// next_pow2(window_length) points, and taken over the signal
+/// reflect-padded by window_length / 2 on both ends, so frame f centers
+/// on sample f * hop (librosa's `center=True`).
 struct StftConfig {
   std::size_t window_length = 64;   ///< samples per analysis frame
   std::size_t hop = 16;             ///< samples between frames
-  std::size_t fft_size = 0;         ///< 0 => next_pow2(window_length)
-  bool center = true;               ///< reflect-pad so frames center on samples
 
   /// Validates invariants; throws util::ConfigError on violation.
   void validate() const;

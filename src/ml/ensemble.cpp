@@ -49,14 +49,14 @@ void RandomForest::fit(const Dataset& data) {
 
   // Per-dataset shared induction index, built once for the whole
   // forest and read-only afterwards so sharing it across the worker
-  // threads is safe: sorted columns for the exact/presort path, the
+  // threads is safe: sorted columns for the exact path, the
   // quantile binner for the binned path. Binning uses the *full*
   // dataset (not a bag), so every tree sees the same candidate cuts and
   // the forest stays bit-identical at any thread count.
   std::optional<PresortedColumns> shared;
   std::optional<BinnedColumns> shared_bins;
   if (config_.tree.exact) {
-    if (config_.tree.presort) shared.emplace(PresortedColumns::build(data));
+    shared.emplace(PresortedColumns::build(data));
   } else {
     shared_bins.emplace(BinnedColumns::build(data, config_.tree.max_bins));
   }

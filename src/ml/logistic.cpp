@@ -116,27 +116,6 @@ std::vector<double> LogisticRegression::predict_proba(
   return p;
 }
 
-std::vector<double> LogisticRegression::predict_proba_batch(
-    std::span<const double> rows, std::size_t dim, std::size_t count) const {
-  if (classes_ == 0) throw util::DataError{"Logistic: not fitted"};
-  if (rows.size() != dim * count) {
-    throw util::DataError{"Logistic: rows/dim/count mismatch"};
-  }
-  const auto classes = static_cast<std::size_t>(classes_);
-  std::vector<double> out;
-  out.reserve(count * classes);
-  // Per row: the exact scale → logits → softmax chain of predict_proba,
-  // amortizing one output allocation across the batch.
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::vector<double> scaled =
-        scaler_.transform_row(rows.subspan(i * dim, dim));
-    std::vector<double> p = logits(scaled);
-    softmax_inplace(p);
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
 std::unique_ptr<Classifier> LogisticRegression::clone() const {
   return std::make_unique<LogisticRegression>(config_);
 }

@@ -30,9 +30,6 @@ class LogisticRegression final : public Classifier {
   [[nodiscard]] int predict(std::span<const double> row) const override;
   [[nodiscard]] std::vector<double> predict_proba(
       std::span<const double> row) const override;
-  [[nodiscard]] std::vector<double> predict_proba_batch(
-      std::span<const double> rows, std::size_t dim,
-      std::size_t count) const override;
   [[nodiscard]] std::unique_ptr<Classifier> clone() const override;
   [[nodiscard]] std::string name() const override { return "Logistic"; }
   void serialize(std::ostream& out) const override;

@@ -70,9 +70,7 @@ bool split_metric_may_beat(std::uint64_t left_sq, std::size_t n_left,
 }  // namespace
 
 // All per-fit scratch, taken from the calling thread's Workspace once
-// per fit_indices call. The reference path keeps the original
-// copy+sort algorithm (minus its per-node allocations); the presort
-// path adds per-feature order arrays maintained down the tree.
+// per fit_indices call.
 struct DecisionTree::BuildScratch {
   std::size_t n = 0;    ///< rows in the fitting index set (with repeats)
   std::size_t dim = 0;  ///< feature count
@@ -82,10 +80,6 @@ struct DecisionTree::BuildScratch {
   std::span<std::size_t> left_counts;
   std::span<std::size_t> right_counts;
   std::span<std::size_t> features;  ///< candidate ids, re-iota'd per node
-
-  // Reference path: the node-owned row window + the per-node column.
-  std::span<std::size_t> rows;  ///< fitting indices, partitioned in place
-  std::span<std::pair<double, int>> column;
 
   // Presort path. `order` holds dim arrays of n bag positions, each
   // sorted by that feature's value; every node owns the same
@@ -303,6 +297,11 @@ void DecisionTree::fit_indices(const Dataset& data,
   data.validate();
   reject_nan(data, "DecisionTree");
   if (indices.empty()) throw util::DataError{"DecisionTree: empty index set"};
+  // Both induction paths index bag positions and dataset rows as u32.
+  if (indices.size() > std::numeric_limits<std::uint32_t>::max() ||
+      data.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw util::DataError{"DecisionTree: 2^32 or more rows"};
+  }
   classes_ = data.class_count;
   nodes_.clear();
   leaf_count_ = 0;
@@ -322,10 +321,18 @@ void DecisionTree::fit_indices(const Dataset& data,
   scratch.right_counts = ws.take<std::size_t>(classes);
   scratch.features = ws.take<std::size_t>(dim);
 
-  const bool can_index_u32 =
-      dim > 0 && n <= std::numeric_limits<std::uint32_t>::max() &&
-      data.size() <= std::numeric_limits<std::uint32_t>::max();
-  if (!config_.exact && can_index_u32 && classes <= 0xFFFF) {
+  if (dim == 0) {
+    // Nothing to split on: one leaf holding the class distribution.
+    std::fill(scratch.class_counts.begin(), scratch.class_counts.end(),
+              std::size_t{0});
+    for (const std::size_t row : indices) {
+      ++scratch.class_counts[static_cast<std::size_t>(data.y[row])];
+    }
+    make_leaf(scratch.class_counts, n);
+    return;
+  }
+
+  if (!config_.exact && classes <= 0xFFFF) {
     // Binned induction. The binner is per-dataset (like the
     // shared presort), so a forest builds it once; a lone tree builds
     // its own.
@@ -354,78 +361,69 @@ void DecisionTree::fit_indices(const Dataset& data,
     return;
   }
 
-  const bool presort = config_.presort && can_index_u32;
-  if (presort) {
-    scratch.values = ws.take<double>(dim * n);
-    scratch.pos_class = ws.take<int>(n);
-    scratch.order = ws.take<std::uint32_t>(dim * n);
-    scratch.tmp = ws.take<std::uint32_t>(n);
-    scratch.go_left = ws.take<unsigned char>(n);
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      const std::size_t row = indices[pos];
-      scratch.pos_class[pos] = data.y[row];
-      const std::vector<double>& x_row = data.x[row];
-      for (std::size_t f = 0; f < dim; ++f) {
-        scratch.values[f * n + pos] = x_row[f];
-      }
+  scratch.values = ws.take<double>(dim * n);
+  scratch.pos_class = ws.take<int>(n);
+  scratch.order = ws.take<std::uint32_t>(dim * n);
+  scratch.tmp = ws.take<std::uint32_t>(n);
+  scratch.go_left = ws.take<unsigned char>(n);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const std::size_t row = indices[pos];
+    scratch.pos_class[pos] = data.y[row];
+    const std::vector<double>& x_row = data.x[row];
+    for (std::size_t f = 0; f < dim; ++f) {
+      scratch.values[f * n + pos] = x_row[f];
     }
-    const bool shared_usable = presorted != nullptr &&
-                               presorted->rows() == data.size() &&
-                               presorted->dims() == dim;
-    if (shared_usable) {
-      // Derive each feature's bag order from the shared per-dataset
-      // sort: group bag positions by row once (counting sort), then
-      // emit them in the shared value order — O(dim * (rows + n)) with
-      // zero comparisons. Ties land in (value, row, position) order
-      // instead of (value, position); intra-tie order does not affect
-      // split choice, so fitted trees are unchanged.
-      const std::size_t data_n = data.size();
-      const std::span<std::uint32_t> row_start =
-          ws.take<std::uint32_t>(data_n + 1);
-      std::fill(row_start.begin(), row_start.end(), std::uint32_t{0});
-      for (std::size_t pos = 0; pos < n; ++pos) ++row_start[indices[pos] + 1];
-      for (std::size_t r = 0; r < data_n; ++r) row_start[r + 1] += row_start[r];
-      const std::span<std::uint32_t> pos_by_row = ws.take<std::uint32_t>(n);
-      const std::span<std::uint32_t> cursor = ws.take<std::uint32_t>(data_n);
-      std::copy(row_start.begin(), row_start.begin() + static_cast<std::ptrdiff_t>(data_n),
-                cursor.begin());
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        pos_by_row[cursor[indices[pos]]++] = static_cast<std::uint32_t>(pos);
-      }
-      for (std::size_t f = 0; f < dim; ++f) {
-        const std::uint32_t* shared_ord = presorted->order(f);
-        std::uint32_t* ord = scratch.order.data() + f * n;
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < data_n; ++i) {
-          const std::uint32_t r = shared_ord[i];
-          for (std::uint32_t t = row_start[r]; t < row_start[r + 1]; ++t) {
-            ord[out++] = pos_by_row[t];
-          }
+  }
+  const bool shared_usable = presorted != nullptr &&
+                             presorted->rows() == data.size() &&
+                             presorted->dims() == dim;
+  if (shared_usable) {
+    // Derive each feature's bag order from the shared per-dataset
+    // sort: group bag positions by row once (counting sort), then
+    // emit them in the shared value order — O(dim * (rows + n)) with
+    // zero comparisons. Ties land in (value, row, position) order
+    // instead of (value, position); intra-tie order does not affect
+    // split choice, so fitted trees are unchanged.
+    const std::size_t data_n = data.size();
+    const std::span<std::uint32_t> row_start =
+        ws.take<std::uint32_t>(data_n + 1);
+    std::fill(row_start.begin(), row_start.end(), std::uint32_t{0});
+    for (std::size_t pos = 0; pos < n; ++pos) ++row_start[indices[pos] + 1];
+    for (std::size_t r = 0; r < data_n; ++r) row_start[r + 1] += row_start[r];
+    const std::span<std::uint32_t> pos_by_row = ws.take<std::uint32_t>(n);
+    const std::span<std::uint32_t> cursor = ws.take<std::uint32_t>(data_n);
+    std::copy(row_start.begin(), row_start.begin() + static_cast<std::ptrdiff_t>(data_n),
+              cursor.begin());
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      pos_by_row[cursor[indices[pos]]++] = static_cast<std::uint32_t>(pos);
+    }
+    for (std::size_t f = 0; f < dim; ++f) {
+      const std::uint32_t* shared_ord = presorted->order(f);
+      std::uint32_t* ord = scratch.order.data() + f * n;
+      std::size_t out = 0;
+      for (std::size_t i = 0; i < data_n; ++i) {
+        const std::uint32_t r = shared_ord[i];
+        for (std::uint32_t t = row_start[r]; t < row_start[r + 1]; ++t) {
+          ord[out++] = pos_by_row[t];
         }
       }
-    } else {
-      for (std::size_t f = 0; f < dim; ++f) {
-        const std::span<std::uint32_t> ord = scratch.order.subspan(f * n, n);
-        std::iota(ord.begin(), ord.end(), std::uint32_t{0});
-        const double* col = scratch.values.data() + f * n;
-        // Ties broken by position: a deterministic total order without
-        // stable_sort's hidden heap buffer. Intra-tie order does not
-        // affect split choice (cuts only happen between distinct
-        // values), so this matches the reference's value-sorted scan
-        // exactly.
-        std::sort(ord.begin(), ord.end(),
-                  [col](std::uint32_t a, std::uint32_t b) {
-                    return col[a] != col[b] ? col[a] < col[b] : a < b;
-                  });
-      }
     }
-    build_presort(data, scratch, 0, n, 0, rng);
   } else {
-    scratch.rows = ws.take<std::size_t>(n);
-    std::copy(indices.begin(), indices.end(), scratch.rows.begin());
-    scratch.column = ws.take<std::pair<double, int>>(n);
-    build_reference(data, scratch, 0, n, 0, rng);
+    for (std::size_t f = 0; f < dim; ++f) {
+      const std::span<std::uint32_t> ord = scratch.order.subspan(f * n, n);
+      std::iota(ord.begin(), ord.end(), std::uint32_t{0});
+      const double* col = scratch.values.data() + f * n;
+      // Ties broken by position: a deterministic total order without
+      // stable_sort's hidden heap buffer. Intra-tie order does not
+      // affect split choice (cuts only happen between distinct
+      // values), so this matches a per-node value sort exactly.
+      std::sort(ord.begin(), ord.end(),
+                [col](std::uint32_t a, std::uint32_t b) {
+                  return col[a] != col[b] ? col[a] < col[b] : a < b;
+                });
+    }
   }
+  build_presort(data, scratch, 0, n, 0, rng);
 }
 
 std::int32_t DecisionTree::make_leaf(std::span<const std::size_t> class_counts,
@@ -442,107 +440,6 @@ std::int32_t DecisionTree::make_leaf(std::span<const std::size_t> class_counts,
   return static_cast<std::int32_t>(nodes_.size() - 1);
 }
 
-// The original per-node copy+sort algorithm. Kept as the parity
-// reference for the presort rewrite; its per-node scratch now comes
-// from BuildScratch so repeated fits stay allocation-free too.
-std::int32_t DecisionTree::build_reference(const Dataset& data,
-                                           BuildScratch& scratch,
-                                           std::size_t begin, std::size_t end,
-                                           int depth, util::Rng& rng) {
-  const std::size_t count = end - begin;
-  const std::span<std::size_t> indices = scratch.rows;
-  const std::span<std::size_t> class_counts = scratch.class_counts;
-  std::fill(class_counts.begin(), class_counts.end(), std::size_t{0});
-  for (std::size_t i = begin; i < end; ++i) {
-    ++class_counts[static_cast<std::size_t>(data.y[indices[i]])];
-  }
-  const std::uint64_t node_sq = squared_count_sum(class_counts);
-
-  if (depth >= config_.max_depth || count < config_.min_samples_split ||
-      node_sq == static_cast<std::uint64_t>(count) * count) {
-    return make_leaf(class_counts, count);
-  }
-
-  // Candidate features: all, or a random subset (random-forest mode).
-  const std::size_t dim = data.dim();
-  const std::span<std::size_t> features = scratch.features;
-  std::iota(features.begin(), features.end(), std::size_t{0});
-  std::size_t feature_count = dim;
-  if (config_.features_per_split > 0 && config_.features_per_split < dim) {
-    rng.shuffle(features);
-    feature_count = config_.features_per_split;
-  }
-
-  // Must improve on the parent by more than the scaled epsilon.
-  const double eps_scaled = 1e-12 * static_cast<double>(count);
-  double best_metric =
-      static_cast<double>(node_sq) / static_cast<double>(count);
-  std::size_t best_feature = 0;
-  double best_threshold = 0.0;
-  bool found = false;
-
-  const std::span<std::pair<double, int>> column =
-      scratch.column.subspan(0, count);
-  for (std::size_t fi = 0; fi < feature_count; ++fi) {
-    const std::size_t f = features[fi];
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t row = indices[begin + i];
-      column[i] = {data.x[row][f], data.y[row]};
-    }
-    std::sort(column.begin(), column.end());
-
-    const std::span<std::size_t> left_counts = scratch.left_counts;
-    const std::span<std::size_t> right_counts = scratch.right_counts;
-    std::fill(left_counts.begin(), left_counts.end(), std::size_t{0});
-    std::copy(class_counts.begin(), class_counts.end(), right_counts.begin());
-    std::uint64_t left_sq = 0;
-    std::uint64_t right_sq = node_sq;
-    for (std::size_t i = 0; i + 1 < count; ++i) {
-      const auto cls = static_cast<std::size_t>(column[i].second);
-      left_sq += 2 * static_cast<std::uint64_t>(left_counts[cls]++) + 1;
-      right_sq -= 2 * static_cast<std::uint64_t>(--right_counts[cls]) + 1;
-      if (column[i].first == column[i + 1].first) continue;  // no valid cut
-      const std::size_t n_left = i + 1;
-      const std::size_t n_right = count - n_left;
-      if (n_left < config_.min_samples_leaf || n_right < config_.min_samples_leaf) {
-        continue;
-      }
-      const double metric = split_metric(left_sq, n_left, right_sq, n_right);
-      if (metric > best_metric + eps_scaled) {
-        best_metric = metric;
-        best_feature = f;
-        best_threshold = 0.5 * (column[i].first + column[i + 1].first);
-        found = true;
-      }
-    }
-  }
-
-  if (!found) return make_leaf(class_counts, count);
-
-  // Partition indices[begin, end) around the chosen split.
-  const auto mid_iter = std::stable_partition(
-      indices.begin() + static_cast<std::ptrdiff_t>(begin),
-      indices.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t row) { return data.x[row][best_feature] <= best_threshold; });
-  const auto mid = static_cast<std::size_t>(mid_iter - indices.begin());
-  // The scan only reads class_counts, so it still holds this node's
-  // counts for the degenerate-partition leaf.
-  if (mid == begin || mid == end) return make_leaf(class_counts, count);
-
-  // Reserve this node's slot before recursing so children line up.
-  nodes_.emplace_back();
-  const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
-  const std::int32_t left =
-      build_reference(data, scratch, begin, mid, depth + 1, rng);
-  const std::int32_t right =
-      build_reference(data, scratch, mid, end, depth + 1, rng);
-  nodes_[static_cast<std::size_t>(self)].feature = best_feature;
-  nodes_[static_cast<std::size_t>(self)].threshold = best_threshold;
-  nodes_[static_cast<std::size_t>(self)].left = left;
-  nodes_[static_cast<std::size_t>(self)].right = right;
-  return self;
-}
-
 // Presorted CART induction. Each feature's positions were sorted once
 // in fit_indices; a node scans its [begin, end) window of every
 // candidate feature's order array directly (no copy, no sort) and,
@@ -551,7 +448,8 @@ std::int32_t DecisionTree::build_reference(const Dataset& data,
 // scores only depend on class counts accumulated over runs of equal
 // values, which are invariant to intra-tie ordering, so the chosen
 // (feature, threshold) — and hence the serialized tree — is
-// byte-identical to the reference algorithm.
+// byte-identical to per-node copy+sort CART (the oracle test_tree
+// compares against).
 std::int32_t DecisionTree::build_presort(const Dataset& data,
                                          BuildScratch& scratch,
                                          std::size_t begin, std::size_t end,
@@ -675,12 +573,12 @@ std::int32_t DecisionTree::build_presort(const Dataset& data,
 
 // Binned CART induction (LightGBM-style cuts). Cuts are scored only at
 // boundaries between bins nonempty in the node, with the same
-// incremental integer-Gini scan as the exact paths; the stored
+// incremental integer-Gini scan as the exact path; the stored
 // threshold is the midpoint of the adjacent bins' edge values, so when
 // the binner gave every distinct value its own bin the chosen
 // (feature, threshold) sequence — and the fitted tree — matches the
-// exact paths byte for byte. RNG consumption (one shuffle per split
-// attempt) is identical to the other paths, so bagging plans and
+// exact path byte for byte. RNG consumption (one shuffle per split
+// attempt) is identical to the presort path, so bagging plans and
 // thread-count determinism carry over unchanged.
 std::int32_t DecisionTree::build_binned(const Dataset& data,
                                         const BinnedColumns& binned,
@@ -722,7 +620,7 @@ std::int32_t DecisionTree::build_binned(const Dataset& data,
 
   // Per candidate: counting sort the node's rows by code — count per
   // code and collect touched codes, prefix-sum the (sorted) touched
-  // codes, scatter labels into code order — then run the exact paths'
+  // codes, scatter labels into code order — then run the exact path's
   // per-sample incremental scan over the ordered labels. Only the left
   // side is maintained; the right squared sum is derived at each
   // boundary from

@@ -4,6 +4,11 @@
 // (paper Table VI) and the structural component of the logistic model
 // tree. Supports per-split random feature subsets (for forests) and
 // sample weights via duplication-free index lists.
+//
+// Two induction paths: exact (presorted columns, every distinct value a
+// candidate cut) and binned (TreeConfig::exact = false). The textbook
+// per-node copy+sort CART that the exact path must match byte for byte
+// lives in test_tree as its parity oracle, not here.
 #pragma once
 
 #include <cstdint>
@@ -22,20 +27,14 @@ struct TreeConfig {
   /// otherwise a random subset of this size (random forest mode).
   std::size_t features_per_split = 0;
   std::uint64_t seed = 11;
-  /// Presorted induction: each feature column is sorted once per tree
-  /// and the order is maintained down the tree by stable partitioning,
-  /// replacing the per-node copy + sort. Produces byte-identical trees
-  /// to the reference algorithm (same tie-breaking, same improvement
-  /// epsilon) — `false` selects the reference per-node-sort path the
-  /// parity tests compare against. Only consulted when `exact`.
-  bool presort = true;
   /// Exact split finding (the default): every distinct feature value is
-  /// a candidate cut, and fitted trees are byte-identical to the
-  /// serialized models of earlier releases. `false` selects binned
-  /// induction (LightGBM-style cuts): feature values are quantized once
-  /// per dataset into <= max_bins quantile bins (u8 codes), and each
-  /// node scores cuts only at bin boundaries, counting-sorting its rows
-  /// by code per candidate feature. Much faster on forests; splits may
+  /// a candidate cut. Each feature column is sorted once per tree and
+  /// kept sorted down the tree by stable partitioning; fitted trees are
+  /// byte-identical to the serialized models of earlier releases.
+  /// `false` selects binned induction (LightGBM-style cuts): feature
+  /// values are quantized once per dataset into <= max_bins quantile
+  /// bins (u8 codes), and each node scores cuts only at bin boundaries,
+  /// counting-sorting its rows by code per candidate feature. Much faster on forests; splits may
   /// differ from the exact tree when a bin spans multiple distinct
   /// values, but training stays fully deterministic — same seed, same
   /// data, same trees at any thread count.
@@ -120,11 +119,13 @@ class DecisionTree final : public Classifier {
 
   /// Fits on a row subset (for bagging) without copying the matrix.
   /// `presorted`, when given, must have been built from `data`; the
-  /// presort path then derives each feature's bag order from it in
+  /// exact path then derives each feature's bag order from it in
   /// O(rows + indices) instead of sorting. `binned` likewise must have
   /// been built from `data` and is only consulted when
   /// `config.exact == false` (it is built on demand when the binned
-  /// path is selected and no shared binner is supplied).
+  /// path is selected and no shared binner is supplied). A zero-width
+  /// dataset fits one leaf holding the class distribution; 2^32 or
+  /// more indices or dataset rows throw util::DataError.
   void fit_indices(const Dataset& data, std::span<const std::size_t> indices,
                    const PresortedColumns* presorted = nullptr,
                    const BinnedColumns* binned = nullptr);
@@ -166,9 +167,6 @@ class DecisionTree final : public Classifier {
   /// repeated fits are allocation-free in steady state.
   struct BuildScratch;
 
-  std::int32_t build_reference(const Dataset& data, BuildScratch& scratch,
-                               std::size_t begin, std::size_t end, int depth,
-                               util::Rng& rng);
   std::int32_t build_presort(const Dataset& data, BuildScratch& scratch,
                              std::size_t begin, std::size_t end, int depth,
                              util::Rng& rng);

@@ -25,7 +25,6 @@ struct TrainConfig {
   double learning_rate = 1e-3;
   double validation_fraction = 0.2;  ///< carved from the training set
   std::uint64_t seed = 23;
-  bool verbose = false;
 };
 
 /// Per-epoch training curves (paper Fig. 7).

@@ -216,42 +216,6 @@ std::string serialized(const emoleak::ml::Classifier& model) {
   return out.str();
 }
 
-// Presorted induction must leave the fitted ensembles byte-identical:
-// the tree-level parity guarantee (test_tree) lifts through bagging and
-// subspace projection because both only change which rows/columns each
-// tree sees, never how a tree splits them.
-TEST(RandomForestTest, PresortSerializesByteIdenticallyToReference) {
-  const Dataset d = noisy_blobs(40, 3, 19);
-  RandomForestConfig cfg;
-  cfg.tree_count = 12;
-  cfg.tree.features_per_split = 2;
-  cfg.parallelism.threads = 2;
-  cfg.tree.presort = true;
-  RandomForest fast{cfg};
-  cfg.tree.presort = false;
-  cfg.parallelism.threads = 1;  // thread count must not matter either
-  RandomForest reference{cfg};
-  fast.fit(d);
-  reference.fit(d);
-  EXPECT_EQ(serialized(fast), serialized(reference));
-}
-
-TEST(RandomSubspaceTest, PresortSerializesByteIdenticallyToReference) {
-  const Dataset d = noisy_blobs(40, 3, 20);
-  RandomSubspaceConfig cfg;
-  cfg.ensemble_size = 10;
-  cfg.subspace_fraction = 0.5;
-  cfg.parallelism.threads = 2;
-  cfg.tree.presort = true;
-  RandomSubspace fast{cfg};
-  cfg.tree.presort = false;
-  cfg.parallelism.threads = 1;
-  RandomSubspace reference{cfg};
-  fast.fit(d);
-  reference.fit(d);
-  EXPECT_EQ(serialized(fast), serialized(reference));
-}
-
 /// Features quantized to a handful of distinct values, so every bin
 /// budget >= ~40 is in the one-value-per-bin regime where binned and
 /// exact induction must coincide.

@@ -31,20 +31,18 @@ TEST(StftConfigTest, ValidatesParameters) {
   c = StftConfig{};
   c.hop = 0;
   EXPECT_THROW(c.validate(), emoleak::util::ConfigError);
-  c = StftConfig{};
-  c.fft_size = 32;
-  c.window_length = 64;
-  EXPECT_THROW(c.validate(), emoleak::util::ConfigError);
 }
 
 TEST(StftTest, ShapeMatchesConfig) {
   StftConfig c;
   c.window_length = 64;
   c.hop = 16;
-  c.center = false;
   const auto spec = stft(std::vector<double>(256, 0.0), 1000.0, c);
   EXPECT_EQ(spec.bins(), 33u);  // 64-point FFT -> 33 bins
-  EXPECT_EQ(spec.frames(), (256 - 64) / 16 + 1);
+  // Reflect padding adds 32 samples at each end: one frame per hop.
+  EXPECT_EQ(spec.frames(), (256 + 64 - 64) / 16 + 1);
+  c.window_length = 48;  // FFT size rounds up to 64 points
+  EXPECT_EQ(stft(std::vector<double>(256, 0.0), 1000.0, c).bins(), 33u);
 }
 
 TEST(StftTest, SinePeaksAtCorrectBin) {
@@ -117,13 +115,13 @@ TEST(StftTest, LongSignalPaddingUnchangedByReflectFix) {
   for (std::size_t i = 0; i < pad; ++i) padded.push_back(x[pad - i]);
   padded.insert(padded.end(), x.begin(), x.end());
   for (std::size_t i = 0; i < pad; ++i) padded.push_back(x[x.size() - 2 - i]);
-  StftConfig no_center = c;
-  no_center.center = false;
-  const auto ref = stft(padded, 100.0, no_center);
-  ASSERT_EQ(spec.frames(), ref.frames());
+  // stft pads `padded` by another 8 samples per end, two hops: frame
+  // f + 2 of its STFT windows the same samples as frame f of stft(x).
+  const auto ref = stft(padded, 100.0, c);
+  ASSERT_EQ(spec.frames() + 4, ref.frames());
   for (std::size_t f = 0; f < spec.frames(); ++f) {
     for (std::size_t b = 0; b < spec.bins(); ++b) {
-      EXPECT_NEAR(spec.at(f, b), ref.at(f, b), 1e-12);
+      EXPECT_NEAR(spec.at(f, b), ref.at(f + 2, b), 1e-12);
     }
   }
 }
@@ -139,16 +137,20 @@ TEST(StftTest, BinFrequenciesSpanNyquist) {
 TEST(StftTest, ShortSignalStillProducesOneFrame) {
   StftConfig c;
   c.window_length = 64;
-  c.center = false;
   const auto spec = stft(std::vector<double>(10, 1.0), 100.0, c);
   EXPECT_GE(spec.frames(), 1u);
 }
 
 TEST(StftTest, EmptySignalProducesFrame) {
-  StftConfig c;
-  c.center = false;
-  const auto spec = stft(std::vector<double>{}, 100.0, c);
-  EXPECT_EQ(spec.frames(), 1u);
+  // An odd window pads an empty signal to window_length - 1 samples,
+  // short of one frame; it still gets the single zero frame.
+  for (const std::size_t window : {std::size_t{64}, std::size_t{63}}) {
+    StftConfig c;
+    c.window_length = window;
+    const auto spec = stft(std::vector<double>{}, 100.0, c);
+    ASSERT_EQ(spec.frames(), 1u) << "window " << window;
+    for (const double m : spec.data()) EXPECT_EQ(m, 0.0) << "window " << window;
+  }
 }
 
 TEST(StftTest, InvalidRateThrows) {

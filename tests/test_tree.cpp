@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -144,18 +147,11 @@ TEST(DecisionTreeTest, NanFeatureIsRejectedOnEveryPath) {
   // induction path must refuse it instead.
   Dataset d = xor_data(60, 12);
   d.x[17][1] = std::numeric_limits<double>::quiet_NaN();
-  struct PathCase {
-    bool exact;
-    bool presort;
-  };
-  for (const PathCase path : {PathCase{true, true}, PathCase{true, false},
-                              PathCase{false, true}}) {
+  for (const bool exact : {true, false}) {
     TreeConfig cfg;
-    cfg.exact = path.exact;
-    cfg.presort = path.presort;
+    cfg.exact = exact;
     DecisionTree tree{cfg};
-    EXPECT_THROW(tree.fit(d), emoleak::util::DataError)
-        << "exact=" << path.exact << " presort=" << path.presort;
+    EXPECT_THROW(tree.fit(d), emoleak::util::DataError) << "exact=" << exact;
   }
   EXPECT_THROW((void)emoleak::ml::PresortedColumns::build(d),
                emoleak::util::DataError);
@@ -168,6 +164,41 @@ TEST(DecisionTreeTest, NanFeatureIsRejectedOnEveryPath) {
     emoleak::ml::RandomForest forest{cfg};
     EXPECT_THROW(forest.fit(d), emoleak::util::DataError) << "exact=" << exact;
   }
+}
+
+TEST(DecisionTreeTest, ZeroWidthDatasetFitsOneLeaf) {
+  // No feature to split on: both paths fit a single leaf holding the
+  // class distribution of the fitted rows, bag repeats counted.
+  Dataset d;
+  d.class_count = 3;
+  for (const int label : {0, 2, 1, 2, 2, 0, 2}) {
+    d.x.emplace_back();
+    d.y.push_back(label);
+  }
+  const std::vector<std::size_t> bag{0, 0, 1, 3, 5, 6};
+  for (const bool exact : {true, false}) {
+    TreeConfig cfg;
+    cfg.exact = exact;
+    DecisionTree tree{cfg};
+    tree.fit(d);
+    EXPECT_EQ(tree.node_count(), 1u) << "exact=" << exact;
+    EXPECT_EQ(tree.leaf_count(), 1u) << "exact=" << exact;
+    EXPECT_EQ(tree.predict_proba(std::vector<double>{}),
+              (std::vector<double>{2.0 / 7.0, 1.0 / 7.0, 4.0 / 7.0}))
+        << "exact=" << exact;
+    EXPECT_EQ(tree.predict(std::vector<double>{}), 2) << "exact=" << exact;
+
+    tree.fit_indices(d, bag);
+    EXPECT_EQ(tree.node_count(), 1u) << "exact=" << exact;
+    EXPECT_EQ(tree.predict_proba(std::vector<double>{}),
+              (std::vector<double>{3.0 / 6.0, 0.0, 3.0 / 6.0}))
+        << "exact=" << exact;
+  }
+  emoleak::ml::RandomForestConfig forest_cfg;
+  forest_cfg.tree_count = 3;
+  emoleak::ml::RandomForest forest{forest_cfg};
+  forest.fit(d);
+  EXPECT_EQ(forest.predict(std::vector<double>{}), 2);
 }
 
 TEST(DecisionTreeTest, FitIndicesUsesOnlySubset) {
@@ -253,7 +284,171 @@ Dataset quantized_data(std::size_t n, int classes, std::uint64_t seed) {
   return d;
 }
 
-// Presort-vs-reference parity: identical serialized bytes across
+// Parity oracle: per-node copy+sort CART, the textbook algorithm the
+// presorted exact path replaced. Each node copies its rows' (value,
+// label) pairs per candidate feature, sorts them and scans the cuts
+// between distinct values. Everything that decides the tree is the
+// library's: one Rng shuffle of the iota'd feature ids per split
+// attempt, the integer sum-of-squared-counts purity metric with its
+// 1e-12 improvement epsilon scaled by the node count, midpoint
+// thresholds, and a stable partition of the rows. It writes
+// DecisionTree::serialize's exact text, so a parity test compares
+// bytes.
+class ReferenceCart {
+ public:
+  ReferenceCart(const Dataset& data, const TreeConfig& cfg)
+      : data_{data}, cfg_{cfg}, rng_{cfg.seed} {}
+
+  std::string fit(std::span<const std::size_t> indices) {
+    rows_.assign(indices.begin(), indices.end());
+    build(0, rows_.size(), 0);
+    std::ostringstream out;
+    out << std::setprecision(17);
+    out << data_.class_count << ' ' << nodes_.size() << ' ' << leaves_ << '\n';
+    for (const Node& n : nodes_) {
+      out << n.feature << ' ' << n.threshold << ' ' << n.left << ' '
+          << n.right << ' ' << n.leaf_id << ' ' << n.distribution.size();
+      for (const double v : n.distribution) out << ' ' << v;
+      out << '\n';
+    }
+    return out.str();
+  }
+
+ private:
+  struct Node {
+    std::size_t feature = 0;
+    double threshold = 0.0;
+    std::int32_t left = -1;
+    std::int32_t right = -1;
+    std::size_t leaf_id = 0;
+    std::vector<double> distribution;
+  };
+
+  static std::uint64_t squared_sum(const std::vector<std::size_t>& counts) {
+    std::uint64_t s = 0;
+    for (const std::size_t c : counts) s += std::uint64_t{c} * c;
+    return s;
+  }
+
+  std::int32_t leaf(const std::vector<std::size_t>& counts, std::size_t count) {
+    Node node;
+    for (const std::size_t c : counts) {
+      node.distribution.push_back(static_cast<double>(c) /
+                                  static_cast<double>(count));
+    }
+    node.leaf_id = leaves_++;
+    nodes_.push_back(std::move(node));
+    return static_cast<std::int32_t>(nodes_.size() - 1);
+  }
+
+  std::int32_t build(std::size_t begin, std::size_t end, int depth) {
+    const std::size_t count = end - begin;
+    std::vector<std::size_t> counts(static_cast<std::size_t>(data_.class_count));
+    for (std::size_t i = begin; i < end; ++i) {
+      ++counts[static_cast<std::size_t>(data_.y[rows_[i]])];
+    }
+    const std::uint64_t node_sq = squared_sum(counts);
+    if (depth >= cfg_.max_depth || count < cfg_.min_samples_split ||
+        node_sq == std::uint64_t{count} * count) {
+      return leaf(counts, count);
+    }
+
+    const std::size_t dim = data_.dim();
+    std::vector<std::size_t> features(dim);
+    std::iota(features.begin(), features.end(), std::size_t{0});
+    std::size_t feature_count = dim;
+    if (cfg_.features_per_split > 0 && cfg_.features_per_split < dim) {
+      rng_.shuffle(features);
+      feature_count = cfg_.features_per_split;
+    }
+
+    const double eps = 1e-12 * static_cast<double>(count);
+    double best_metric =
+        static_cast<double>(node_sq) / static_cast<double>(count);
+    std::size_t best_feature = 0;
+    double best_threshold = 0.0;
+    bool found = false;
+    for (std::size_t fi = 0; fi < feature_count; ++fi) {
+      const std::size_t f = features[fi];
+      std::vector<std::pair<double, int>> column;
+      for (std::size_t i = begin; i < end; ++i) {
+        column.emplace_back(data_.x[rows_[i]][f], data_.y[rows_[i]]);
+      }
+      std::sort(column.begin(), column.end());
+      std::vector<std::size_t> left(counts.size(), 0);
+      for (std::size_t i = 0; i + 1 < count; ++i) {
+        ++left[static_cast<std::size_t>(column[i].second)];
+        if (column[i].first == column[i + 1].first) continue;
+        const std::size_t n_left = i + 1;
+        const std::size_t n_right = count - n_left;
+        if (n_left < cfg_.min_samples_leaf || n_right < cfg_.min_samples_leaf) {
+          continue;
+        }
+        std::vector<std::size_t> right(counts.size());
+        for (std::size_t c = 0; c < counts.size(); ++c) {
+          right[c] = counts[c] - left[c];
+        }
+        const double metric =
+            static_cast<double>(squared_sum(left)) / static_cast<double>(n_left) +
+            static_cast<double>(squared_sum(right)) / static_cast<double>(n_right);
+        if (metric > best_metric + eps) {
+          best_metric = metric;
+          best_feature = f;
+          best_threshold = 0.5 * (column[i].first + column[i + 1].first);
+          found = true;
+        }
+      }
+    }
+    if (!found) return leaf(counts, count);
+
+    const auto mid = static_cast<std::size_t>(
+        std::stable_partition(rows_.begin() + static_cast<std::ptrdiff_t>(begin),
+                              rows_.begin() + static_cast<std::ptrdiff_t>(end),
+                              [&](std::size_t row) {
+                                return data_.x[row][best_feature] <= best_threshold;
+                              }) -
+        rows_.begin());
+    if (mid == begin || mid == end) return leaf(counts, count);
+
+    // The node's slot precedes its children, as in the library.
+    nodes_.emplace_back();
+    const std::size_t self = nodes_.size() - 1;
+    const std::int32_t left_child = build(begin, mid, depth + 1);
+    const std::int32_t right_child = build(mid, end, depth + 1);
+    nodes_[self].feature = best_feature;
+    nodes_[self].threshold = best_threshold;
+    nodes_[self].left = left_child;
+    nodes_[self].right = right_child;
+    return static_cast<std::int32_t>(self);
+  }
+
+  const Dataset& data_;
+  TreeConfig cfg_;
+  Rng rng_;
+  std::vector<std::size_t> rows_;
+  std::vector<Node> nodes_;
+  std::size_t leaves_ = 0;
+};
+
+std::string reference_tree(const Dataset& d, std::span<const std::size_t> indices,
+                           const TreeConfig& cfg) {
+  return ReferenceCart{d, cfg}.fit(indices);
+}
+
+std::string reference_tree(const Dataset& d, const TreeConfig& cfg) {
+  std::vector<std::size_t> all(d.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return reference_tree(d, all, cfg);
+}
+
+std::vector<std::size_t> bootstrap_bag(std::size_t rows, std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<std::size_t> bag(rows);
+  for (std::size_t& b : bag) b = rng.uniform_int(rows);
+  return bag;
+}
+
+// Presort-vs-oracle parity: identical serialized bytes across
 // depth / min-leaf / feature-subset sweeps on tied and untied data.
 struct ParityCase {
   int max_depth;
@@ -273,13 +468,9 @@ TEST_P(PresortParity, SerializesByteIdenticallyToReference) {
     cfg.min_samples_leaf = p.min_samples_leaf;
     cfg.features_per_split = p.features_per_split;
     cfg.seed = 101;
-    cfg.presort = true;
     DecisionTree fast{cfg};
-    cfg.presort = false;
-    DecisionTree reference{cfg};
     fast.fit(d);
-    reference.fit(d);
-    EXPECT_EQ(serialized(fast), serialized(reference));
+    EXPECT_EQ(serialized(fast), reference_tree(d, cfg));
   }
 }
 
@@ -293,42 +484,57 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DecisionTreeTest, PresortParityOnBootstrapBags) {
   // Bagged index sets with repeated rows, like RandomForest::fit draws.
   const Dataset d = quantized_data(250, 4, 24);
-  Rng rng{25};
-  std::vector<std::size_t> bag(d.size());
-  for (std::size_t& b : bag) b = rng.uniform_int(d.size());
+  const std::vector<std::size_t> bag = bootstrap_bag(d.size(), 25);
   TreeConfig cfg;
   cfg.features_per_split = 2;
   cfg.seed = 55;
-  cfg.presort = true;
   DecisionTree fast{cfg};
-  cfg.presort = false;
-  DecisionTree reference{cfg};
   fast.fit_indices(d, bag);
-  reference.fit_indices(d, bag);
-  EXPECT_EQ(serialized(fast), serialized(reference));
+  EXPECT_EQ(serialized(fast), reference_tree(d, bag, cfg));
+}
+
+TEST(DecisionTreeTest, SharedPresortOnBootstrapBagsMatchesReference) {
+  // RandomForest::fit hands every tree one PresortedColumns for the
+  // whole dataset, and each tree derives its bag's order from it by a
+  // counting pass. Those trees must still be the oracle's, bag repeats
+  // and value ties included.
+  const std::vector<Dataset> datasets = {
+      xor_data(300, 27), quantized_data(400, 3, 28), quantized_data(150, 5, 29)};
+  for (std::size_t k = 0; k < datasets.size(); ++k) {
+    const Dataset& d = datasets[k];
+    const emoleak::ml::PresortedColumns shared =
+        emoleak::ml::PresortedColumns::build(d);
+    for (const std::size_t features_per_split : {std::size_t{0}, std::size_t{2}}) {
+      for (const std::uint64_t seed : {61u, 62u, 63u}) {
+        const std::vector<std::size_t> bag = bootstrap_bag(d.size(), seed + k);
+        TreeConfig cfg;
+        cfg.features_per_split = features_per_split;
+        cfg.seed = seed;
+        DecisionTree tree{cfg};
+        tree.fit_indices(d, bag, &shared);
+        EXPECT_EQ(serialized(tree), reference_tree(d, bag, cfg))
+            << "dataset " << k << " features_per_split=" << features_per_split
+            << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(DecisionTreeTest, RefitIsAllocationFreeInSteadyState) {
-  // All three induction paths draw every per-fit/per-node buffer from
-  // the thread workspace: after a warm-up fit, repeated fits never
-  // touch the heap through the arena (same contract test_workspace
-  // asserts for the DSP kernels).
+  // Both induction paths draw every per-fit/per-node buffer from the
+  // thread workspace: after a warm-up fit, repeated fits never touch
+  // the heap through the arena (same contract test_workspace asserts
+  // for the DSP kernels).
   const Dataset d = quantized_data(300, 3, 26);
-  struct PathCase {
-    bool exact;
-    bool presort;
-  };
-  for (const PathCase path : {PathCase{true, true}, PathCase{true, false},
-                              PathCase{false, true}}) {
+  for (const bool exact : {true, false}) {
     TreeConfig cfg;
-    cfg.exact = path.exact;
-    cfg.presort = path.presort;
+    cfg.exact = exact;
     DecisionTree tree{cfg};
     tree.fit(d);  // warm-up sizes the arena
     const std::size_t warm = emoleak::util::thread_workspace().grow_count();
     for (int iter = 0; iter < 5; ++iter) tree.fit(d);
     EXPECT_EQ(emoleak::util::thread_workspace().grow_count(), warm)
-        << "exact=" << path.exact << " presort=" << path.presort;
+        << "exact=" << exact;
   }
 }
 
