@@ -135,10 +135,11 @@ BENCHMARK(BM_FeatureExtraction)->Arg(420)->Arg(840);
 
 void BM_FeatureExtractionRegions(benchmark::State& state) {
   // Served regions vary in length and content, so a kernel timed on one
-  // repeated input hides the sort's branch misses and the FFT plan
-  // churn. Cycles through 128 distinct lengths in [380, 820] samples
-  // (fleet_sparse's closing regions, p50 652), each with its own
-  // noise; time per iteration is the mean per-region cost.
+  // repeated input hides the selection's branch misses and the cost of
+  // keeping a Bluestein plan per length (all 128 fit the process-wide
+  // plan cache). Cycles through 128 distinct lengths in [380, 820]
+  // samples (fleet_sparse's closing regions, p50 652), each with its
+  // own noise; time per iteration is the mean per-region cost.
   constexpr std::size_t kRegions = 128;
   std::vector<std::vector<double>> regions;
   for (std::size_t i = 0; i < kRegions; ++i) {

@@ -1,8 +1,11 @@
 #include "dsp/fft.h"
 
 #include <cmath>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <numbers>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -221,37 +224,21 @@ namespace {
 /// Bluestein's algorithm expresses a length-n DFT as a circular
 /// convolution of length m = next_pow2(2n-1). The chirp sequence and
 /// the transformed convolution kernel depend only on n, so both are
-/// cached per thread.
+/// planned once per size and shared by every thread. A plan is
+/// immutable once built.
 struct BluesteinPlan {
   std::size_t n = 0;
   std::size_t m = 0;
   std::vector<Complex> chirp;  ///< e^{-iπ k²/n}, forward sign
   std::vector<Complex> fft_b;  ///< forward FFT of the convolution kernel
-};
 
-/// The calling thread's Bluestein plans: at most kBluesteinPlanCap,
-/// replaced oldest-first. Served regions come in arbitrary lengths, so
-/// an unbounded cache would grow with every new one for the life of
-/// the thread.
-struct BluesteinCache {
-  std::vector<std::unique_ptr<BluesteinPlan>> plans;
-  std::size_t oldest = 0;  ///< slot replaced next once the cache is full
-};
-
-BluesteinCache& bluestein_cache() {
-  thread_local BluesteinCache cache;
-  return cache;
-}
-
-/// The reference stays valid until this thread plans kBluesteinPlanCap
-/// further sizes. Every caller uses it within one bluestein_forward
-/// call, which plans no other Bluestein size, so it outlives its use.
-const BluesteinPlan& bluestein_plan(std::size_t n) {
-  BluesteinCache& cache = bluestein_cache();
-  for (const std::unique_ptr<BluesteinPlan>& p : cache.plans) {
-    if (p->n == n) return *p;
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return (chirp.size() + fft_b.size()) * sizeof(Complex);
   }
-  auto plan = std::make_unique<BluesteinPlan>();
+};
+
+std::shared_ptr<const BluesteinPlan> build_bluestein_plan(std::size_t n) {
+  auto plan = std::make_shared<BluesteinPlan>();
   plan->n = n;
   plan->m = next_pow2(2 * n - 1);
   plan->chirp.resize(n);
@@ -268,20 +255,82 @@ const BluesteinPlan& bluestein_plan(std::size_t n) {
     plan->fft_b[k] = plan->fft_b[plan->m - k] = std::conj(plan->chirp[k]);
   }
   FftPlan::get(plan->m).forward(plan->fft_b);
-  if (cache.plans.size() < kBluesteinPlanCap) {
-    cache.plans.push_back(std::move(plan));
-    return *cache.plans.back();
-  }
-  std::unique_ptr<BluesteinPlan>& slot = cache.plans[cache.oldest];
-  cache.oldest = (cache.oldest + 1) % kBluesteinPlanCap;
-  slot = std::move(plan);
-  return *slot;
+  return plan;
 }
+
+/// The process's Bluestein plans, least recently used evicted once
+/// their bytes exceed kBluesteinCacheBytes; the newest plan always
+/// stays. Callers hold a shared_ptr, so evicting a plan another thread
+/// is transforming with only drops the cache's reference to it.
+class BluesteinCache {
+ public:
+  static BluesteinCache& instance() {
+    static BluesteinCache cache;
+    return cache;
+  }
+
+  std::shared_ptr<const BluesteinPlan> get(std::size_t n) {
+    {
+      const std::lock_guard<std::mutex> lock{mu_};
+      if (auto hit = touch(n)) {
+        hits_.add(1);
+        return hit;
+      }
+    }
+    // Build outside the lock: a plan depends only on n, so a plan
+    // another thread inserted meanwhile has the same bits as this one.
+    std::shared_ptr<const BluesteinPlan> plan = build_bluestein_plan(n);
+    built_.add(1);
+    const std::lock_guard<std::mutex> lock{mu_};
+    if (auto raced = touch(n)) return raced;
+    lru_.push_front(plan);
+    index_.emplace(n, lru_.begin());
+    bytes_ += plan->bytes();
+    while (bytes_ > kBluesteinCacheBytes && lru_.size() > 1) {
+      const std::shared_ptr<const BluesteinPlan>& old = lru_.back();
+      bytes_ -= old->bytes();
+      index_.erase(old->n);
+      lru_.pop_back();
+    }
+    return plan;
+  }
+
+  BluesteinCacheSize size() {
+    const std::lock_guard<std::mutex> lock{mu_};
+    return {lru_.size(), bytes_};
+  }
+
+ private:
+  /// The cached plan for n, moved to the front of the LRU order; null
+  /// if n is not cached. Caller holds mu_.
+  std::shared_ptr<const BluesteinPlan> touch(std::size_t n) {
+    const auto it = index_.find(n);
+    if (it == index_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return *it->second;
+  }
+
+  // Hit/miss tallies (relaxed fetch_add) so a live scrape shows churn.
+  obs::Counter& built_ =
+      obs::Registry::instance().counter("dsp.bluestein.plans_built");
+  obs::Counter& hits_ =
+      obs::Registry::instance().counter("dsp.bluestein.plan_hits");
+  std::mutex mu_;
+  std::list<std::shared_ptr<const BluesteinPlan>> lru_;  ///< most recent first
+  std::unordered_map<std::size_t,
+                     std::list<std::shared_ptr<const BluesteinPlan>>::iterator>
+      index_;
+  std::size_t bytes_ = 0;  ///< sum of bytes() over lru_
+};
 
 /// Forward DFT of arbitrary size via Bluestein. Writes in place.
 void bluestein_forward(std::span<Complex> x, util::Workspace& ws) {
   const std::size_t n = x.size();
-  const BluesteinPlan& plan = bluestein_plan(n);
+  // Held for the whole transform: another thread's eviction cannot
+  // free it.
+  const std::shared_ptr<const BluesteinPlan> held =
+      BluesteinCache::instance().get(n);
+  const BluesteinPlan& plan = *held;
   const util::Workspace::Scope scope{ws};
   std::span<Complex> a = ws.take<Complex>(plan.m);
   for (std::size_t k = 0; k < n; ++k) a[k] = cmul(x[k], plan.chirp[k]);
@@ -392,8 +441,8 @@ std::vector<double> irfft(std::span<const Complex> half_spectrum, std::size_t n)
   return out;
 }
 
-std::size_t bluestein_plans_cached() noexcept {
-  return bluestein_cache().plans.size();
+BluesteinCacheSize bluestein_plans_cached() {
+  return BluesteinCache::instance().size();
 }
 
 std::size_t next_pow2(std::size_t n) noexcept {

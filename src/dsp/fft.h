@@ -5,16 +5,17 @@
 // helpers. These back the STFT/spectrogram generation and all
 // frequency-domain feature extraction in the EmoLeak pipeline.
 //
-// All transforms execute against an FftPlan: twiddle factors, the
-// bit-reversal permutation, and (for Bluestein sizes) the precomputed
-// chirp spectrum are built once per size and cached per thread.
-// Power-of-two plans sit in stable storage, so references handed out
-// stay valid no matter how many other sizes are planned later; the
-// Bluestein cache holds at most kBluesteinPlanCap sizes and replaces
-// the oldest, so a thread that meets every region length keeps bounded
-// memory. Plan-based real transforms
-// (FftPlan::rfft and friends) draw scratch from a util::Workspace and
-// perform zero heap allocations in steady state.
+// All transforms execute against a plan built once per size.
+// Power-of-two FftPlans (twiddle factors, the bit-reversal permutation)
+// are cached per thread in stable storage, so references handed out
+// stay valid no matter how many other sizes are planned later. Bluestein
+// plans (the precomputed chirp and its kernel spectrum) are shared by
+// the whole process: one cache, least recently used evicted once the
+// plans exceed kBluesteinCacheBytes, each plan held by shared_ptr for
+// the length of a transform so eviction never frees one in use.
+// Plan-based real transforms (FftPlan::rfft and friends) draw scratch
+// from a util::Workspace and perform zero heap allocations in steady
+// state.
 #pragma once
 
 #include <complex>
@@ -96,7 +97,8 @@ void fft_pow2(std::span<Complex> data, bool inverse = false);
 
 /// FFT of arbitrary size. Power-of-two inputs dispatch to the cached
 /// plan; other sizes use Bluestein's algorithm (chirp spectrum cached
-/// per size). Returns the transformed sequence; input is unmodified.
+/// process-wide per size). Returns the transformed sequence; input is
+/// unmodified.
 [[nodiscard]] std::vector<Complex> fft(std::span<const Complex> input,
                                        bool inverse = false);
 
@@ -119,15 +121,23 @@ void rfft_magnitude_into(std::span<const double> input, std::span<double> out,
 [[nodiscard]] std::vector<double> irfft(std::span<const Complex> half_spectrum,
                                         std::size_t n);
 
-/// Most Bluestein (non-power-of-two) sizes one thread keeps planned;
-/// planning another replaces the oldest. Sized to hold a fleet's
-/// distinct region lengths, so served featurization stops re-planning
-/// once every length has been seen.
-inline constexpr std::size_t kBluesteinPlanCap = 64;
+/// Bytes of Bluestein (non-power-of-two) plans the process keeps;
+/// planning past it evicts the least recently used, except the newest.
+/// A plan takes (n + next_pow2(2n - 1)) × 16 bytes, ~42 KB at n ≈ 600;
+/// the budget holds every region length a served fleet meets (a
+/// `fleet_sparse` benchmark run ends holding 155 plans in 5.6 MiB).
+inline constexpr std::size_t kBluesteinCacheBytes = std::size_t{8} << 20;
 
-/// Bluestein plans currently cached on the calling thread
-/// (<= kBluesteinPlanCap).
-[[nodiscard]] std::size_t bluestein_plans_cached() noexcept;
+/// What the process-wide Bluestein cache holds: plan count and their
+/// bytes (bytes <= kBluesteinCacheBytes unless one plan alone exceeds
+/// it).
+struct BluesteinCacheSize {
+  std::size_t plans = 0;
+  std::size_t bytes = 0;
+};
+
+/// The Bluestein cache's current contents (a test hook).
+[[nodiscard]] BluesteinCacheSize bluestein_plans_cached();
 
 /// Smallest power of two >= n (n must be >= 1).
 [[nodiscard]] std::size_t next_pow2(std::size_t n) noexcept;

@@ -297,6 +297,11 @@ void DecisionTree::fit_indices(const Dataset& data,
   data.validate();
   reject_nan(data, "DecisionTree");
   if (indices.empty()) throw util::DataError{"DecisionTree: empty index set"};
+  for (const std::size_t row : indices) {
+    if (row >= data.size()) {
+      throw util::DataError{"DecisionTree: index out of range"};
+    }
+  }
   // Both induction paths index bag positions and dataset rows as u32.
   if (indices.size() > std::numeric_limits<std::uint32_t>::max() ||
       data.size() > std::numeric_limits<std::uint32_t>::max()) {

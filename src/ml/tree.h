@@ -124,8 +124,9 @@ class DecisionTree final : public Classifier {
   /// been built from `data` and is only consulted when
   /// `config.exact == false` (it is built on demand when the binned
   /// path is selected and no shared binner is supplied). A zero-width
-  /// dataset fits one leaf holding the class distribution; 2^32 or
-  /// more indices or dataset rows throw util::DataError.
+  /// dataset fits one leaf holding the class distribution; an index at
+  /// or past data.size(), or 2^32 or more indices or dataset rows,
+  /// throws util::DataError.
   void fit_indices(const Dataset& data, std::span<const std::size_t> indices,
                    const PresortedColumns* presorted = nullptr,
                    const BinnedColumns* binned = nullptr);

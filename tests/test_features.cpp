@@ -13,6 +13,7 @@
 
 #include "dsp/stats.h"
 #include "dsp/stft.h"
+#include "obs/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -182,6 +183,24 @@ TEST(FreqFeaturesTest, InvalidInputsThrow) {
                emoleak::util::DataError);
   EXPECT_THROW((void)freq_features(std::vector<double>(10, 1.0), 0.0),
                emoleak::util::ConfigError);
+}
+
+// A live scrape shows Bluestein plan churn through two relaxed
+// counters: a region length featurized for the first time builds one
+// plan, and the same length again hits it.
+TEST(ExtractFeaturesTest, BluesteinCountersTallyBuildThenHit) {
+  emoleak::obs::Registry& registry = emoleak::obs::Registry::instance();
+  const emoleak::obs::Counter& built =
+      registry.counter("dsp.bluestein.plans_built");
+  const emoleak::obs::Counter& hits =
+      registry.counter("dsp.bluestein.plan_hits");
+  const std::vector<double> x = sine(7.0, 420.0, 733);  // a fresh length
+  const std::uint64_t built0 = built.value();
+  const std::uint64_t hits0 = hits.value();
+  (void)extract_features(x, 420.0);
+  (void)extract_features(x, 420.0);
+  EXPECT_EQ(built.value(), built0 + 1);
+  EXPECT_EQ(hits.value(), hits0 + 1);
 }
 
 TEST(ExtractFeaturesTest, ConcatenatesTimeAndFreq) {

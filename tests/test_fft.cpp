@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstring>
 #include <numbers>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -346,24 +349,125 @@ TEST(FftPlanTest, InterleavedSizesStayConsistent) {
   }
 }
 
-// A thread that featurizes every region length must not keep a
-// Bluestein plan per length forever: the cache is capped, evicts
-// oldest-first, and a size planned again transforms bit-identically.
+std::uint64_t bluestein_plans_built() {
+  return emoleak::obs::Registry::instance()
+      .counter("dsp.bluestein.plans_built")
+      .value();
+}
+
+// A process that featurizes every region length must not keep a
+// Bluestein plan per length forever: the cache holds at most
+// kBluesteinCacheBytes of plans, evicts the least recently used, and a
+// size planned again transforms bit-identically.
 TEST(FftPlanTest, BluesteinCacheStaysBoundedAndReplansIdentically) {
   using emoleak::dsp::bluestein_plans_cached;
-  using emoleak::dsp::kBluesteinPlanCap;
-  const std::vector<Complex> x = random_signal(1001, 31);
+  using emoleak::dsp::kBluesteinCacheBytes;
+  const std::vector<Complex> x = random_signal(4097, 31);
   const std::vector<Complex> first = fft(x);
-  // More fresh odd sizes than the cache holds: 1001's plan is evicted.
-  for (std::size_t i = 1; i <= kBluesteinPlanCap + 8; ++i) {
-    (void)fft(random_signal(1001 + 2 * i, i));
-    EXPECT_LE(bluestein_plans_cached(), kBluesteinPlanCap);
+  // Fresh odd sizes at m = 16384, ~0.33 MB of plan each: 40 of them
+  // plan past the budget, so 4097's plan, the least recently used, is
+  // evicted.
+  std::size_t planned = (4097 + 16384) * sizeof(Complex);
+  for (std::size_t i = 1; i <= 40; ++i) {
+    const std::size_t n = 4097 + 2 * i;
+    (void)fft(random_signal(n, i));
+    planned += (n + 16384) * sizeof(Complex);
+    EXPECT_LE(bluestein_plans_cached().bytes, kBluesteinCacheBytes) << "n=" << n;
   }
-  EXPECT_EQ(bluestein_plans_cached(), kBluesteinPlanCap);
+  ASSERT_GT(planned, kBluesteinCacheBytes);
+  EXPECT_GT(bluestein_plans_cached().bytes, kBluesteinCacheBytes - 16384 * 32);
+  const std::uint64_t built = bluestein_plans_built();
   const std::vector<Complex> again = fft(x);
+  EXPECT_EQ(bluestein_plans_built(), built + 1) << "4097 was not evicted";
   ASSERT_EQ(again.size(), first.size());
   for (std::size_t k = 0; k < first.size(); ++k) {
     EXPECT_EQ(again[k], first[k]) << "k=" << k;
+  }
+}
+
+// A plan larger than the whole budget is still kept: the newest plan
+// always stays, so a long region is planned once, not per call.
+TEST(FftPlanTest, BluesteinKeepsNewestPlanOverBudget) {
+  using emoleak::dsp::bluestein_plans_cached;
+  using emoleak::dsp::kBluesteinCacheBytes;
+  const std::size_t n = 131073;  // m = 2^19: ~10.5 MB of plan
+  const std::vector<double> x = random_real(n, 5);
+  std::vector<double> out(n / 2 + 1);
+  emoleak::util::Workspace ws;
+  emoleak::dsp::rfft_magnitude_into(x, out, ws);
+  EXPECT_EQ(bluestein_plans_cached().plans, 1u);
+  EXPECT_GT(bluestein_plans_cached().bytes, kBluesteinCacheBytes);
+  const std::uint64_t built = bluestein_plans_built();
+  emoleak::dsp::rfft_magnitude_into(x, out, ws);
+  EXPECT_EQ(bluestein_plans_built(), built);
+}
+
+// Worker threads transform overlapping odd and even lengths while
+// another thread plans fresh large odd sizes past the budget, so
+// plans are evicted while other threads still transform with them.
+// Every result must match a single-threaded run bit for bit. The
+// planner's schedule ends each cycle with a plan larger than the
+// budget, which evicts every other plan, those in use included; a
+// cache that handed out plain references to its plans would read
+// freed memory there (ASan reports it).
+TEST(FftPlanTest, SharedBluesteinCacheUnderContention) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 380; n < 820; n += 37) lengths.push_back(n);
+  for (std::size_t n = 4099; n < 4400; n += 50) lengths.push_back(n);
+  std::vector<std::vector<double>> inputs;
+  std::vector<std::vector<double>> expected;
+  {
+    emoleak::util::Workspace ws;
+    for (const std::size_t n : lengths) {
+      inputs.push_back(random_real(n, n));
+      expected.emplace_back(n / 2 + 1);
+      emoleak::dsp::rfft_magnitude_into(inputs.back(), expected.back(), ws);
+    }
+  }
+
+  constexpr int kWorkers = 4;
+  std::atomic<bool> done{false};
+  std::thread planner{[&done] {
+    // Per cycle, 30 fresh sizes at m = 16384 (~0.33 MB of plan each,
+    // ~25 fill the budget), then one at m = 2^19 (~10.5 MB).
+    emoleak::util::Workspace ws;
+    std::vector<double> out;
+    std::size_t n = 4501;
+    for (std::size_t cycle = 0; cycle < 3; ++cycle) {
+      for (int i = 0; i < 30; ++i, n += 2) {
+        const std::vector<double> x(n, 1.0);
+        out.resize(n / 2 + 1);
+        emoleak::dsp::rfft_magnitude_into(x, out, ws);
+      }
+      const std::vector<double> x(131073 + 2 * cycle, 1.0);
+      out.resize(x.size() / 2 + 1);
+      emoleak::dsp::rfft_magnitude_into(x, out, ws);
+    }
+    done.store(true, std::memory_order_release);
+  }};
+  std::vector<int> mismatches(kWorkers, 0);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      emoleak::util::Workspace ws;
+      std::vector<double> out;
+      const std::size_t count = lengths.size();
+      // Each worker starts at a different length and walks its own
+      // direction, so threads meet shared lengths in different orders.
+      for (std::size_t j = 0; j < count || !done.load(std::memory_order_acquire);
+           ++j) {
+        const std::size_t k = (j + 3 * static_cast<std::size_t>(w)) % count;
+        const std::size_t i = w % 2 == 0 ? k : count - 1 - k;
+        out.assign(lengths[i] / 2 + 1, 0.0);
+        emoleak::dsp::rfft_magnitude_into(inputs[i], out, ws);
+        if (out != expected[i]) ++mismatches[static_cast<std::size_t>(w)];
+      }
+    });
+  }
+  planner.join();
+  for (std::thread& t : workers) t.join();
+  for (int w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(w)], 0) << "worker " << w;
   }
 }
 

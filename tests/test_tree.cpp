@@ -141,6 +141,20 @@ TEST(DecisionTreeTest, EmptyIndicesThrow) {
                emoleak::util::DataError);
 }
 
+TEST(DecisionTreeTest, OutOfRangeIndexThrowsOnEveryPath) {
+  // Ensembles draw their bags in range, but fit_indices is public: an
+  // index past the last row must be refused, not read.
+  const Dataset d = xor_data(8, 7);
+  for (const bool exact : {true, false}) {
+    TreeConfig config;
+    config.exact = exact;
+    DecisionTree tree{config};
+    EXPECT_THROW(tree.fit_indices(d, std::vector<std::size_t>{0, 1, 2, 8}),
+                 emoleak::util::DataError)
+        << "exact=" << exact;
+  }
+}
+
 TEST(DecisionTreeTest, NanFeatureIsRejectedOnEveryPath) {
   // Dataset::validate accepts NaN, but NaN breaks the sort comparators'
   // strict weak ordering and would become a binned threshold. Every
