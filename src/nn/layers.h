@@ -13,6 +13,12 @@
 // at a given shape, the hot loop performs zero heap allocations
 // (asserted via tensor_alloc_count() in the layer tests). The returned
 // reference stays valid until the layer's next forward/backward call.
+// Those buffers are sized to the largest batch seen, so a network
+// trained at batch 32 would keep batch-32 activations, gradients and
+// patch slabs for as long as it lives. release_scratch() frees them;
+// Sequential::train calls it on every layer when training ends, so a
+// fitted model holds its parameters only and the next forward grows
+// buffers once, at its own batch size.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +65,13 @@ class Layer {
   /// Single-image batches always run serial.
   virtual void set_parallelism(const util::Parallelism& /*par*/) {}
 
+  /// Frees every buffer the layer reuses across calls (outputs,
+  /// gradients, masks, cached inputs, workspace blocks); parameters,
+  /// running statistics and RNG state stay. Invalidates references
+  /// returned by forward/backward. The next forward/backward computes
+  /// the same bits as without the release; it only allocates again.
+  virtual void release_scratch() = 0;
+
   [[nodiscard]] virtual std::string name() const = 0;
 
  protected:
@@ -80,6 +93,7 @@ class Conv2D final : public Layer {
   [[nodiscard]] const Tensor& backward(const Tensor& grad_out) override;
   [[nodiscard]] std::vector<Parameter*> parameters() override;
   void set_parallelism(const util::Parallelism& par) override { par_ = par; }
+  void release_scratch() override;
   [[nodiscard]] std::string name() const override { return "Conv2D"; }
 
   /// The layer's scratch arena (exposed so tests can assert that the
@@ -96,13 +110,14 @@ class Conv2D final : public Layer {
   Parameter bias_;    ///< [Cout]
   Tensor input_;      ///< cached for backward
   Tensor out_, gin_;
-  util::Workspace ws_;  ///< patch matrices, Wᵀ, per-task dCol/tap columns
+  util::Workspace ws_;  ///< per-task patch slabs, Wᵀ, dCol and tap columns
 };
 
 class ReLU final : public Layer {
  public:
   [[nodiscard]] const Tensor& forward(const Tensor& x, bool training) override;
   [[nodiscard]] const Tensor& backward(const Tensor& grad_out) override;
+  void release_scratch() override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
  private:
@@ -118,6 +133,7 @@ class MaxPool2D final : public Layer {
 
   [[nodiscard]] const Tensor& forward(const Tensor& x, bool training) override;
   [[nodiscard]] const Tensor& backward(const Tensor& grad_out) override;
+  void release_scratch() override;
   [[nodiscard]] std::string name() const override { return "MaxPool2D"; }
 
  private:
@@ -135,6 +151,7 @@ class Dropout final : public Layer {
 
   [[nodiscard]] const Tensor& forward(const Tensor& x, bool training) override;
   [[nodiscard]] const Tensor& backward(const Tensor& grad_out) override;
+  void release_scratch() override;
   [[nodiscard]] std::string name() const override { return "Dropout"; }
 
  private:
@@ -153,6 +170,7 @@ class BatchNorm final : public Layer {
   [[nodiscard]] const Tensor& forward(const Tensor& x, bool training) override;
   [[nodiscard]] const Tensor& backward(const Tensor& grad_out) override;
   [[nodiscard]] std::vector<Parameter*> parameters() override;
+  void release_scratch() override;
   [[nodiscard]] std::string name() const override { return "BatchNorm"; }
 
  private:
@@ -175,6 +193,7 @@ class Flatten final : public Layer {
  public:
   [[nodiscard]] const Tensor& forward(const Tensor& x, bool training) override;
   [[nodiscard]] const Tensor& backward(const Tensor& grad_out) override;
+  void release_scratch() override;
   [[nodiscard]] std::string name() const override { return "Flatten"; }
 
  private:
@@ -190,6 +209,7 @@ class Dense final : public Layer {
   [[nodiscard]] const Tensor& forward(const Tensor& x, bool training) override;
   [[nodiscard]] const Tensor& backward(const Tensor& grad_out) override;
   [[nodiscard]] std::vector<Parameter*> parameters() override;
+  void release_scratch() override;
   [[nodiscard]] std::string name() const override { return "Dense"; }
 
  private:

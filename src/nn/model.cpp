@@ -186,6 +186,9 @@ History Sequential::train(const Tensor& x, const std::vector<int>& labels,
       history.val_accuracy.push_back(vacc);
     }
   }
+  // The layers' buffers are sized to the training batch; a fitted model
+  // keeps its parameters only, and inference regrows at its own size.
+  for (const std::unique_ptr<Layer>& layer : layers_) layer->release_scratch();
   return history;
 }
 

@@ -67,7 +67,9 @@ class Sequential {
   [[nodiscard]] std::vector<Parameter*> parameters();
 
   /// Trains with Adam on mini-batches; returns the epoch history.
-  /// `x` is the full training tensor (leading batch axis).
+  /// `x` is the full training tensor (leading batch axis). Its last act
+  /// is Layer::release_scratch on every layer, so the trained model
+  /// holds no buffer sized to the training batch.
   History train(const Tensor& x, const std::vector<int>& labels,
                 int class_count, const TrainConfig& config);
 

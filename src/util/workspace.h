@@ -101,6 +101,15 @@ class Workspace {
     active_ = 0;
   }
 
+  /// Frees every block: capacity drops to 0 and, as with reset(), all
+  /// outstanding spans become invalid. The next take() grows afresh.
+  /// For owners whose hot loop is over (a trained layer's training
+  /// scratch), not for use between calls of a steady-state loop.
+  void release() noexcept {
+    blocks_.clear();
+    active_ = 0;
+  }
+
   /// Number of times the arena had to allocate from the heap. Stable
   /// across calls == the hot loop is allocation-free.
   [[nodiscard]] std::size_t grow_count() const noexcept { return grows_; }

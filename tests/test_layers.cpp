@@ -12,6 +12,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/gemm.h"
@@ -828,6 +829,9 @@ TEST(ConvTrainingParityTest, BitIdenticalAtAnyThreadCountAndToSerialReference) {
       {4, 1, 12, 8, 16, 1, 3, 1}, // time-frequency (1 x 3)
       {6, 8, 8, 1, 32, 1, 1, 1},  // the spectrogram net's 1x1 first layer
       {3, 7, 6, 3, 5, 3, 3, 0},   // 'valid', narrow cout
+      // The spectrogram net's second conv: three images fill a task's
+      // ~1 MiB patch slab, so a task's block runs in several slabs.
+      {8, 16, 16, 32, 32, 3, 3, 1},
   };
   for (const auto& c : cases) {
     const std::size_t n = c[0], h = c[1], w = c[2], cin = c[3], cout = c[4],
@@ -863,6 +867,84 @@ TEST(ConvTrainingParityTest, BitIdenticalAtAnyThreadCountAndToSerialReference) {
       EXPECT_TRUE(bitwise_equal(runs[r].gw, runs[0].gw)) << "run " << r;
       EXPECT_TRUE(bitwise_equal(runs[r].gb, runs[0].gb)) << "run " << r;
     }
+  }
+}
+
+// ------------------------------------------------------ scratch release
+//
+// release_scratch() frees what a layer keeps between calls. A layer
+// that ran forward and backward at batch 32 and then released must
+// compute the next pass bit for bit like a twin that never released:
+// outputs, input gradients and parameter gradients.
+
+struct Pass {
+  std::vector<float> y, gx;
+  std::vector<std::vector<float>> grads;
+};
+
+Pass forward_backward(Layer& layer, const Tensor& x) {
+  const auto vec = [](const Tensor& t) {
+    return std::vector<float>(t.data(), t.data() + t.size());
+  };
+  Pass pass;
+  const Tensor& y = layer.forward(x, /*training=*/true);
+  pass.y = vec(y);
+  pass.gx = vec(layer.backward(weighted_sum_grad(y)));
+  for (const Parameter* p : layer.parameters()) pass.grads.push_back(vec(p->grad));
+  return pass;
+}
+
+void expect_same_pass(const Pass& got, const Pass& want, const std::string& who) {
+  EXPECT_TRUE(bitwise_equal(got.y, want.y)) << who;
+  EXPECT_TRUE(bitwise_equal(got.gx, want.gx)) << who;
+  ASSERT_EQ(got.grads.size(), want.grads.size()) << who;
+  for (std::size_t i = 0; i < got.grads.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(got.grads[i], want.grads[i])) << who;
+  }
+}
+
+TEST(ScratchReleaseTest, Conv2DFreesItsWorkspaceAndKeepsBits) {
+  for (const std::size_t threads : {1u, 2u}) {
+    Conv2D kept{4, 8, 3, 3, true, 97};
+    Conv2D released{4, 8, 3, 3, true, 97};
+    kept.set_parallelism(emoleak::util::Parallelism{.threads = threads});
+    released.set_parallelism(emoleak::util::Parallelism{.threads = threads});
+    const Tensor x = random_tensor({32, 8, 8, 4}, 98);
+    (void)forward_backward(kept, x);
+    (void)forward_backward(released, x);
+    ASSERT_GT(released.workspace().capacity_bytes(), 0u);
+    released.release_scratch();
+    EXPECT_EQ(released.workspace().capacity_bytes(), 0u);
+    const Tensor next = random_tensor({32, 8, 8, 4}, 99);
+    expect_same_pass(forward_backward(released, next),
+                     forward_backward(kept, next),
+                     "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(ScratchReleaseTest, EveryLayerKeepsBitsAfterRelease) {
+  struct Case {
+    std::function<std::unique_ptr<Layer>()> make;
+    std::vector<std::size_t> shape;
+  };
+  const Case cases[] = {
+      {[] { return std::make_unique<ReLU>(); }, {32, 4, 4, 3}},
+      {[] { return std::make_unique<MaxPool2D>(2, 2); }, {32, 4, 4, 3}},
+      {[] { return std::make_unique<Dropout>(0.3, 5); }, {32, 4, 4, 3}},
+      {[] { return std::make_unique<BatchNorm>(3); }, {32, 4, 4, 3}},
+      {[] { return std::make_unique<Flatten>(); }, {32, 4, 4, 3}},
+      {[] { return std::make_unique<Dense>(12, 5, 6); }, {32, 12}},
+  };
+  for (const Case& c : cases) {
+    const std::unique_ptr<Layer> kept = c.make();
+    const std::unique_ptr<Layer> released = c.make();
+    const Tensor x = random_tensor(c.shape, 100);
+    (void)forward_backward(*kept, x);
+    (void)forward_backward(*released, x);
+    released->release_scratch();
+    const Tensor next = random_tensor(c.shape, 101);
+    expect_same_pass(forward_backward(*released, next),
+                     forward_backward(*kept, next), kept->name());
   }
 }
 

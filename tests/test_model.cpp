@@ -7,6 +7,8 @@
 #include <cmath>
 #include <memory>
 
+#include "ml/dataset.h"
+#include "nn/cnn_classifier.h"
 #include "nn/cnn_models.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -252,6 +254,43 @@ TEST(CnnModelsTest, TimefreqCnnLearnsSyntheticFeatures) {
   cfg.validation_fraction = 0.0;
   const History h = m.train(x, y, 3, cfg);
   EXPECT_GT(h.train_accuracy.back(), 0.85);
+}
+
+TEST(CnnClassifierTest, FitKeepsNoTrainingScratch) {
+  // Training leaves every layer's buffers sized to its batch of 32 and
+  // the validation set. A fitted model that kept them would grow only
+  // its staging tensor on the first batch-1 predict; one that released
+  // them also regrows each layer's buffers there. After that first
+  // predict, predicts of the same size allocate nothing.
+  using emoleak::nn::CnnClassifier;
+  using emoleak::nn::tensor_alloc_count;
+  Rng rng{29};
+  emoleak::ml::Dataset data;
+  data.class_count = 3;
+  for (std::size_t i = 0; i < 80; ++i) {
+    const int label = static_cast<int>(i % 3);
+    std::vector<double> row(24);
+    for (double& v : row) v = label + 0.3 * rng.normal();
+    data.x.push_back(std::move(row));
+    data.y.push_back(label);
+  }
+  TrainConfig train;
+  train.epochs = 1;
+  for (const CnnClassifier::Arch arch :
+       {CnnClassifier::Arch::kTimefreq, CnnClassifier::Arch::kSpectrogram}) {
+    const std::size_t dim = arch == CnnClassifier::Arch::kTimefreq ? 24 : 64;
+    emoleak::ml::Dataset set = data;
+    for (std::vector<double>& row : set.x) row.resize(dim, row[0]);
+    CnnClassifier cnn{arch, dim, CnnConfig::fast(), train};
+    cnn.fit(set);
+    const std::size_t fitted = tensor_alloc_count();
+    (void)cnn.predict_proba(set.x[0]);
+    EXPECT_GT(tensor_alloc_count() - fitted, 1u)
+        << "arch=" << static_cast<int>(arch);
+    const std::size_t warm = tensor_alloc_count();
+    for (std::size_t i = 1; i < 10; ++i) (void)cnn.predict_proba(set.x[i]);
+    EXPECT_EQ(tensor_alloc_count(), warm) << "arch=" << static_cast<int>(arch);
+  }
 }
 
 }  // namespace

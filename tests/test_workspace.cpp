@@ -93,6 +93,21 @@ TEST(WorkspaceTest, ResetCoalescesIntoOneBlock) {
   EXPECT_EQ(ws.grow_count(), grows);
 }
 
+TEST(WorkspaceTest, ReleaseFreesEveryBlockAndRegrowsOnDemand) {
+  Workspace ws;
+  for (int iter = 0; iter < 4; ++iter) (void)ws.take<double>(2048);
+  ASSERT_GT(ws.capacity_bytes(), 0u);
+  ws.release();
+  EXPECT_EQ(ws.capacity_bytes(), 0u);
+  EXPECT_EQ(ws.used_bytes(), 0u);
+  const std::size_t grows = ws.grow_count();
+  const std::span<double> again = ws.take<double>(16);
+  ASSERT_EQ(again.size(), 16u);
+  std::fill(again.begin(), again.end(), 1.0);
+  EXPECT_EQ(ws.grow_count(), grows + 1);
+  EXPECT_GT(ws.capacity_bytes(), 0u);
+}
+
 TEST(WorkspaceTest, ZeroCountTakeIsValid) {
   Workspace ws;
   const std::span<double> empty = ws.take<double>(0);
