@@ -1,10 +1,9 @@
 #include "core/attack.h"
 
-#include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "ml/logistic.h"
+#include "nn/cnn_classifier.h"
 #include "obs/obs.h"
 #include "util/error.h"
 
@@ -97,123 +96,40 @@ ClassifierResult evaluate_classical(const ml::Classifier& prototype,
 
 namespace {
 
-/// Splits row indices 80/20 stratified and returns (train, test).
-std::pair<std::vector<std::size_t>, std::vector<std::size_t>> split_indices(
-    const std::vector<int>& labels, int class_count, std::uint64_t seed) {
-  util::Rng rng{seed};
-  std::vector<std::vector<std::size_t>> groups(
-      static_cast<std::size_t>(class_count));
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    groups[static_cast<std::size_t>(labels[i])].push_back(i);
+/// Trains `arch` through nn::CnnClassifier on a stratified 80/20 split
+/// of `data` drawn from the run seed, and scores the held-out rows.
+/// `dim` is the network's input width, so a set of wrong-sized rows
+/// fails fit()'s dim check.
+CnnResult evaluate_cnn(nn::CnnClassifier::Arch arch, std::size_t dim,
+                       const ml::Dataset& data, const CnnRunConfig& config) {
+  if (data.size() < 20) {
+    throw util::DataError{"evaluate_cnn: too few samples"};
   }
-  std::vector<std::size_t> train, test;
-  for (auto& g : groups) {
-    rng.shuffle(g);
-    const auto cut = static_cast<std::size_t>(
-        std::round(0.8 * static_cast<double>(g.size())));
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      (i < cut ? train : test).push_back(g[i]);
-    }
-  }
-  rng.shuffle(train);
-  rng.shuffle(test);
-  return {std::move(train), std::move(test)};
-}
-
-CnnResult finish_cnn(nn::Sequential& model, const nn::Tensor& train_x,
-                     const std::vector<int>& train_y, const nn::Tensor& test_x,
-                     const std::vector<int>& test_y, int class_count,
-                     const CnnRunConfig& config) {
-  nn::TrainConfig tc = config.train;
-  tc.seed = config.seed;
-  CnnResult result{0.0, {}, ml::ConfusionMatrix{class_count}};
-  result.history = model.train(train_x, train_y, class_count, tc);
-  const std::vector<int> pred = model.predict(test_x);
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    result.confusion.add(test_y[i], pred[i]);
-  }
-  result.accuracy = result.confusion.accuracy();
-  return result;
+  util::Rng rng{config.train.seed};
+  const ml::Split split = ml::train_test_split(data, 0.8, rng);
+  nn::CnnClassifier model{arch, dim, config.arch, config.train};
+  const ml::EvalResult r = ml::evaluate_holdout(model, split.train, split.test);
+  return CnnResult{r.accuracy, model.history(), r.confusion};
 }
 
 }  // namespace
 
 CnnResult evaluate_timefreq_cnn(const ml::Dataset& features,
                                 const CnnRunConfig& config) {
-  features.validate();
-  if (features.size() < 20) {
-    throw util::DataError{"evaluate_timefreq_cnn: too few samples"};
-  }
-  const std::size_t d = features.dim();
-
-  // z-score normalization (paper §IV-D2) fitted on all rows' train part.
-  const auto [train_idx, test_idx] =
-      split_indices(features.y, features.class_count, config.seed);
-  ml::StandardScaler scaler;
-  scaler.fit(features.subset(train_idx));
-
-  const auto to_tensor = [&](const std::vector<std::size_t>& idx) {
-    nn::Tensor t{{idx.size(), 1, d, 1}};
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      const std::vector<double> row = scaler.transform_row(features.x[idx[i]]);
-      for (std::size_t j = 0; j < d; ++j) {
-        t[i * d + j] = static_cast<float>(row[j]);
-      }
-    }
-    return t;
-  };
-  const auto to_labels = [&](const std::vector<std::size_t>& idx) {
-    std::vector<int> y(idx.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) y[i] = features.y[idx[i]];
-    return y;
-  };
-
-  nn::Sequential model =
-      nn::build_timefreq_cnn(d, features.class_count, config.arch);
-  return finish_cnn(model, to_tensor(train_idx), to_labels(train_idx),
-                    to_tensor(test_idx), to_labels(test_idx),
-                    features.class_count, config);
+  return evaluate_cnn(nn::CnnClassifier::Arch::kTimefreq, features.dim(),
+                      features, config);
 }
 
 CnnResult evaluate_spectrogram_cnn(
     const std::vector<std::vector<double>>& images, std::size_t image_size,
     const std::vector<int>& labels, int class_count,
     const CnnRunConfig& config) {
-  if (images.size() != labels.size()) {
-    throw util::DataError{"evaluate_spectrogram_cnn: size mismatch"};
-  }
-  if (images.size() < 20) {
-    throw util::DataError{"evaluate_spectrogram_cnn: too few samples"};
-  }
-  const std::size_t pixels = image_size * image_size;
-  for (const auto& img : images) {
-    if (img.size() != pixels) {
-      throw util::DataError{"evaluate_spectrogram_cnn: wrong image size"};
-    }
-  }
-
-  const auto [train_idx, test_idx] = split_indices(labels, class_count, config.seed);
-  const auto to_tensor = [&](const std::vector<std::size_t>& idx) {
-    nn::Tensor t{{idx.size(), image_size, image_size, 1}};
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      const std::vector<double>& img = images[idx[i]];
-      for (std::size_t p = 0; p < pixels; ++p) {
-        t[i * pixels + p] = static_cast<float>(img[p]);
-      }
-    }
-    return t;
-  };
-  const auto to_labels = [&](const std::vector<std::size_t>& idx) {
-    std::vector<int> y(idx.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) y[i] = labels[idx[i]];
-    return y;
-  };
-
-  nn::Sequential model =
-      nn::build_spectrogram_cnn(image_size, image_size, class_count, config.arch);
-  return finish_cnn(model, to_tensor(train_idx), to_labels(train_idx),
-                    to_tensor(test_idx), to_labels(test_idx), class_count,
-                    config);
+  ml::Dataset data;
+  data.x = images;
+  data.y = labels;
+  data.class_count = class_count;
+  return evaluate_cnn(nn::CnnClassifier::Arch::kSpectrogram,
+                      image_size * image_size, data, config);
 }
 
 }  // namespace emoleak::core

@@ -81,18 +81,21 @@ struct CnnResult {
   ml::ConfusionMatrix confusion{1};
 };
 
+/// `train.seed` draws the 80/20 split and seeds training.
 struct CnnRunConfig {
   nn::CnnConfig arch = nn::CnnConfig::fast();
-  nn::TrainConfig train{.epochs = 40, .batch_size = 64, .learning_rate = 3e-3};
-  std::uint64_t seed = 31;
+  nn::TrainConfig train{
+      .epochs = 40, .batch_size = 64, .learning_rate = 3e-3, .seed = 31};
 };
 
 /// Trains/evaluates the time-frequency CNN (z-scored 24-dim features as
-/// a 1-D sequence) with an 80/20 split.
+/// a 1-D sequence) through nn::CnnClassifier with a stratified 80/20
+/// split (ml::train_test_split). Needs at least 20 rows.
 [[nodiscard]] CnnResult evaluate_timefreq_cnn(const ml::Dataset& features,
                                               const CnnRunConfig& config);
 
-/// Trains/evaluates the spectrogram-image CNN with an 80/20 split.
+/// Trains/evaluates the spectrogram-image CNN the same way; every image
+/// holds image_size^2 pixels and `labels` has one entry per image.
 [[nodiscard]] CnnResult evaluate_spectrogram_cnn(
     const std::vector<std::vector<double>>& images, std::size_t image_size,
     const std::vector<int>& labels, int class_count,

@@ -50,7 +50,12 @@ void CnnClassifier::fit(const ml::Dataset& data) {
              ? build_timefreq_cnn(dim_, classes_, config_)
              : build_spectrogram_cnn(side_, side_, classes_, config_);
   net_.set_parallelism(par_);
-  net_.train(x, data.y, classes_, train_);
+  history_ = net_.train(x, data.y, classes_, train_);
+}
+
+History CnnClassifier::history() const {
+  const std::lock_guard<std::mutex> lock{mu_};
+  return history_;
 }
 
 void CnnClassifier::set_parallelism(util::Parallelism par) {

@@ -45,6 +45,9 @@ class CnnClassifier final : public ml::Classifier {
   /// Layer::set_parallelism.
   void set_parallelism(util::Parallelism par);
 
+  /// Per-epoch curves of the last fit() (empty before the first).
+  [[nodiscard]] History history() const;
+
  private:
   /// Stages `count` rows into input_ (scaling timefreq rows), runs one
   /// forward, softmaxes each logit row in double. Caller holds mu_.
@@ -60,6 +63,7 @@ class CnnClassifier final : public ml::Classifier {
   TrainConfig train_{};
   util::Parallelism par_{};  ///< batched-inference fan-out (0 = hardware)
   ml::StandardScaler scaler_;  ///< timefreq z-scoring (paper §IV-D2)
+  History history_;
   // Sequential reuses per-layer buffers across forwards, so inference
   // mutates state; the registry shares one const model across shards.
   mutable Sequential net_;

@@ -192,18 +192,6 @@ History Sequential::train(const Tensor& x, const std::vector<int>& labels,
   return history;
 }
 
-std::vector<int> Sequential::predict(const Tensor& x) {
-  const Tensor logits = forward(x, /*training=*/false);
-  const std::size_t n = logits.dim(0);
-  const std::size_t c = logits.dim(1);
-  std::vector<int> out(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    const float* row = &logits.at2(b, 0);
-    out[b] = static_cast<int>(std::max_element(row, row + c) - row);
-  }
-  return out;
-}
-
 std::pair<double, double> Sequential::evaluate(const Tensor& x,
                                                const std::vector<int>& labels) {
   const Tensor logits = forward(x, /*training=*/false);

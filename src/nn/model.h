@@ -73,9 +73,6 @@ class Sequential {
   History train(const Tensor& x, const std::vector<int>& labels,
                 int class_count, const TrainConfig& config);
 
-  /// Argmax class predictions for a batch tensor.
-  [[nodiscard]] std::vector<int> predict(const Tensor& x);
-
   /// Mean loss + accuracy of the model on a labelled set (inference mode).
   [[nodiscard]] std::pair<double, double> evaluate(const Tensor& x,
                                                    const std::vector<int>& labels);

@@ -125,24 +125,6 @@ TEST(SequentialTest, NoValidationWhenFractionZero) {
   EXPECT_TRUE(h.val_loss.empty());
 }
 
-TEST(SequentialTest, PredictReturnsArgmaxClasses) {
-  Sequential m = make_mlp(2, 16, 2, 7);
-  const Xor data = xor_batch(300, 8);
-  TrainConfig cfg;
-  cfg.epochs = 50;
-  cfg.learning_rate = 5e-3;
-  cfg.validation_fraction = 0.0;
-  (void)m.train(data.x, data.y, 2, cfg);
-  const std::vector<int> pred = m.predict(data.x);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    EXPECT_GE(pred[i], 0);
-    EXPECT_LT(pred[i], 2);
-    if (pred[i] == data.y[i]) ++correct;
-  }
-  EXPECT_GT(static_cast<double>(correct) / pred.size(), 0.9);
-}
-
 TEST(SequentialTest, EvaluateReportsLossAndAccuracy) {
   Sequential m = make_mlp(2, 8, 2, 9);
   const Xor data = xor_batch(50, 10);
