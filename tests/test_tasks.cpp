@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <sstream>
 #include <variant>
@@ -411,6 +413,114 @@ TEST(TaskSpecTest, BuildDatasetDerivesLabelsFromSchedule) {
   // Media needs clip replays; build_dataset refuses it explicitly.
   EXPECT_THROW(tasks::build_dataset(tasks::media_task(), data, corpus),
                util::ConfigError);
+}
+
+// ---- golden digests of the task capture paths -------------------------
+
+// FNV-1a-64 over the object bytes of a sequence of doubles: a compact
+// fingerprint of every output bit.
+std::uint64_t fnv1a64(const std::vector<double>& xs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : xs) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Every value of a dataset as one sequence: its shape, each row
+// (preceded by its length) and the labels.
+void append_dataset_bits(const ml::Dataset& d, std::vector<double>& out) {
+  out.push_back(static_cast<double>(d.class_count));
+  out.push_back(static_cast<double>(d.size()));
+  for (const std::vector<double>& row : d.x) {
+    out.push_back(static_cast<double>(row.size()));
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  for (const int y : d.y) out.push_back(static_cast<double>(y));
+}
+
+std::vector<double> extracted_bits(const core::ExtractedData& data) {
+  std::vector<double> out;
+  append_dataset_bits(data.features, out);
+  for (const std::vector<double>& image : data.spectrograms) {
+    out.push_back(static_cast<double>(image.size()));
+    out.insert(out.end(), image.begin(), image.end());
+  }
+  for (const int id : data.speaker_ids) out.push_back(static_cast<double>(id));
+  out.push_back(static_cast<double>(data.image_size));
+  out.push_back(static_cast<double>(data.regions_detected));
+  out.push_back(static_cast<double>(data.utterances_total));
+  out.push_back(data.extraction_rate);
+  return out;
+}
+
+tasks::TaskTrainConfig golden_task_config() {
+  tasks::TaskTrainConfig config;
+  config.scenario = core::loudspeaker_scenario(audio::tess_spec(),
+                                               phone::oneplus_7t(), 29);
+  config.scenario.corpus_fraction = 0.1;
+  config.media_clips = 4;
+  config.media_repetitions = 2;
+  return config;
+}
+
+// Pins what the task capture paths hand back, with and without a
+// mitigation: a change to how capture_mitigated or media_dataset build
+// the corpus, seed the recorder or extract moves a digest. The
+// constants hold for this toolchain and libm (the synthesis calls sin,
+// log and sqrt); a change that means to move bits re-pins them and
+// says so.
+TEST(TaskGoldenTest, CaptureAndMediaDigestsPinOutputs) {
+  tasks::TaskTrainConfig mitigated = golden_task_config();
+  mitigated.mitigation.lowpass_hz = 60.0;
+  mitigated.mitigation.target_rate_hz = 200.0;
+  struct Golden {
+    const char* name;
+    tasks::TaskTrainConfig config;
+    std::uint64_t capture;
+    std::uint64_t media;
+  };
+  for (const Golden& g : {
+           Golden{"noop", golden_task_config(), 0x531dce220c3506e2ULL,
+                  0xcaf0423ab506ab54ULL},
+           Golden{"mitigated", mitigated, 0xfbd21fbc429d67daULL,
+                  0xd6a0fc1377b32e4bULL},
+       }) {
+    const core::ExtractedData data = tasks::capture_mitigated(g.config);
+    const ml::Dataset media_set = tasks::media_dataset(g.config);
+    ASSERT_GT(data.features.size(), 0u) << g.name;
+    ASSERT_GT(media_set.size(), 0u) << g.name;
+    const std::uint64_t capture = fnv1a64(extracted_bits(data));
+    std::vector<double> media;
+    append_dataset_bits(media_set, media);
+    const std::uint64_t media_digest = fnv1a64(media);
+    EXPECT_EQ(capture, g.capture)
+        << g.name << " capture digest=0x" << std::hex << capture;
+    EXPECT_EQ(media_digest, g.media)
+        << g.name << " media digest=0x" << std::hex << media_digest;
+  }
+}
+
+// Pins the trained tasks' held-out scores: the split, the fit and the
+// scoring of every built-in task.
+TEST(TaskGoldenTest, BuiltinTaskScoresArePinned) {
+  // Five replays leave every clip a held-out row; two would leave none.
+  tasks::TaskTrainConfig config = golden_task_config();
+  config.media_repetitions = 5;
+  std::vector<double> bits;
+  for (const tasks::TrainedTask& task : tasks::train_builtin_tasks(config)) {
+    EXPECT_TRUE(task.model) << task.spec.name;
+    bits.push_back(task.accuracy);
+    bits.push_back(static_cast<double>(task.train_rows));
+    bits.push_back(static_cast<double>(task.test_rows));
+  }
+  const std::uint64_t digest = fnv1a64(bits);
+  EXPECT_EQ(digest, 0x787f9fdcf203bdb0ULL) << "digest=0x" << std::hex << digest;
 }
 
 // ---- mixed-task serving -----------------------------------------------
