@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   core::ScenarioConfig sc = core::loudspeaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
   sc.corpus_fraction = opts.fraction(0.5);
-  const auto data_ptr = bench::capture_cached(sc);
-  const core::ExtractedData& data = *data_ptr;
+  const core::ExtractedData data = core::capture(sc);
 
   const auto eval_subset = [&](const std::vector<std::size_t>& cols) {
     ml::Dataset subset;
@@ -85,6 +84,5 @@ int main(int argc, char** argv) {
                "own and combine to the best accuracy — consistent with the "
                "paper's observation (SIII-B4) that *all* Table-II features "
                "have non-zero information gain.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

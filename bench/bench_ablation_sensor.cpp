@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
     core::ScenarioConfig sc = core::loudspeaker_scenario(
         audio::tess_spec(), profile, bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(0.35);
-    const auto data_ptr = bench::capture_cached(sc);
-    const core::ExtractedData& data = *data_ptr;
+    const core::ExtractedData data = core::capture(sc);
     double acc = 1.0 / 7.0;
     if (data.features.size() > 60) {
       acc = core::evaluate_classical(ml::LogisticRegression{}, data.features,
@@ -51,6 +50,5 @@ int main(int argc, char** argv) {
                "region extraction and classification toward chance, which is "
                "why EmoLeak (like Spearphone and AccelEve) reads the "
                "accelerometer.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
     core::ScenarioConfig sc = core::loudspeaker_scenario(
         audio::tess_spec(), profile, bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(0.35);
-    const auto data_ptr = bench::capture_cached(sc);
-    const core::ExtractedData& data = *data_ptr;
+    const core::ExtractedData data = core::capture(sc);
     double acc = 1.0 / 7.0;
     if (data.features.size() > 50) {
       acc = core::evaluate_classical(ml::LogisticRegression{}, data.features,
@@ -46,6 +45,5 @@ int main(int argc, char** argv) {
                "mitigation must cut conduction by >20 dB before the leak "
                "closes, supporting the paper's call (SVI-B) for permission "
                "gating rather than rate caps alone.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   core::ScenarioConfig sc = core::loudspeaker_scenario(
       audio::cremad_spec(), phone::galaxy_s10(), bench::kBenchSeed);
   sc.corpus_fraction = opts.fraction(0.3);
-  const auto data_ptr = bench::capture_cached(sc);
-  const core::ExtractedData& data = *data_ptr;
+  const core::ExtractedData data = core::capture(sc);
 
   // Gender labels from the corpus speaker metadata.
   const audio::Corpus corpus{
@@ -67,6 +66,5 @@ int main(int argc, char** argv) {
                "leak who is speaking — gender at Spearphone-level accuracy "
                "and strong 10-way speaker identification — underscoring the "
                "paper's call for permission gating of motion sensors.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

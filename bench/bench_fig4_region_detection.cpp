@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
   core::ScenarioConfig loud = core::loudspeaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
   loud.corpus_fraction = opts.fraction(0.25);
-  const auto loud_data_ptr = bench::capture_cached(loud);
-  const core::ExtractedData& loud_data = *loud_data_ptr;
+  const core::ExtractedData loud_data = core::capture(loud);
 
   std::cout << "(4c) loudspeaker:  regions visible without any filter\n\n";
   bench::print_comparisons(
@@ -92,6 +91,5 @@ int main(int argc, char** argv) {
                "word; the ear speaker recovers a clearly smaller but still "
                "substantial fraction, and only once the 8 Hz high-pass strips "
                "hand/body motion (compare 4a vs 4b).\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

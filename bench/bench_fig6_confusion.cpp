@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   core::ScenarioConfig loud = core::loudspeaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
   loud.corpus_fraction = opts.fraction(1.0);
-  const auto loud_data_ptr = bench::capture_cached(loud);
-  const core::ExtractedData& loud_data = *loud_data_ptr;
+  const core::ExtractedData loud_data = core::capture(loud);
   const core::ClassifierResult loud_result = core::evaluate_classical(
       ml::LogisticRegression{}, loud_data.features, bench::kBenchSeed);
   std::cout << "(6a) Loudspeaker scenario, accuracy "
@@ -34,8 +33,7 @@ int main(int argc, char** argv) {
   core::ScenarioConfig ear = core::ear_speaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
   ear.corpus_fraction = opts.fraction(1.0);
-  const auto ear_data_ptr = bench::capture_cached(ear);
-  const core::ExtractedData& ear_data = *ear_data_ptr;
+  const core::ExtractedData ear_data = core::capture(ear);
   const core::ClassifierResult ear_result = core::evaluate_classical(
       ml::RandomForest{}, ear_data.features, bench::kBenchSeed, /*cv=*/10);
   std::cout << "(6b) Ear-speaker scenario (10-fold CV), accuracy "
@@ -54,6 +52,5 @@ int main(int argc, char** argv) {
                "matrix keeps a visible diagonal (every class recovered well "
                "above chance) but with broad off-diagonal leakage, "
                "especially among the low-arousal classes.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   cfg.train.epochs = opts.quick ? 15 : 40;
   cfg.train.validation_fraction = 0.2;
   const core::CnnResult loud_result =
-      core::evaluate_timefreq_cnn(bench::capture_cached(loud)->features, cfg);
+      core::evaluate_timefreq_cnn(core::capture(loud).features, cfg);
   print_curves("(7a/7b) Loudspeaker scenario:", loud_result.history);
 
   // (7c/7d) Ear speaker (paper trains ~70 epochs here).
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   core::CnnRunConfig ear_cfg = cfg;
   ear_cfg.train.epochs = opts.quick ? 20 : 70;
   const core::CnnResult ear_result =
-      core::evaluate_timefreq_cnn(bench::capture_cached(ear)->features, ear_cfg);
+      core::evaluate_timefreq_cnn(core::capture(ear).features, ear_cfg);
   print_curves("(7c/7d) Ear-speaker scenario:", ear_result.history);
 
   std::cout << "Test accuracy: loudspeaker "
@@ -72,6 +72,5 @@ int main(int argc, char** argv) {
                "ear-speaker curves plateau much lower with a wider "
                "train-validation gap (noisier channel => overfitting "
                "pressure), matching 7c/7d.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

@@ -4,15 +4,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <filesystem>
 #include <numbers>
 #include <sstream>
 
-#include <unistd.h>
-
 #include "audio/corpus.h"
 #include "core/attack.h"
-#include "core/dataset_cache.h"
 #include "core/pipeline.h"
 #include "core/speech_region.h"
 #include "core/streaming.h"
@@ -370,55 +366,18 @@ void BM_PitchTrack(benchmark::State& state) {
 }
 BENCHMARK(BM_PitchTrack);
 
-core::ScenarioConfig dataset_bench_scenario() {
+void BM_DatasetBuildCold(benchmark::State& state) {
+  // One core::capture of a small SAVEE scenario: synthesize, conduct
+  // and extract.
   core::ScenarioConfig sc = core::loudspeaker_scenario(
       audio::savee_spec(), phone::oneplus_7t(), /*seed=*/43);
   sc.corpus_fraction = 0.05;
-  return sc;
-}
-
-void BM_DatasetBuildHit(benchmark::State& state) {
-  // Steady-state cost of a memoized dataset request (key render + map
-  // lookup); the synthesize/conduct/extract pipeline runs zero times.
-  core::DatasetCache cache;
-  const core::ScenarioConfig sc = dataset_bench_scenario();
-  (void)cache.get_or_build(sc);  // warm the entry
-  for (auto _ : state) {
-    auto data = cache.get_or_build(sc);
-    benchmark::DoNotOptimize(data.get());
-  }
-}
-BENCHMARK(BM_DatasetBuildHit);
-
-void BM_DatasetBuildCold(benchmark::State& state) {
-  // The full build a hit avoids (uncached capture of the same scenario).
-  const core::ScenarioConfig sc = dataset_bench_scenario();
   for (auto _ : state) {
     const core::ExtractedData data = core::capture(sc);
     benchmark::DoNotOptimize(data.features.x.data());
   }
 }
 BENCHMARK(BM_DatasetBuildCold)->Unit(benchmark::kMillisecond);
-
-void BM_DatasetDiskHit(benchmark::State& state) {
-  // Disk-tier hit: the memory tier is cleared every iteration, so each
-  // request pays the full cross-process path — open + mmap the cached
-  // file, verify both checksums, deserialize the payload. This is what
-  // a *second process* pays instead of the BM_DatasetBuildCold capture.
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("emoleak-bench-diskhit-" + std::to_string(getpid()));
-  std::filesystem::create_directories(dir);
-  core::DatasetCache cache{dir.string()};
-  const core::ScenarioConfig sc = dataset_bench_scenario();
-  (void)cache.get_or_build(sc);  // build once, lands in the disk tier
-  for (auto _ : state) {
-    cache.clear();  // forget the memory tier, keep the disk file
-    auto data = cache.get_or_build(sc);
-    benchmark::DoNotOptimize(data.get());
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_DatasetDiskHit)->Unit(benchmark::kMillisecond);
 
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

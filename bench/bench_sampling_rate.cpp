@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
     core::ScenarioConfig sc = core::loudspeaker_scenario(
         audio::tess_spec(), profile, bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(1.0);
-    const auto data_ptr = bench::capture_cached(sc);
-    const core::ExtractedData& data = *data_ptr;
+    const core::ExtractedData data = core::capture(sc);
     return core::evaluate_classical(ml::LogisticRegression{}, data.features,
                                     bench::kBenchSeed)
         .accuracy;
@@ -39,6 +38,5 @@ int main(int argc, char** argv) {
             << util::fixed(capped / (1.0 / 7.0), 1)
             << "x the 14.3% random-guess rate, the paper's argument that the "
                "200 Hz restriction alone is insufficient (§VI-B).\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

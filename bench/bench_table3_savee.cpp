@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
     core::ScenarioConfig sc = core::loudspeaker_scenario(
         audio::savee_spec(), col.phone, bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(1.0);
-    const auto data_ptr = bench::capture_cached(sc);
-    const core::ExtractedData& data = *data_ptr;
+    const core::ExtractedData data = core::capture(sc);
     std::cout << col.phone.name << ": " << data.features.size()
               << " speech regions extracted ("
               << util::percent(data.extraction_rate) << " of utterances)\n";
@@ -49,6 +48,5 @@ int main(int argc, char** argv) {
                "random-guess rate, far below the TESS accuracies (Table V) — "
                "SAVEE's four diverse speakers and moderate expressiveness "
                "make it the harder corpus, as in the paper.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

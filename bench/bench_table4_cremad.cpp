@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
   core::ScenarioConfig sc = core::loudspeaker_scenario(
       audio::cremad_spec(), phone::galaxy_s10(), bench::kBenchSeed);
   sc.corpus_fraction = full ? 1.0 : opts.fraction(0.6);
-  const auto data_ptr = bench::capture_cached(sc);
-  const core::ExtractedData& data = *data_ptr;
+  const core::ExtractedData data = core::capture(sc);
   std::cout << "Samsung Galaxy S10: " << data.features.size()
             << " speech regions extracted ("
             << util::percent(data.extraction_rate) << " of utterances, "
@@ -46,6 +45,5 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: ~3.5x above the 16.67% random-guess rate, with "
                "the time-frequency CNN strongest and the spectrogram CNN "
                "weakest — the ordering Table IV reports.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

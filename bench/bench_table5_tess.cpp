@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
     core::ScenarioConfig sc = core::loudspeaker_scenario(
         audio::tess_spec(), col.phone, bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(1.0);
-    const auto data_ptr = bench::capture_cached(sc);
-    const core::ExtractedData& data = *data_ptr;
+    const core::ExtractedData data = core::capture(sc);
     std::cout << col.phone.name << ": " << data.features.size()
               << " speech regions extracted ("
               << util::percent(data.extraction_rate) << " of utterances)\n";
@@ -63,6 +62,5 @@ int main(int argc, char** argv) {
             << " (" << best_device << ") vs the paper's 95.3% on the OnePlus "
                "7T; the per-device ordering (7T strongest, Pixel 5 / S10 "
                "weakest) matches Table V.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

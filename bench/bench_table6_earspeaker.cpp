@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
     core::ScenarioConfig sc =
         core::ear_speaker_scenario(c.dataset, c.phone, bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(1.0);
-    const auto data_ptr = bench::capture_cached(sc);
-    const core::ExtractedData& data = *data_ptr;
+    const core::ExtractedData data = core::capture(sc);
     std::cout << c.label << ": " << data.features.size()
               << " regions extracted (" << util::percent(data.extraction_rate)
               << " of utterances; paper reports >= 45% for ear speakers)\n";
@@ -55,6 +54,5 @@ int main(int argc, char** argv) {
                "random-guess rate in every configuration — the paper's core "
                "Table VI claim — while remaining far below the loudspeaker "
                "accuracies for the expressive TESS corpus.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

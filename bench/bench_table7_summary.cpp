@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
   core::ScenarioConfig tess = core::loudspeaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
   tess.corpus_fraction = opts.fraction(1.0);
-  const auto tess_data_ptr = bench::capture_cached(tess);
-  const core::ExtractedData& tess_data = *tess_data_ptr;
+  const core::ExtractedData tess_data = core::capture(tess);
   core::CnnRunConfig tf;
   tf.train.epochs = method.tf_epochs;
   const double tess_acc =
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
   savee.corpus_fraction = opts.fraction(1.0);
   const double savee_acc =
       core::evaluate_classical(ml::LogisticRegression{},
-                               bench::capture_cached(savee)->features, bench::kBenchSeed)
+                               core::capture(savee).features, bench::kBenchSeed)
           .accuracy;
 
   // CREMA-D, loudspeaker, Galaxy S10 — best method: time-frequency CNN.
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
       audio::cremad_spec(), phone::galaxy_s10(), bench::kBenchSeed);
   cremad.corpus_fraction = opts.fraction(0.6);
   const double cremad_acc =
-      core::evaluate_timefreq_cnn(bench::capture_cached(cremad)->features, tf).accuracy;
+      core::evaluate_timefreq_cnn(core::capture(cremad).features, tf).accuracy;
 
   util::TablePrinter t{{"dataset", "audio domain (prior work)",
                         "vibration, paper", "vibration, ours"}};
@@ -62,6 +61,5 @@ int main(int argc, char** argv) {
                "SAVEE/CREMA-D it reaches ~3.5-4x the random-guess rate — the "
                "paper's Table VII conclusion that vibration leakage is "
                "comparable to audio for expressive speech.\n";
-  bench::print_dataset_cache_stats();
   return 0;
 }

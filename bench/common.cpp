@@ -3,9 +3,8 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
+#include <memory>
 
-#include "core/dataset_cache.h"
-#include "obs/metrics.h"
 #include "util/table.h"
 
 namespace emoleak::bench {
@@ -101,26 +100,6 @@ EarMethodAccuracies run_ear_methods(const core::ExtractedData& data,
   if (config.paper_exact_cnn) tf.arch = nn::CnnConfig::paper_exact();
   out.timefreq_cnn = core::evaluate_timefreq_cnn(data.features, tf).accuracy;
   return out;
-}
-
-std::shared_ptr<const core::ExtractedData> capture_cached(
-    const core::ScenarioConfig& config) {
-  return core::capture_cached(config);
-}
-
-void print_dataset_cache_stats() {
-  const obs::RegistrySnapshot s = obs::Registry::instance().snapshot();
-  std::cout << "[dataset cache] hits=" << s.counter("dataset_cache.hits")
-            << " builds=" << s.counter("dataset_cache.misses")
-            << " entries=" << s.gauge("dataset_cache.memory.entries") << " ~"
-            << s.gauge("dataset_cache.memory.bytes") / (1024 * 1024)
-            << " MiB\n";
-  for (const char* tier : {"memory", "disk"}) {
-    const std::string prefix = std::string{"dataset_cache."} + tier;
-    std::cout << "[dataset cache]   " << tier
-              << ": hits=" << s.counter(prefix + ".hits")
-              << " misses=" << s.counter(prefix + ".misses") << "\n";
-  }
 }
 
 std::string ascii_image(const std::vector<double>& image, std::size_t width,

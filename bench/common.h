@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,18 +86,6 @@ struct EarMethodAccuracies {
 
 [[nodiscard]] EarMethodAccuracies run_ear_methods(
     const core::ExtractedData& data, const MethodConfig& config);
-
-/// core::capture through the process-wide dataset cache: benches that
-/// revisit a scenario (summary tables, confusion matrices, CV configs
-/// differing only in classifier) build each dataset once per process.
-/// Keep the returned shared_ptr alive for as long as the data is used.
-[[nodiscard]] std::shared_ptr<const core::ExtractedData> capture_cached(
-    const core::ScenarioConfig& config);
-
-/// Prints the `dataset_cache.*` registry counters (hits, builds, memory
-/// entries/bytes, per-tier hits/misses), the bench-side analogue of the
-/// serve layer's stats line.
-void print_dataset_cache_stats();
 
 /// Renders a row of per-pixel characters for terminal spectrogram art.
 [[nodiscard]] std::string ascii_image(const std::vector<double>& image,

@@ -24,7 +24,6 @@
 #include <type_traits>
 
 #include "core/attack.h"
-#include "core/dataset_cache.h"
 #include "net/client.h"
 #include "obs/obs.h"
 #include "serve/protocol.h"
@@ -276,12 +275,7 @@ int main(int argc, char** argv) {
               << (opts.speaker == "ear" ? "ear speaker, handheld"
                                         : "loudspeaker, table-top")
               << ", fraction " << opts.fraction << ")...\n";
-    // Route through the tiered DatasetCache: with
-    // EMOLEAK_DATASET_CACHE_DIR set, repeated invocations (even from
-    // different processes) mmap the extracted dataset from disk
-    // instead of re-synthesizing and re-extracting it.
-    const auto data_ptr = core::capture_cached(scenario);
-    const core::ExtractedData& data = *data_ptr;
+    const core::ExtractedData data = core::capture(scenario);
     std::cout << "  " << data.features.size() << " labelled regions, "
               << util::percent(data.extraction_rate) << " extraction rate\n";
 

@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "core/attack.h"
-#include "core/dataset_cache.h"
 #include "core/streaming.h"
 #include "ml/ensemble.h"
 #include "ml/logistic.h"
@@ -168,14 +167,11 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) obs::set_trace_enabled(true);
 
   // ---- Offline: train and persist the operator's model. --------------
-  // The dataset comes through the tiered DatasetCache: point
-  // EMOLEAK_DATASET_CACHE_DIR at a directory and repeated runs mmap
-  // the extracted dataset from disk instead of re-synthesizing it.
   core::ScenarioConfig training = core::loudspeaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), /*seed=*/21);
   training.corpus_fraction = 0.1;
   training.pipeline.parallelism = util::Parallelism{.threads = threads};
-  const auto train_data = core::capture_cached(training);
+  const core::ExtractedData train_data = core::capture(training);
 
   // Retrain mode serves the paper's emotion forest on the histogram-
   // binned training path (what the retrainer refits under load);
@@ -190,14 +186,14 @@ int main(int argc, char** argv) {
   if (retrain_every_ms > 0) {
     model_name = "tess-forest";
     ml::RandomForest trained{forest_cfg};
-    trained.fit(train_data->features);
+    trained.fit(train_data.features);
     ml::save_model_file(model_path, trained);
   } else {
     ml::LogisticRegression trained;
-    trained.fit(train_data->features);
+    trained.fit(train_data.features);
     ml::save_model_file(model_path, trained);
   }
-  std::cout << "Trained on " << train_data->features.size()
+  std::cout << "Trained on " << train_data.features.size()
             << " regions; model persisted to " << model_path << "\n";
 
   // ---- Synthesize one recording per device stream. -------------------
@@ -243,7 +239,7 @@ int main(int argc, char** argv) {
         if (stop_retrainer.load(std::memory_order_acquire)) break;
         const auto t0 = std::chrono::steady_clock::now();
         auto forest = std::make_shared<ml::RandomForest>(forest_cfg);
-        forest->fit(train_data->features);
+        forest->fit(train_data.features);
         const std::uint32_t version = registry->add(model_name, forest);
         registry->activate(version);
         const auto dt = std::chrono::steady_clock::now() - t0;

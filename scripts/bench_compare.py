@@ -65,13 +65,12 @@ from pathlib import Path
 # streaming detection is the serve drain's dominant layer.
 # google-benchmark filters are partial-match regexes, so entries whose
 # name prefixes an untracked variant (BM_SpanOverheadEnabled,
-# BM_DatasetBuildCold, ...) are anchored with `/` or `$`.
+# BM_ServeThroughput/8, ...) are anchored with `/` or `$`.
 KERNEL_FILTER = (
     "BM_FftPow2|BM_Rfft|BM_FftBluestein|BM_Stft|BM_Gemm|"
     "BM_FeatureExtraction|BM_TimefreqCnnForward|BM_SpectrogramCnnForward|"
     "BM_BatchedCnnForward|BM_Conv2DBackward|BM_CnnTrainStep$|"
     "BM_TreeTrain/|BM_ForestTrain$|BM_ForestTrainBinned$|BM_PitchTrack$|"
-    "BM_DatasetBuildHit$|BM_DatasetDiskHit|"
     "BM_SpanOverhead$|BM_HistogramRecord|"
     "BM_MetricsReplyEncode$|BM_PromText$|"
     "BM_StreamingPush/|BM_ServeThroughput/1$"

@@ -1,6 +1,7 @@
 #include "core/attack.h"
 
 #include <optional>
+#include <utility>
 
 #include "ml/logistic.h"
 #include "nn/cnn_classifier.h"
@@ -41,26 +42,35 @@ ScenarioConfig ear_speaker_scenario(audio::DatasetSpec dataset,
   return c;
 }
 
-ExtractedData capture(const ScenarioConfig& config) {
-  OBS_SPAN("pipeline.capture");
+audio::Corpus scenario_corpus(const ScenarioConfig& config) {
   audio::DatasetSpec spec = config.dataset;
   if (config.corpus_fraction != 1.0) {
     spec = audio::scaled_spec(spec, config.corpus_fraction);
   }
-  std::optional<audio::Corpus> corpus;
-  {
-    OBS_SPAN("pipeline.synthesize");
-    corpus.emplace(spec, config.seed);
-  }
+  return audio::Corpus{std::move(spec), config.seed};
+}
 
+phone::RecorderConfig scenario_recorder(const ScenarioConfig& config) {
   phone::RecorderConfig rec_cfg;
   rec_cfg.speaker = config.speaker;
   rec_cfg.posture = config.posture;
   rec_cfg.seed = config.seed ^ 0x5E5510ULL;
+  return rec_cfg;
+}
+
+ExtractedData capture(const ScenarioConfig& config) {
+  OBS_SPAN("pipeline.capture");
+  std::optional<audio::Corpus> corpus;
+  {
+    OBS_SPAN("pipeline.synthesize");
+    corpus.emplace(scenario_corpus(config));
+  }
+
   std::optional<phone::Recording> recording;
   {
     OBS_SPAN_ARG("pipeline.conduct", "utterances", corpus->size());
-    recording.emplace(record_session(*corpus, config.phone, rec_cfg));
+    recording.emplace(
+        record_session(*corpus, config.phone, scenario_recorder(config)));
   }
 
   return extract(*recording, config.pipeline);

@@ -47,6 +47,15 @@ struct ScenarioConfig {
                                                   phone::PhoneProfile phone,
                                                   std::uint64_t seed = 42);
 
+/// The corpus a scenario replays: its dataset, scaled by
+/// corpus_fraction, under the scenario seed.
+[[nodiscard]] audio::Corpus scenario_corpus(const ScenarioConfig& config);
+
+/// The recorder settings a scenario records with: its speaker and
+/// posture, and a recorder seed derived from the scenario seed.
+[[nodiscard]] phone::RecorderConfig scenario_recorder(
+    const ScenarioConfig& config);
+
 /// Synthesizes the corpus, records the session and extracts features +
 /// spectrograms: the attacker's data-collection stage.
 [[nodiscard]] ExtractedData capture(const ScenarioConfig& config);

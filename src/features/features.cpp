@@ -22,15 +22,6 @@ const std::vector<std::string>& feature_names() {
   return names;
 }
 
-std::string schema_signature() {
-  std::string sig = "features-v1/" + std::to_string(kFeatureCount);
-  for (const std::string& name : feature_names()) {
-    sig += '/';
-    sig += name;
-  }
-  return sig;
-}
-
 namespace {
 
 // The lower index dsp::quantile_sorted interpolates from.

@@ -24,12 +24,6 @@ inline constexpr std::size_t kFeatureCount = kTimeFeatureCount + kFreqFeatureCou
 /// Names in extraction order (time features first).
 [[nodiscard]] const std::vector<std::string>& feature_names();
 
-/// Stable signature of the extracted feature schema (dimension count
-/// plus the names in extraction order). The dataset cache folds this
-/// into its keys so cached datasets invalidate if the Table-II feature
-/// set ever changes shape.
-[[nodiscard]] std::string schema_signature();
-
 /// 12 time-domain features of a region: Min, Max, Mean, StdDev,
 /// Variance, Range, CV, Skewness, Kurtosis, Quantile25, Quantile50,
 /// MeanCrossingRate. Requires a non-empty region.

@@ -1,7 +1,5 @@
 #include "tasks/train.h"
 
-#include <algorithm>
-#include <cmath>
 #include <unordered_map>
 #include <utility>
 
@@ -14,17 +12,6 @@
 namespace emoleak::tasks {
 
 namespace {
-
-/// The corpus a scenario captures from — must match core::capture's
-/// construction exactly so build_dataset's speaker metadata lines up
-/// with the capture's speaker ids.
-audio::Corpus scenario_corpus(const core::ScenarioConfig& config) {
-  audio::DatasetSpec spec = config.dataset;
-  if (config.corpus_fraction != 1.0) {
-    spec = audio::scaled_spec(spec, config.corpus_fraction);
-  }
-  return audio::Corpus{spec, config.seed};
-}
 
 /// Held-out evaluation: fits a fresh clone on the training split and
 /// scores the test split. Returns the fitted model (exactly what gets
@@ -44,37 +31,28 @@ TrainedTask fit_and_score(TaskSpec spec, const ml::Classifier& prototype,
   if (split.train.size() == 0 || split.test.size() == 0) return out;
 
   std::unique_ptr<ml::Classifier> model = prototype.clone();
-  model->fit(split.train);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < split.test.size(); ++i) {
-    if (model->predict(split.test.x[i]) == split.test.y[i]) ++correct;
-  }
-  out.accuracy =
-      static_cast<double>(correct) / static_cast<double>(split.test.size());
+  out.accuracy = ml::evaluate_holdout(*model, split.train, split.test).accuracy;
   out.train_rows = split.train.size();
   out.test_rows = split.test.size();
   out.model = std::shared_ptr<const ml::Classifier>{std::move(model)};
   return out;
 }
 
-}  // namespace
-
-core::ExtractedData capture_mitigated(const TaskTrainConfig& config) {
+/// capture_mitigated over the scenario's corpus, already built.
+core::ExtractedData capture_mitigated(const TaskTrainConfig& config,
+                                      const audio::Corpus& corpus) {
   OBS_SPAN("tasks.capture");
-  const audio::Corpus corpus = scenario_corpus(config.scenario);
-  phone::RecorderConfig rec_cfg;
-  rec_cfg.speaker = config.scenario.speaker;
-  rec_cfg.posture = config.scenario.posture;
-  rec_cfg.seed = config.scenario.seed ^ 0x5E5510ULL;
-  phone::Recording recording =
-      record_session(corpus, config.scenario.phone, rec_cfg);
+  phone::Recording recording = record_session(
+      corpus, config.scenario.phone, core::scenario_recorder(config.scenario));
   if (!config.mitigation.is_noop()) {
     recording = apply_mitigation(recording, config.mitigation);
   }
   return core::extract(recording, config.scenario.pipeline);
 }
 
-ml::Dataset media_dataset(const TaskTrainConfig& config) {
+/// media_dataset over the scenario's corpus, already built.
+ml::Dataset media_dataset(const TaskTrainConfig& config,
+                          const audio::Corpus& corpus) {
   OBS_SPAN("tasks.media_dataset");
   if (config.media_clips < 2) {
     throw util::ConfigError{"media_dataset: need at least 2 clips"};
@@ -82,7 +60,6 @@ ml::Dataset media_dataset(const TaskTrainConfig& config) {
   if (config.media_repetitions == 0) {
     throw util::ConfigError{"media_dataset: need at least 1 repetition"};
   }
-  const audio::Corpus corpus = scenario_corpus(config.scenario);
   if (corpus.size() < config.media_clips) {
     throw util::ConfigError{"media_dataset: corpus smaller than library"};
   }
@@ -107,13 +84,11 @@ ml::Dataset media_dataset(const TaskTrainConfig& config) {
   }
 
   for (std::size_t rep = 0; rep < config.media_repetitions; ++rep) {
-    phone::RecorderConfig rec_cfg;
-    rec_cfg.speaker = config.scenario.speaker;
-    rec_cfg.posture = config.scenario.posture;
+    phone::RecorderConfig rec_cfg = core::scenario_recorder(config.scenario);
     // Same-emotion grouping is a prosody-task aid; media replays keep
     // library order so every repetition covers every clip.
     rec_cfg.group_by_emotion = false;
-    rec_cfg.seed = (config.scenario.seed ^ 0x5E5510ULL) + 7919 * (rep + 1);
+    rec_cfg.seed += 7919 * (rep + 1);
     phone::Recording recording = record_session(
         corpus, library, config.scenario.phone, rec_cfg);
     if (!config.mitigation.is_noop()) {
@@ -147,18 +122,29 @@ ml::Dataset media_dataset(const TaskTrainConfig& config) {
   return out;
 }
 
+}  // namespace
+
+core::ExtractedData capture_mitigated(const TaskTrainConfig& config) {
+  return capture_mitigated(config, core::scenario_corpus(config.scenario));
+}
+
+ml::Dataset media_dataset(const TaskTrainConfig& config) {
+  return media_dataset(config, core::scenario_corpus(config.scenario));
+}
+
 std::vector<TrainedTask> train_builtin_tasks(const TaskTrainConfig& config) {
   // The schedule-labelled tasks share one capture: the attacker gets
   // one trace and derives every label view from the same schedule.
-  const audio::Corpus corpus = scenario_corpus(config.scenario);
-  const core::ExtractedData data = capture_mitigated(config);
+  // Media replays clips of the same corpus.
+  const audio::Corpus corpus = core::scenario_corpus(config.scenario);
+  const core::ExtractedData data = capture_mitigated(config, corpus);
 
   std::vector<TrainedTask> out;
   for (const TaskSpec& spec : builtin_tasks()) {
     if (spec.kind == TaskKind::kMedia) {
       out.push_back(fit_and_score(spec,
                                   FingerprintClassifier{config.fingerprint},
-                                  media_dataset(config), config));
+                                  media_dataset(config, corpus), config));
     } else {
       out.push_back(fit_and_score(spec,
                                   ml::LogisticRegression{config.logistic},

@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "ml/logistic.h"
-#include "nn/cnn_classifier.h"
 #include "util/error.h"
-#include "util/parallel.h"
 
 namespace {
 
@@ -196,53 +194,6 @@ TEST(AttackTest, CnnRejectsMalformedInputs) {
   }
 }
 
-/// Trains a CnnClassifier at `threads` and returns predict_proba of
-/// every training row, concatenated.
-std::vector<double> cnn_train_probabilities(
-    emoleak::nn::CnnClassifier::Arch arch, const emoleak::ml::Dataset& data,
-    std::size_t threads) {
-  emoleak::nn::TrainConfig train;
-  train.epochs = 2;
-  train.batch_size = 16;
-  emoleak::nn::CnnClassifier cnn{arch, data.dim(),
-                                 emoleak::nn::CnnConfig::fast(), train};
-  cnn.set_parallelism(emoleak::util::Parallelism{.threads = threads});
-  cnn.fit(data);
-  std::vector<double> out;
-  for (const std::vector<double>& row : data.x) {
-    const std::vector<double> p = cnn.predict_proba(row);
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
-TEST(AttackTest, CnnClassifierFitIsBitIdenticalAtAnyThreadCount) {
-  // Conv2D training fans batches out over the pool; the trained model
-  // must not depend on the thread count, for either architecture.
-  using Arch = emoleak::nn::CnnClassifier::Arch;
-  const ExtractedData data = small_capture(0.06);
-  emoleak::ml::Dataset images;
-  images.x = data.spectrograms;
-  images.y = data.features.y;
-  images.class_count = data.features.class_count;
-  const std::pair<Arch, const emoleak::ml::Dataset*> heads[] = {
-      {Arch::kTimefreq, &data.features}, {Arch::kSpectrogram, &images}};
-  for (const auto& [arch, set] : heads) {
-    const std::vector<double> serial = cnn_train_probabilities(arch, *set, 1);
-    ASSERT_EQ(serial.size(),
-              set->size() * static_cast<std::size_t>(set->class_count));
-    for (const std::size_t threads : {2, 4}) {
-      const std::vector<double> parallel =
-          cnn_train_probabilities(arch, *set, threads);
-      ASSERT_EQ(parallel.size(), serial.size());
-      EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
-                            serial.size() * sizeof(double)),
-                0)
-          << "arch=" << static_cast<int>(arch) << " threads=" << threads;
-    }
-  }
-}
-
 // FNV-1a-64 over the object bytes of a sequence of doubles: a compact
 // fingerprint of every output bit.
 std::uint64_t fnv1a64(const std::vector<double>& xs) {
@@ -256,74 +207,6 @@ std::uint64_t fnv1a64(const std::vector<double>& xs) {
     }
   }
   return h;
-}
-
-// Golden digests pin the trained CNNs across commits, not only across
-// thread counts within one process: a change to the layers, the GEMM,
-// Adam or the training loop that moves any probability bit fails here.
-// Each head trains two epochs at batch 32 on a fixed capture whose
-// training split leaves a partial last batch, then scores every row
-// one at a time and all rows in one batched call. The constants hold
-// for this toolchain and libm: the capture calls sin, log and sqrt,
-// He init sqrt, Adam pow and sqrt, and the softmax exp and log. A
-// change that means to move bits re-pins them and says so.
-TEST(AttackTest, CnnClassifierGoldenDigestsPinTrainedModels) {
-  using Arch = emoleak::nn::CnnClassifier::Arch;
-  const ExtractedData data = small_capture(0.06);
-  emoleak::ml::Dataset images;
-  images.x = data.spectrograms;
-  images.y = data.features.y;
-  images.class_count = data.features.class_count;
-
-  emoleak::nn::TrainConfig train;
-  train.epochs = 2;
-  train.batch_size = 32;
-  // Sequential::train's stratified carve: floor(fraction * count) of
-  // each class validates, the rest trains.
-  std::vector<std::size_t> per_class(
-      static_cast<std::size_t>(data.features.class_count));
-  for (const int y : data.features.y) ++per_class[static_cast<std::size_t>(y)];
-  std::size_t train_rows = 0;
-  for (const std::size_t c : per_class) {
-    train_rows += c - static_cast<std::size_t>(train.validation_fraction *
-                                               static_cast<double>(c));
-  }
-  ASSERT_NE(train_rows % train.batch_size, 0u) << "train_rows=" << train_rows;
-
-  struct Golden {
-    Arch arch;
-    const emoleak::ml::Dataset* set;
-    std::uint64_t digest;
-  };
-  for (const Golden g : {
-           Golden{Arch::kTimefreq, &data.features, 0x05e35a57eac6f8fbULL},
-           Golden{Arch::kSpectrogram, &images, 0x22952a08ccc9b014ULL},
-       }) {
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      emoleak::nn::CnnClassifier cnn{g.arch, g.set->dim(),
-                                     emoleak::nn::CnnConfig::fast(), train};
-      cnn.set_parallelism(emoleak::util::Parallelism{.threads = threads});
-      cnn.fit(*g.set);
-      std::vector<double> rows;
-      std::vector<double> single;
-      for (const std::vector<double>& row : g.set->x) {
-        rows.insert(rows.end(), row.begin(), row.end());
-        const std::vector<double> p = cnn.predict_proba(row);
-        single.insert(single.end(), p.begin(), p.end());
-      }
-      const std::vector<double> batched =
-          cnn.predict_proba_batch(rows, g.set->dim(), g.set->size());
-      const std::uint64_t digest = fnv1a64(single);
-      EXPECT_EQ(digest, g.digest)
-          << "arch=" << static_cast<int>(g.arch) << " threads=" << threads
-          << " digest=0x" << std::hex << digest;
-      ASSERT_EQ(batched.size(), single.size());
-      EXPECT_EQ(std::memcmp(batched.data(), single.data(),
-                            single.size() * sizeof(double)),
-                0)
-          << "arch=" << static_cast<int>(g.arch) << " threads=" << threads;
-    }
-  }
 }
 
 // Every bit of a harness CnnResult as one sequence: the accuracy, each
@@ -346,7 +229,10 @@ std::vector<double> cnn_result_bits(const emoleak::core::CnnResult& r) {
 // Pins what the paper harness hands back, split and seed included: a
 // change to how evaluate_{timefreq,spectrogram}_cnn split, scale, seed,
 // train or score moves a digest, where the accuracy floors above would
-// let it pass. Same toolchain caveat as the digests above.
+// let it pass. The constants hold for this toolchain and libm: the
+// capture calls sin, log and sqrt, He init sqrt, Adam pow and sqrt, and
+// the softmax exp and log. A change that means to move bits re-pins
+// them and says so.
 TEST(AttackTest, CnnHarnessGoldenDigestsPinResults) {
   const ExtractedData data = small_capture(0.12);
   CnnRunConfig cfg;
@@ -360,19 +246,6 @@ TEST(AttackTest, CnnHarnessGoldenDigestsPinResults) {
                                cfg)));
   EXPECT_EQ(timefreq, 0xcf977d842192d28bULL) << "digest=0x" << std::hex << timefreq;
   EXPECT_EQ(spectrogram, 0xd5c6e3baf6b0b05aULL) << "digest=0x" << std::hex << spectrogram;
-}
-
-TEST(AttackTest, CnnClassifierZeroRowBatchIsEmpty) {
-  // Like ml::Classifier's default: no rows in, no probabilities out
-  // (the zero batch used to reach Flatten's division by the batch size).
-  const ExtractedData data = small_capture(0.04);
-  emoleak::nn::TrainConfig train;
-  train.epochs = 1;
-  emoleak::nn::CnnClassifier cnn{emoleak::nn::CnnClassifier::Arch::kTimefreq,
-                                 data.features.dim(),
-                                 emoleak::nn::CnnConfig::fast(), train};
-  cnn.fit(data.features);
-  EXPECT_TRUE(cnn.predict_proba_batch({}, data.features.dim(), 0).empty());
 }
 
 TEST(AttackTest, CrossValidationPathWorks) {

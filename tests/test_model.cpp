@@ -1,20 +1,28 @@
-// Tests for the Sequential model, loss, optimizer (nn/model.h) and the
-// two paper CNN architectures (nn/cnn_models.h).
+// Tests for the Sequential model, loss, optimizer (nn/model.h), the
+// two paper CNN architectures (nn/cnn_models.h) and the classifier
+// that trains and serves them (nn/cnn_classifier.h).
 #include "nn/model.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "core/attack.h"
 #include "ml/dataset.h"
 #include "nn/cnn_classifier.h"
 #include "nn/cnn_models.h"
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace {
 
+using emoleak::core::ExtractedData;
 using emoleak::nn::build_spectrogram_cnn;
 using emoleak::nn::build_timefreq_cnn;
 using emoleak::nn::CnnConfig;
@@ -273,6 +281,158 @@ TEST(CnnClassifierTest, FitKeepsNoTrainingScratch) {
     for (std::size_t i = 1; i < 10; ++i) (void)cnn.predict_proba(set.x[i]);
     EXPECT_EQ(tensor_alloc_count(), warm) << "arch=" << static_cast<int>(arch);
   }
+}
+
+// A small fixed capture: TESS through the OnePlus 7T loudspeaker,
+// table-top, seed 43.
+ExtractedData small_capture(double fraction) {
+  emoleak::core::ScenarioConfig sc = emoleak::core::loudspeaker_scenario(
+      emoleak::audio::tess_spec(), emoleak::phone::oneplus_7t(), 43);
+  sc.corpus_fraction = fraction;
+  return emoleak::core::capture(sc);
+}
+
+/// Trains a CnnClassifier at `threads` and returns predict_proba of
+/// every training row, concatenated.
+std::vector<double> cnn_train_probabilities(
+    emoleak::nn::CnnClassifier::Arch arch, const emoleak::ml::Dataset& data,
+    std::size_t threads) {
+  emoleak::nn::TrainConfig train;
+  train.epochs = 2;
+  train.batch_size = 16;
+  emoleak::nn::CnnClassifier cnn{arch, data.dim(),
+                                 emoleak::nn::CnnConfig::fast(), train};
+  cnn.set_parallelism(emoleak::util::Parallelism{.threads = threads});
+  cnn.fit(data);
+  std::vector<double> out;
+  for (const std::vector<double>& row : data.x) {
+    const std::vector<double> p = cnn.predict_proba(row);
+    out.insert(out.end(), p.begin(), p.end());
+  }
+  return out;
+}
+
+TEST(CnnClassifierTest, FitIsBitIdenticalAtAnyThreadCount) {
+  // Conv2D training fans batches out over the pool; the trained model
+  // must not depend on the thread count, for either architecture.
+  using Arch = emoleak::nn::CnnClassifier::Arch;
+  const ExtractedData data = small_capture(0.06);
+  emoleak::ml::Dataset images;
+  images.x = data.spectrograms;
+  images.y = data.features.y;
+  images.class_count = data.features.class_count;
+  const std::pair<Arch, const emoleak::ml::Dataset*> heads[] = {
+      {Arch::kTimefreq, &data.features}, {Arch::kSpectrogram, &images}};
+  for (const auto& [arch, set] : heads) {
+    const std::vector<double> serial = cnn_train_probabilities(arch, *set, 1);
+    ASSERT_EQ(serial.size(),
+              set->size() * static_cast<std::size_t>(set->class_count));
+    for (const std::size_t threads : {2, 4}) {
+      const std::vector<double> parallel =
+          cnn_train_probabilities(arch, *set, threads);
+      ASSERT_EQ(parallel.size(), serial.size());
+      EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
+                            serial.size() * sizeof(double)),
+                0)
+          << "arch=" << static_cast<int>(arch) << " threads=" << threads;
+    }
+  }
+}
+
+// FNV-1a-64 over the object bytes of a sequence of doubles: a compact
+// fingerprint of every output bit.
+std::uint64_t fnv1a64(const std::vector<double>& xs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : xs) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Golden digests pin the trained CNNs across commits, not only across
+// thread counts within one process: a change to the layers, the GEMM,
+// Adam or the training loop that moves any probability bit fails here.
+// Each head trains two epochs at batch 32 on a fixed capture whose
+// training split leaves a partial last batch, then scores every row
+// one at a time and all rows in one batched call. The constants hold
+// for this toolchain and libm: the capture calls sin, log and sqrt,
+// He init sqrt, Adam pow and sqrt, and the softmax exp and log. A
+// change that means to move bits re-pins them and says so.
+TEST(CnnClassifierTest, GoldenDigestsPinTrainedModels) {
+  using Arch = emoleak::nn::CnnClassifier::Arch;
+  const ExtractedData data = small_capture(0.06);
+  emoleak::ml::Dataset images;
+  images.x = data.spectrograms;
+  images.y = data.features.y;
+  images.class_count = data.features.class_count;
+
+  emoleak::nn::TrainConfig train;
+  train.epochs = 2;
+  train.batch_size = 32;
+  // Sequential::train's stratified carve: floor(fraction * count) of
+  // each class validates, the rest trains.
+  std::vector<std::size_t> per_class(
+      static_cast<std::size_t>(data.features.class_count));
+  for (const int y : data.features.y) ++per_class[static_cast<std::size_t>(y)];
+  std::size_t train_rows = 0;
+  for (const std::size_t c : per_class) {
+    train_rows += c - static_cast<std::size_t>(train.validation_fraction *
+                                               static_cast<double>(c));
+  }
+  ASSERT_NE(train_rows % train.batch_size, 0u) << "train_rows=" << train_rows;
+
+  struct Golden {
+    Arch arch;
+    const emoleak::ml::Dataset* set;
+    std::uint64_t digest;
+  };
+  for (const Golden g : {
+           Golden{Arch::kTimefreq, &data.features, 0x05e35a57eac6f8fbULL},
+           Golden{Arch::kSpectrogram, &images, 0x22952a08ccc9b014ULL},
+       }) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      emoleak::nn::CnnClassifier cnn{g.arch, g.set->dim(),
+                                     emoleak::nn::CnnConfig::fast(), train};
+      cnn.set_parallelism(emoleak::util::Parallelism{.threads = threads});
+      cnn.fit(*g.set);
+      std::vector<double> rows;
+      std::vector<double> single;
+      for (const std::vector<double>& row : g.set->x) {
+        rows.insert(rows.end(), row.begin(), row.end());
+        const std::vector<double> p = cnn.predict_proba(row);
+        single.insert(single.end(), p.begin(), p.end());
+      }
+      const std::vector<double> batched =
+          cnn.predict_proba_batch(rows, g.set->dim(), g.set->size());
+      const std::uint64_t digest = fnv1a64(single);
+      EXPECT_EQ(digest, g.digest)
+          << "arch=" << static_cast<int>(g.arch) << " threads=" << threads
+          << " digest=0x" << std::hex << digest;
+      ASSERT_EQ(batched.size(), single.size());
+      EXPECT_EQ(std::memcmp(batched.data(), single.data(),
+                            single.size() * sizeof(double)),
+                0)
+          << "arch=" << static_cast<int>(g.arch) << " threads=" << threads;
+    }
+  }
+}
+
+TEST(CnnClassifierTest, ZeroRowBatchIsEmpty) {
+  // Like ml::Classifier's default: no rows in, no probabilities out
+  // (the zero batch used to reach Flatten's division by the batch size).
+  const ExtractedData data = small_capture(0.04);
+  emoleak::nn::TrainConfig train;
+  train.epochs = 1;
+  emoleak::nn::CnnClassifier cnn{emoleak::nn::CnnClassifier::Arch::kTimefreq,
+                                 data.features.dim(),
+                                 emoleak::nn::CnnConfig::fast(), train};
+  cnn.fit(data.features);
+  EXPECT_TRUE(cnn.predict_proba_batch({}, data.features.dim(), 0).empty());
 }
 
 }  // namespace
