@@ -31,13 +31,10 @@ int main(int argc, char** argv) {
     core::ScenarioConfig sc = core::loudspeaker_scenario(
         audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(0.35);
-    const audio::DatasetSpec spec =
-        audio::scaled_spec(sc.dataset, sc.corpus_fraction);
-    const audio::Corpus corpus{spec, sc.seed};
-    phone::RecorderConfig rc;
-    rc.seed = sc.seed ^ 0x5E5510ULL;
+    phone::RecorderConfig rc = core::scenario_recorder(sc);
     rc.environment_bump_rate_hz = env.bumps_per_minute / 60.0;
-    const phone::Recording rec = record_session(corpus, sc.phone, rc);
+    const phone::Recording rec =
+        record_session(core::scenario_corpus(sc), sc.phone, rc);
     const core::ExtractedData data = core::extract(rec, sc.pipeline);
     double acc = 1.0 / 7.0;
     if (data.features.size() > 60) {

@@ -22,14 +22,8 @@ int main(int argc, char** argv) {
   core::ScenarioConfig sc = core::ear_speaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
   sc.corpus_fraction = opts.fraction(0.35);
-  const audio::DatasetSpec spec =
-      audio::scaled_spec(sc.dataset, sc.corpus_fraction);
-  const audio::Corpus corpus{spec, sc.seed};
-  phone::RecorderConfig rc;
-  rc.speaker = sc.speaker;
-  rc.posture = sc.posture;
-  rc.seed = sc.seed ^ 0x5E5510ULL;
-  const phone::Recording rec = record_session(corpus, sc.phone, rc);
+  const phone::Recording rec = record_session(
+      core::scenario_corpus(sc), sc.phone, core::scenario_recorder(sc));
   const core::SpeechRegionDetector detector{sc.pipeline.detector};
   const auto labelled =
       core::label_regions(detector.detect(rec.accel, rec.rate_hz), rec);

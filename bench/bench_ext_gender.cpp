@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   const core::ExtractedData data = core::capture(sc);
 
   // Gender labels from the corpus speaker metadata.
-  const audio::Corpus corpus{
-      audio::scaled_spec(sc.dataset, sc.corpus_fraction), sc.seed};
+  const audio::Corpus corpus = core::scenario_corpus(sc);
   ml::Dataset gender;
   gender.class_count = 2;
   gender.class_names = {"male", "female"};

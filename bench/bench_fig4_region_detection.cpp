@@ -22,15 +22,8 @@ int main(int argc, char** argv) {
   core::ScenarioConfig ear = core::ear_speaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
   ear.corpus_fraction = opts.fraction(0.25);
-  audio::DatasetSpec ear_spec =
-      audio::scaled_spec(ear.dataset, ear.corpus_fraction);
-  const audio::Corpus ear_corpus{ear_spec, ear.seed};
-  phone::RecorderConfig ear_rc;
-  ear_rc.speaker = ear.speaker;
-  ear_rc.posture = ear.posture;
-  ear_rc.seed = ear.seed ^ 0x5E5510ULL;
-  const phone::Recording ear_rec =
-      record_session(ear_corpus, ear.phone, ear_rc);
+  const phone::Recording ear_rec = record_session(
+      core::scenario_corpus(ear), ear.phone, core::scenario_recorder(ear));
 
   // (4a/4b): signal-to-noise of the detection envelope without and
   // with the 8 Hz high-pass filter.

@@ -4,9 +4,7 @@
 #include <iostream>
 
 #include "common.h"
-#include "ml/ensemble.h"
 #include "ml/metrics.h"
-#include "ml/logistic.h"
 
 int main(int argc, char** argv) {
   using namespace emoleak;
@@ -15,37 +13,34 @@ int main(int argc, char** argv) {
                       "Confusion matrices, TESS / OnePlus 7T, time-frequency "
                       "features");
 
-  // (6a) Loudspeaker.
   core::ScenarioConfig loud = core::loudspeaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
   loud.corpus_fraction = opts.fraction(1.0);
-  const core::ExtractedData loud_data = core::capture(loud);
-  const core::ClassifierResult loud_result = core::evaluate_classical(
-      ml::LogisticRegression{}, loud_data.features, bench::kBenchSeed);
-  std::cout << "(6a) Loudspeaker scenario, accuracy "
-            << util::percent(loud_result.accuracy)
-            << " (paper's matrix diagonal ~94-95%):\n"
-            << util::render_confusion(loud_result.confusion.counts(),
-                                      loud_data.features.class_names)
-            << '\n';
-
-  // (6b) Ear speaker, 10-fold CV.
   core::ScenarioConfig ear = core::ear_speaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
   ear.corpus_fraction = opts.fraction(1.0);
-  const core::ExtractedData ear_data = core::capture(ear);
-  const core::ClassifierResult ear_result = core::evaluate_classical(
-      ml::RandomForest{}, ear_data.features, bench::kBenchSeed, /*cv=*/10);
+  const std::vector<bench::ColumnResult> results = bench::run_columns({
+      {loud, {{.method = bench::Method::kLogistic}}},
+      {ear, {{.method = bench::Method::kRandomForest,
+              .protocol = bench::Protocol::kTenFold}}},
+  });
+  const std::vector<std::string>& names = results[0].data.features.class_names;
+
+  // (6a) Loudspeaker; (6b) ear speaker, 10-fold CV.
+  const core::ClassifierResult& loud_result = results[0].cells[0];
+  std::cout << "(6a) Loudspeaker scenario, accuracy "
+            << util::percent(loud_result.accuracy)
+            << " (paper's matrix diagonal ~94-95%):\n"
+            << util::render_confusion(loud_result.confusion.counts(), names)
+            << '\n';
+  const core::ClassifierResult& ear_result = results[1].cells[0];
   std::cout << "(6b) Ear-speaker scenario (10-fold CV), accuracy "
             << util::percent(ear_result.accuracy)
             << " (paper: 59.67% with RandomForest):\n"
-            << util::render_confusion(ear_result.confusion.counts(),
-                                      ear_data.features.class_names)
+            << util::render_confusion(ear_result.confusion.counts(), names)
             << '\n';
   std::cout << "Per-class breakdown (6b):\n"
-            << ml::classification_report(ear_result.confusion,
-                                         ear_data.features.class_names)
-            << '\n';
+            << ml::classification_report(ear_result.confusion, names) << '\n';
 
   std::cout << "Shape check vs Fig. 6: the loudspeaker matrix is strongly "
                "diagonal with only scattered confusions; the ear-speaker "

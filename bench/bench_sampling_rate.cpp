@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "common.h"
-#include "ml/logistic.h"
 
 int main(int argc, char** argv) {
   using namespace emoleak;
@@ -14,23 +13,24 @@ int main(int argc, char** argv) {
                       "Android 200 Hz sampling-rate restriction (TESS, "
                       "loudspeaker, OnePlus 7T)");
 
-  const auto run = [&](const phone::PhoneProfile& profile) {
+  const auto column = [&](phone::PhoneProfile profile, std::string label,
+                          double paper) {
     core::ScenarioConfig sc = core::loudspeaker_scenario(
-        audio::tess_spec(), profile, bench::kBenchSeed);
+        audio::tess_spec(), std::move(profile), bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(1.0);
-    const core::ExtractedData data = core::capture(sc);
-    return core::evaluate_classical(ml::LogisticRegression{}, data.features,
-                                    bench::kBenchSeed)
-        .accuracy;
+    return bench::Column{
+        sc, {{std::move(label), bench::Method::kLogistic, paper}}};
   };
+  const std::vector<bench::Column> columns = {
+      column(phone::oneplus_7t(), "default sampling rate (420 Hz)", 0.953),
+      column(phone::with_rate_cap(phone::oneplus_7t(), 200.0),
+             "Android-12 cap (200 Hz)", 0.801),
+  };
+  const std::vector<bench::ColumnResult> results = bench::run_columns(columns);
 
-  const double full = run(phone::oneplus_7t());
-  const double capped = run(phone::with_rate_cap(phone::oneplus_7t(), 200.0));
-
-  bench::print_comparisons({
-      {"default sampling rate (420 Hz)", 0.953, full},
-      {"Android-12 cap (200 Hz)", 0.801, capped},
-  });
+  bench::print_comparisons({bench::comparisons(columns[0], results[0])[0],
+                            bench::comparisons(columns[1], results[1])[0]});
+  const double capped = results[1].cells[0].accuracy;
   std::cout << "\nShape check: the software cap decimates the native stream "
                "with a clean anti-aliasing filter, removing the folded "
                "female-F0 band and cutting accuracy substantially — yet the "

@@ -62,14 +62,8 @@ int main(int argc, char** argv) {
 
   // Capture once, then extract features from raw and filtered samples
   // of the same regions.
-  audio::DatasetSpec spec = audio::scaled_spec(sc.dataset, sc.corpus_fraction);
-  const audio::Corpus corpus{spec, sc.seed};
-  phone::RecorderConfig rec_cfg;
-  rec_cfg.speaker = sc.speaker;
-  rec_cfg.posture = sc.posture;
-  rec_cfg.seed = sc.seed ^ 0x5E5510ULL;
-  const phone::Recording rec =
-      record_session(corpus, sc.phone, rec_cfg);
+  const phone::Recording rec = record_session(
+      core::scenario_corpus(sc), sc.phone, core::scenario_recorder(sc));
 
   const core::SpeechRegionDetector detector{sc.pipeline.detector};
   const auto regions = detector.detect(rec.accel, rec.rate_hz);

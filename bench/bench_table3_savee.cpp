@@ -11,37 +11,28 @@ int main(int argc, char** argv) {
                       "SAVEE dataset, loudspeaker setting (random guess "
                       "14.28%): OnePlus 7T and Google Pixel 5");
 
-  struct PaperColumn {
-    phone::PhoneProfile phone;
-    double logistic, multiclass, lmt, cnn, spec_cnn;
-  };
-  const PaperColumn columns[] = {
-      {phone::oneplus_7t(), 0.5377, 0.5185, 0.5158, 0.4698, 0.3916},
-      {phone::pixel_5(), 0.4444, 0.5297, 0.5300, 0.4418, 0.3538},
-  };
-
-  bench::MethodConfig method;
-  method.paper_exact_cnn = opts.paper_exact;
-  method.tf_epochs = opts.quick ? 15 : 40;
-  method.spec_epochs = opts.quick ? 8 : 22;
-
-  for (const PaperColumn& col : columns) {
+  const auto column = [&](phone::PhoneProfile phone,
+                          const std::array<double, 5>& paper) {
     core::ScenarioConfig sc = core::loudspeaker_scenario(
-        audio::savee_spec(), col.phone, bench::kBenchSeed);
+        audio::savee_spec(), std::move(phone), bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(1.0);
-    const core::ExtractedData data = core::capture(sc);
-    std::cout << col.phone.name << ": " << data.features.size()
-              << " speech regions extracted ("
+    return bench::Column{sc, bench::loudspeaker_cells(
+                                 paper, opts.quick ? 15 : 40,
+                                 opts.quick ? 8 : 22)};
+  };
+  const std::vector<bench::Column> columns = {
+      column(phone::oneplus_7t(), {0.5377, 0.5185, 0.5158, 0.4698, 0.3916}),
+      column(phone::pixel_5(), {0.4444, 0.5297, 0.5300, 0.4418, 0.3538}),
+  };
+  const std::vector<bench::ColumnResult> results =
+      bench::run_columns(columns, opts.paper_exact);
+
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    const core::ExtractedData& data = results[c].data;
+    std::cout << columns[c].scenario.phone.name << ": "
+              << data.features.size() << " speech regions extracted ("
               << util::percent(data.extraction_rate) << " of utterances)\n";
-    const bench::MethodAccuracies acc =
-        bench::run_loudspeaker_methods(data, method);
-    bench::print_comparisons({
-        {"Logistic", col.logistic, acc.logistic},
-        {"multiClassClassifier", col.multiclass, acc.multiclass},
-        {"trees.lmt", col.lmt, acc.lmt},
-        {"CNN (time-frequency)", col.cnn, acc.timefreq_cnn},
-        {"CNN (spectrogram)", col.spec_cnn, acc.spectrogram_cnn},
-    });
+    bench::print_comparisons(bench::comparisons(columns[c], results[c]));
     std::cout << '\n';
   }
   std::cout << "Shape check: every method lands ~3-4x above the 14.28% "

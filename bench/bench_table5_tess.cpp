@@ -13,48 +13,39 @@ int main(int argc, char** argv) {
                       "TESS dataset, loudspeaker setting (random guess "
                       "14.28%): five devices");
 
-  struct PaperColumn {
-    phone::PhoneProfile phone;
-    double logistic, multiclass, lmt, cnn, spec_cnn;
+  const auto column = [&](phone::PhoneProfile phone,
+                          const std::array<double, 5>& paper) {
+    core::ScenarioConfig sc = core::loudspeaker_scenario(
+        audio::tess_spec(), std::move(phone), bench::kBenchSeed);
+    sc.corpus_fraction = opts.fraction(1.0);
+    return bench::Column{sc, bench::loudspeaker_cells(
+                                 paper, opts.quick ? 15 : 40,
+                                 opts.quick ? 8 : 22)};
   };
-  const PaperColumn columns[] = {
-      {phone::oneplus_7t(), 0.9452, 0.9132, 0.9423, 0.953, 0.8944},
-      {phone::galaxy_s10(), 0.7884, 0.7180, 0.7215, 0.832, 0.8537},
-      {phone::pixel_5(), 0.7393, 0.7175, 0.7848, 0.8262, 0.8092},
-      {phone::galaxy_s21(), 0.8579, 0.8446, 0.8704, 0.8849, 0.8351},
-      {phone::galaxy_s21_ultra(), 0.8215, 0.8165, 0.8447, 0.8438, 0.8574},
+  const std::vector<bench::Column> columns = {
+      column(phone::oneplus_7t(), {0.9452, 0.9132, 0.9423, 0.953, 0.8944}),
+      column(phone::galaxy_s10(), {0.7884, 0.7180, 0.7215, 0.832, 0.8537}),
+      column(phone::pixel_5(), {0.7393, 0.7175, 0.7848, 0.8262, 0.8092}),
+      column(phone::galaxy_s21(), {0.8579, 0.8446, 0.8704, 0.8849, 0.8351}),
+      column(phone::galaxy_s21_ultra(),
+             {0.8215, 0.8165, 0.8447, 0.8438, 0.8574}),
   };
-
-  bench::MethodConfig method;
-  method.paper_exact_cnn = opts.paper_exact;
-  method.tf_epochs = opts.quick ? 15 : 40;
-  method.spec_epochs = opts.quick ? 8 : 22;
+  const std::vector<bench::ColumnResult> results =
+      bench::run_columns(columns, opts.paper_exact);
 
   double best_measured = 0.0;
   std::string best_device;
-  for (const PaperColumn& col : columns) {
-    core::ScenarioConfig sc = core::loudspeaker_scenario(
-        audio::tess_spec(), col.phone, bench::kBenchSeed);
-    sc.corpus_fraction = opts.fraction(1.0);
-    const core::ExtractedData data = core::capture(sc);
-    std::cout << col.phone.name << ": " << data.features.size()
-              << " speech regions extracted ("
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    const core::ExtractedData& data = results[c].data;
+    std::cout << columns[c].scenario.phone.name << ": "
+              << data.features.size() << " speech regions extracted ("
               << util::percent(data.extraction_rate) << " of utterances)\n";
-    const bench::MethodAccuracies acc =
-        bench::run_loudspeaker_methods(data, method);
-    bench::print_comparisons({
-        {"Logistic", col.logistic, acc.logistic},
-        {"multiClassClassifier", col.multiclass, acc.multiclass},
-        {"trees.lmt", col.lmt, acc.lmt},
-        {"CNN (time-frequency)", col.cnn, acc.timefreq_cnn},
-        {"CNN (spectrogram)", col.spec_cnn, acc.spectrogram_cnn},
-    });
+    bench::print_comparisons(bench::comparisons(columns[c], results[c]));
     std::cout << '\n';
-    for (const double a : {acc.logistic, acc.multiclass, acc.lmt,
-                           acc.timefreq_cnn, acc.spectrogram_cnn}) {
-      if (a > best_measured) {
-        best_measured = a;
-        best_device = col.phone.name;
+    for (const core::ClassifierResult& cell : results[c].cells) {
+      if (cell.accuracy > best_measured) {
+        best_measured = cell.accuracy;
+        best_device = columns[c].scenario.phone.name;
       }
     }
   }

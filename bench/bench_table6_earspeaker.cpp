@@ -14,40 +14,33 @@ int main(int argc, char** argv) {
                       "Ear-speaker setting, handheld posture (random guess "
                       "14.28%); 8 Hz HPF for region detection only");
 
-  struct Case {
-    std::string label;
-    audio::DatasetSpec dataset;
-    phone::PhoneProfile phone;
-    double rf, rss, lmt, cnn;
-  };
-  const Case cases[] = {
-      {"SAVEE / OnePlus 7T", audio::savee_spec(), phone::oneplus_7t(), 0.5312,
-       0.5625, 0.4911, 0.5111},
-      {"SAVEE / OnePlus 9", audio::savee_spec(), phone::oneplus_9(), 0.5840,
-       0.5483, 0.5376, 0.6052},
-      {"TESS / OnePlus 7T", audio::tess_spec(), phone::oneplus_7t(), 0.5967,
-       0.5545, 0.5303, 0.5482},
-  };
-
-  bench::MethodConfig method;
-  method.tf_epochs = opts.quick ? 15 : 40;
-  method.paper_exact_cnn = opts.paper_exact;
-
-  for (const Case& c : cases) {
-    core::ScenarioConfig sc =
-        core::ear_speaker_scenario(c.dataset, c.phone, bench::kBenchSeed);
+  const auto column = [&](audio::DatasetSpec dataset, phone::PhoneProfile phone,
+                          const std::array<double, 4>& paper) {
+    core::ScenarioConfig sc = core::ear_speaker_scenario(
+        std::move(dataset), std::move(phone), bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(1.0);
-    const core::ExtractedData data = core::capture(sc);
-    std::cout << c.label << ": " << data.features.size()
-              << " regions extracted (" << util::percent(data.extraction_rate)
+    return bench::Column{
+        sc, bench::ear_speaker_cells(paper, opts.quick ? 15 : 40)};
+  };
+  const std::vector<bench::Column> columns = {
+      column(audio::savee_spec(), phone::oneplus_7t(),
+             {0.5312, 0.5625, 0.4911, 0.5111}),
+      column(audio::savee_spec(), phone::oneplus_9(),
+             {0.5840, 0.5483, 0.5376, 0.6052}),
+      column(audio::tess_spec(), phone::oneplus_7t(),
+             {0.5967, 0.5545, 0.5303, 0.5482}),
+  };
+  const std::vector<bench::ColumnResult> results =
+      bench::run_columns(columns, opts.paper_exact);
+
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    const core::ScenarioConfig& sc = columns[c].scenario;
+    const core::ExtractedData& data = results[c].data;
+    std::cout << sc.dataset.name << " / " << sc.phone.name << ": "
+              << data.features.size() << " regions extracted ("
+              << util::percent(data.extraction_rate)
               << " of utterances; paper reports >= 45% for ear speakers)\n";
-    const bench::EarMethodAccuracies acc = bench::run_ear_methods(data, method);
-    bench::print_comparisons({
-        {"RandomForest (10-fold CV)", c.rf, acc.random_forest},
-        {"RandomSubSpace (10-fold CV)", c.rss, acc.random_subspace},
-        {"trees.lmt (10-fold CV)", c.lmt, acc.lmt},
-        {"CNN (time-frequency)", c.cnn, acc.timefreq_cnn},
-    });
+    bench::print_comparisons(bench::comparisons(columns[c], results[c]));
     std::cout << '\n';
   }
   std::cout << "Shape check: the ear speaker leaks emotion at ~3-4x the "

@@ -72,10 +72,6 @@ void write_json(const std::string& path, const std::vector<SweepRow>& rows) {
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
-  std::string json_path;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::string{argv[i]} == "--json") json_path = argv[i + 1];
-  }
 
   bench::print_header(
       "Tasks", "multi-task attack heads + capture-side mitigation sweep "
@@ -140,9 +136,9 @@ int main(int argc, char** argv) {
                "aggressive low-pass below the residual speech band starts "
                "collapsing the coarser heads.\n";
 
-  if (!json_path.empty()) {
-    write_json(json_path, rows);
-    std::cout << "wrote " << json_path << "\n";
+  if (!opts.json_path.empty()) {
+    write_json(opts.json_path, rows);
+    std::cout << "wrote " << opts.json_path << "\n";
   }
   return 0;
 }

@@ -1,21 +1,134 @@
 #include "common.h"
 
-#include <cmath>
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
-#include <memory>
+#include <string_view>
+#include <utility>
 
-#include "util/table.h"
+#include "ml/ensemble.h"
+#include "ml/lmt.h"
+#include "ml/logistic.h"
+#include "ml/multiclass.h"
+#include "util/parallel.h"
 
 namespace emoleak::bench {
+
+namespace {
+
+core::ClassifierResult run_cell(const Cell& cell,
+                                const core::ExtractedData& data,
+                                bool paper_exact_cnn) {
+  const auto classical = [&](const ml::Classifier& prototype) {
+    const std::size_t folds = cell.protocol == Protocol::kTenFold ? 10 : 0;
+    core::ClassifierResult r = core::evaluate_classical(
+        prototype, data.features, kBenchSeed, folds);
+    r.classifier = cell.label;
+    return r;
+  };
+  core::CnnRunConfig cnn;
+  cnn.train.epochs = cell.epochs;
+  if (paper_exact_cnn) cnn.arch = nn::CnnConfig::paper_exact();
+  core::CnnResult r;
+  switch (cell.method) {
+    case Method::kLogistic: return classical(ml::LogisticRegression{});
+    case Method::kMultiClass: return classical(ml::OneVsRestLogistic{});
+    case Method::kLmt: return classical(ml::LogisticModelTree{});
+    case Method::kRandomForest: return classical(ml::RandomForest{});
+    case Method::kRandomSubspace: return classical(ml::RandomSubspace{});
+    case Method::kTimefreqCnn:
+      r = core::evaluate_timefreq_cnn(data.features, cnn);
+      break;
+    case Method::kSpectrogramCnn:
+      r = core::evaluate_spectrogram_cnn(data.spectrograms, data.image_size,
+                                         data.features.y,
+                                         data.features.class_count, cnn);
+      break;
+  }
+  return {cell.label, r.accuracy, r.confusion};
+}
+
+}  // namespace
 
 BenchOptions BenchOptions::parse(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) opts.quick = true;
-    if (std::strcmp(argv[i], "--paper-exact") == 0) opts.paper_exact = true;
+    const std::string_view arg = argv[i];
+    if (arg == "--quick") {
+      opts.quick = true;
+    } else if (arg == "--paper-exact") {
+      opts.paper_exact = true;
+    } else if (arg == "--full") {
+      opts.full = true;
+    } else if (arg == "--json" && i + 1 < argc) {
+      opts.json_path = argv[++i];
+    } else {
+      std::cerr << "error: unknown argument or missing value: '" << arg
+                << "'\nusage: [--quick] [--paper-exact] [--full] "
+                   "[--json PATH]\n";
+      std::exit(2);
+    }
   }
   return opts;
+}
+
+std::vector<Cell> loudspeaker_cells(const std::array<double, 5>& paper,
+                                    int tf_epochs, int spec_epochs) {
+  return {
+      {"Logistic", Method::kLogistic, paper[0]},
+      {"multiClassClassifier", Method::kMultiClass, paper[1]},
+      {"trees.lmt", Method::kLmt, paper[2]},
+      {"CNN (time-frequency)", Method::kTimefreqCnn, paper[3], tf_epochs},
+      {"CNN (spectrogram)", Method::kSpectrogramCnn, paper[4], spec_epochs},
+  };
+}
+
+std::vector<Cell> ear_speaker_cells(const std::array<double, 4>& paper,
+                                    int tf_epochs) {
+  constexpr Protocol kCv = Protocol::kTenFold;
+  return {
+      {"RandomForest (10-fold CV)", Method::kRandomForest, paper[0], 0, kCv},
+      {"RandomSubSpace (10-fold CV)", Method::kRandomSubspace, paper[1], 0,
+       kCv},
+      {"trees.lmt (10-fold CV)", Method::kLmt, paper[2], 0, kCv},
+      {"CNN (time-frequency)", Method::kTimefreqCnn, paper[3], tf_epochs},
+  };
+}
+
+std::vector<ColumnResult> run_columns(const std::vector<Column>& columns,
+                                      bool paper_exact_cnn) {
+  // Both phases fan out here, so the fan-out inside a capture (regions)
+  // and inside a cell (CV folds, forest trees, the CNN's conv split)
+  // runs inline: measured fastest on Tables V and VII (DESIGN.md §5b).
+  const util::Parallelism fan_out;
+  std::vector<ColumnResult> out;
+  for (core::ExtractedData& data : util::parallel_map(
+           fan_out, columns.size(),
+           [&](std::size_t c) { return core::capture(columns[c].scenario); })) {
+    out.push_back({std::move(data), {}});
+  }
+  std::vector<std::pair<std::size_t, const Cell*>> cells;  // (column, cell)
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    for (const Cell& cell : columns[c].cells) cells.emplace_back(c, &cell);
+  }
+  std::vector<core::ClassifierResult> results = util::parallel_map(
+      fan_out, cells.size(), [&](std::size_t i) {
+        const auto [c, cell] = cells[i];
+        return run_cell(*cell, out[c].data, paper_exact_cnn);
+      });
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    out[cells[i].first].cells.push_back(std::move(results[i]));
+  }
+  return out;
+}
+
+std::vector<Comparison> comparisons(const Column& column,
+                                    const ColumnResult& result) {
+  std::vector<Comparison> rows;
+  for (std::size_t k = 0; k < column.cells.size(); ++k) {
+    rows.push_back({column.cells[k].label, column.cells[k].paper,
+                    result.cells[k].accuracy});
+  }
+  return rows;
 }
 
 void print_header(const std::string& experiment, const std::string& what) {
@@ -41,65 +154,6 @@ void print_comparisons(const std::vector<Comparison>& rows,
     t.add_row({row.label, paper, util::percent(row.measured), delta});
   }
   std::cout << t.str();
-}
-
-MethodAccuracies run_loudspeaker_methods(const core::ExtractedData& data,
-                                         const MethodConfig& config) {
-  MethodAccuracies out;
-  // The classical sweep is a per-config fan-out: each classifier's
-  // split evaluation is independent and deterministic given the seed.
-  const std::vector<std::unique_ptr<ml::Classifier>> classical =
-      core::loudspeaker_classifiers();
-  const std::vector<double> accuracies = util::parallel_map(
-      config.parallelism, classical.size(), [&](std::size_t i) {
-        return core::evaluate_classical(*classical[i], data.features,
-                                        kBenchSeed)
-            .accuracy;
-      });
-  out.logistic = accuracies[0];
-  out.multiclass = accuracies[1];
-  out.lmt = accuracies[2];
-
-  core::CnnRunConfig tf;
-  tf.train.epochs = config.tf_epochs;
-  if (config.paper_exact_cnn) tf.arch = nn::CnnConfig::paper_exact();
-  out.timefreq_cnn = core::evaluate_timefreq_cnn(data.features, tf).accuracy;
-
-  if (config.run_spectrogram) {
-    core::CnnRunConfig spec;
-    spec.train.epochs = config.spec_epochs;
-    if (config.paper_exact_cnn) spec.arch = nn::CnnConfig::paper_exact();
-    out.spectrogram_cnn =
-        core::evaluate_spectrogram_cnn(data.spectrograms, data.image_size,
-                                       data.features.y,
-                                       data.features.class_count, spec)
-            .accuracy;
-  }
-  return out;
-}
-
-EarMethodAccuracies run_ear_methods(const core::ExtractedData& data,
-                                    const MethodConfig& config) {
-  EarMethodAccuracies out;
-  // The paper uses 10-fold cross-validation in the ear-speaker setting
-  // (Fig. 6b caption).
-  // Folds parallelize inside each evaluation (10-fold CV), which beats
-  // fanning out the three classifiers: fold training dominates.
-  std::vector<double> accuracies;
-  for (const auto& classifier : core::ear_speaker_classifiers()) {
-    accuracies.push_back(core::evaluate_classical(*classifier, data.features,
-                                                  kBenchSeed, /*cv=*/10,
-                                                  config.parallelism)
-                             .accuracy);
-  }
-  out.random_forest = accuracies[0];
-  out.random_subspace = accuracies[1];
-  out.lmt = accuracies[2];
-  core::CnnRunConfig tf;
-  tf.train.epochs = config.tf_epochs;
-  if (config.paper_exact_cnn) tf.arch = nn::CnnConfig::paper_exact();
-  out.timefreq_cnn = core::evaluate_timefreq_cnn(data.features, tf).accuracy;
-  return out;
 }
 
 std::string ascii_image(const std::vector<double>& image, std::size_t width,

@@ -5,13 +5,13 @@
 // measured one. Seeds are fixed so output is reproducible run-to-run.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/attack.h"
-#include "util/parallel.h"
 #include "util/table.h"
 
 namespace emoleak::bench {
@@ -20,12 +20,16 @@ namespace emoleak::bench {
 /// recorded with this seed.
 inline constexpr std::uint64_t kBenchSeed = 43;
 
-/// Parses the common bench flags. `--quick` scales corpora down ~4x for
-/// smoke runs; `--paper-exact` switches the CNNs to the published
-/// widths (slow).
+/// Parses the bench flags and exits 2, naming the argument, on any
+/// argument it does not know or a `--json` without a path. `--quick`
+/// scales corpora down ~4x for smoke runs; `--paper-exact` switches the
+/// CNNs to the published widths (slow); `--full` runs Table IV on the
+/// whole CREMA-D corpus; `--json PATH` writes bench_tasks' report.
 struct BenchOptions {
   bool quick = false;
   bool paper_exact = false;
+  bool full = false;
+  std::string json_path;
 
   [[nodiscard]] static BenchOptions parse(int argc, char** argv);
 
@@ -35,6 +39,62 @@ struct BenchOptions {
   }
 };
 
+/// The classifiers a paper table reports.
+enum class Method {
+  kLogistic,
+  kMultiClass,  ///< multiClassClassifier (one-vs-rest logistic)
+  kLmt,         ///< trees.lmt
+  kRandomForest,
+  kRandomSubspace,
+  kTimefreqCnn,
+  kSpectrogramCnn,
+};
+
+/// The paper's protocols. The CNNs always train on a stratified 80/20
+/// split; only the classical methods take 10-fold CV.
+enum class Protocol { kHoldout, kTenFold };
+
+/// One cell of a paper table: a method evaluated on its column's
+/// scenario.
+struct Cell {
+  std::string label{};
+  Method method = Method::kLogistic;
+  std::optional<double> paper{};  ///< fraction in [0,1]; nullopt = not reported
+  int epochs = 0;  ///< CNN methods only
+  Protocol protocol = Protocol::kHoldout;
+};
+
+/// A scenario, captured once, and the cells evaluated on its capture.
+struct Column {
+  core::ScenarioConfig scenario;
+  std::vector<Cell> cells;
+};
+
+/// A column's capture and one result per cell, in cell order; each
+/// result's `classifier` is the cell's label.
+struct ColumnResult {
+  core::ExtractedData data;
+  std::vector<core::ClassifierResult> cells;
+};
+
+/// The loudspeaker cells of Tables III-V: Logistic, multiClassClassifier,
+/// trees.lmt (80/20), the time-frequency and the spectrogram CNN, with
+/// the paper's values in that order.
+[[nodiscard]] std::vector<Cell> loudspeaker_cells(
+    const std::array<double, 5>& paper, int tf_epochs, int spec_epochs);
+
+/// The ear-speaker cells of Table VI: RandomForest, RandomSubSpace,
+/// trees.lmt (10-fold CV, Fig. 6b caption) and the time-frequency CNN.
+[[nodiscard]] std::vector<Cell> ear_speaker_cells(
+    const std::array<double, 4>& paper, int tf_epochs);
+
+/// Captures every column, then evaluates every cell (classical seeds
+/// kBenchSeed; CNNs train with CnnRunConfig's defaults, at the published
+/// widths when `paper_exact_cnn`). Results are bit-identical to calling
+/// core::capture and core::evaluate_* one after another.
+[[nodiscard]] std::vector<ColumnResult> run_columns(
+    const std::vector<Column>& columns, bool paper_exact_cnn = false);
+
 /// One row of a paper-vs-measured comparison.
 struct Comparison {
   std::string label;
@@ -42,50 +102,16 @@ struct Comparison {
   double measured = 0.0;
 };
 
+/// A column's cells against their paper values, in cell order.
+[[nodiscard]] std::vector<Comparison> comparisons(const Column& column,
+                                                  const ColumnResult& result);
+
 /// Prints a standard header naming the experiment.
 void print_header(const std::string& experiment, const std::string& what);
 
 /// Renders comparisons as a table with a deviation column.
 void print_comparisons(const std::vector<Comparison>& rows,
                        const std::string& metric = "accuracy");
-
-/// Runs the three classical loudspeaker classifiers plus both CNNs on
-/// extracted data, returning (classifier name, accuracy) pairs in the
-/// order of the paper's tables: Logistic, multiClassClassifier,
-/// trees.lmt, CNN (time-frequency), CNN (spectrogram).
-struct MethodAccuracies {
-  double logistic = 0.0;
-  double multiclass = 0.0;
-  double lmt = 0.0;
-  double timefreq_cnn = 0.0;
-  double spectrogram_cnn = 0.0;
-};
-
-struct MethodConfig {
-  int tf_epochs = 40;
-  int spec_epochs = 22;
-  bool paper_exact_cnn = false;
-  bool run_spectrogram = true;
-  /// Threads for the classical-classifier sweep (and the CV folds
-  /// inside each evaluation). Accuracies are bit-identical at any
-  /// thread count.
-  util::Parallelism parallelism;
-};
-
-[[nodiscard]] MethodAccuracies run_loudspeaker_methods(
-    const core::ExtractedData& data, const MethodConfig& config);
-
-/// Ear-speaker method stable (Table VI): RandomForest, RandomSubSpace,
-/// trees.lmt with 10-fold CV plus the time-frequency CNN.
-struct EarMethodAccuracies {
-  double random_forest = 0.0;
-  double random_subspace = 0.0;
-  double lmt = 0.0;
-  double timefreq_cnn = 0.0;
-};
-
-[[nodiscard]] EarMethodAccuracies run_ear_methods(
-    const core::ExtractedData& data, const MethodConfig& config);
 
 /// Renders a row of per-pixel characters for terminal spectrogram art.
 [[nodiscard]] std::string ascii_image(const std::vector<double>& image,

@@ -24,15 +24,9 @@ int main() {
   scenario.corpus_fraction = 0.25;
 
   // Stage (a)/(b): show what the 8 Hz detection filter accomplishes.
-  audio::DatasetSpec spec =
-      audio::scaled_spec(scenario.dataset, scenario.corpus_fraction);
-  const audio::Corpus corpus{spec, scenario.seed};
-  phone::RecorderConfig rc;
-  rc.speaker = scenario.speaker;
-  rc.posture = scenario.posture;
-  rc.seed = scenario.seed ^ 0x5E5510ULL;
   const phone::Recording rec =
-      record_session(corpus, scenario.phone, rc);
+      record_session(core::scenario_corpus(scenario), scenario.phone,
+                     core::scenario_recorder(scenario));
 
   core::DetectorConfig unfiltered = core::handheld_detector_config();
   unfiltered.detection_highpass_hz = 0.0;

@@ -20,10 +20,13 @@ survives in a binary exactly when that binary can call it:
   cmake --build build-sweep-pb -j
   scripts/unreached_symbols.py build-sweep build-sweep-pb
 
-It prints every strong (non-weak) function or data symbol defined by an
-object under <sweep-build>/src that none of those binaries keeps,
-grouped by source file, and exits 0. Header-inline code and template
-instantiations are weak symbols and are not covered.
+It prints every strong (non-weak) function or data symbol defined by a
+member of a library archive (lib*.a) under <sweep-build>/src that none
+of those binaries keeps, grouped by source file, and exits 0. The
+archives, not the object files beside them, are what the binaries
+link: an incremental build re-creates each archive from the current
+sources, but leaves the object of a deleted source on disk. Header-inline
+code and template instantiations are weak symbols and are not covered.
 """
 
 from __future__ import annotations
@@ -40,15 +43,20 @@ from pathlib import Path
 STRONG = {"T", "D", "B", "R"}
 
 
-def defined_symbols(path: Path) -> list[tuple[str, str]]:
-    """(type letter, mangled name) of every global definition in `path`."""
-    out = subprocess.run(["nm", "--defined-only", "--extern-only", str(path)],
+def defined_symbols(path: Path) -> list[tuple[str, str, str]]:
+    """(archive member, type letter, mangled name) of every global
+    definition in `path`; the member is "" unless `path` is an archive."""
+    out = subprocess.run(["nm", "--defined-only", "--extern-only",
+                          "--print-file-name", str(path)],
                          check=True, capture_output=True, text=True).stdout
     symbols = []
     for line in out.splitlines():
         parts = line.split()
         if len(parts) == 3:
-            symbols.append((parts[1], parts[2]))
+            # <path>[:<member>]:<address>
+            origin = parts[0].removeprefix(f"{path}:").split(":")
+            member = origin[0] if len(origin) == 2 else ""
+            symbols.append((member, parts[1], parts[2]))
     return symbols
 
 
@@ -76,22 +84,22 @@ def main() -> int:
     binaries = executables(args.sweep_build / "bench")
     binaries += executables(args.sweep_build / "examples")
     binaries.append(args.perfbench_build / "perfbench")
-    objects = sorted((args.sweep_build / "src").rglob("*.o"))
-    if not objects or any(not b.is_file() for b in binaries):
+    archives = sorted((args.sweep_build / "src").rglob("lib*.a"))
+    if not archives or any(not b.is_file() for b in binaries):
         print("error: build both trees first (see --help)", file=sys.stderr)
         return 2
 
     kept: set[str] = set()
     for binary in binaries:
-        kept.update(name for _, name in defined_symbols(binary))
+        kept.update(name for _, _, name in defined_symbols(binary))
 
     unreached: dict[str, list[str]] = defaultdict(list)
-    for obj in objects:
-        # CMake names objects <source>.o inside <target>.dir/.
-        source = obj.name.removesuffix(".o")
-        module = obj.parent.parent.parent.name
-        for kind, name in defined_symbols(obj):
+    for archive in archives:
+        # src/<module>/lib<target>.a; CMake names members <source>.o.
+        module = archive.parent.name
+        for member, kind, name in defined_symbols(archive):
             if kind in STRONG and name not in kept:
+                source = member.removesuffix(".o")
                 unreached[f"{module}/{source}"].append(name)
 
     names = demangle([n for group in unreached.values() for n in group])
