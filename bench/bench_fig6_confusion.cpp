@@ -4,6 +4,8 @@
 #include <iostream>
 
 #include "common.h"
+#include "ml/ensemble.h"
+#include "ml/logistic.h"
 #include "ml/metrics.h"
 
 int main(int argc, char** argv) {
@@ -20,8 +22,8 @@ int main(int argc, char** argv) {
       audio::tess_spec(), phone::oneplus_7t(), bench::kBenchSeed);
   ear.corpus_fraction = opts.fraction(1.0);
   const std::vector<bench::ColumnResult> results = bench::run_columns({
-      {loud, {{.method = bench::Method::kLogistic}}},
-      {ear, {{.method = bench::Method::kRandomForest,
+      {loud, {{.classifier = std::make_shared<ml::LogisticRegression>()}}},
+      {ear, {{.classifier = std::make_shared<ml::RandomForest>(),
               .protocol = bench::Protocol::kTenFold}}},
   });
   const std::vector<std::string>& names = results[0].data.features.class_names;

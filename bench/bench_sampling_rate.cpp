@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "common.h"
+#include "ml/logistic.h"
 
 int main(int argc, char** argv) {
   using namespace emoleak;
@@ -19,7 +20,8 @@ int main(int argc, char** argv) {
         audio::tess_spec(), std::move(profile), bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(1.0);
     return bench::Column{
-        sc, {{std::move(label), bench::Method::kLogistic, paper}}};
+        sc, {{std::move(label), std::make_shared<ml::LogisticRegression>(),
+              {}, paper}}};
   };
   const std::vector<bench::Column> columns = {
       column(phone::oneplus_7t(), "default sampling rate (420 Hz)", 0.953),

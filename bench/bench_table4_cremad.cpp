@@ -10,7 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace emoleak;
-  const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
+  const bench::BenchOptions opts = bench::BenchOptions::parse(
+      argc, argv, bench::BenchOptions::Extra::kFull);
   bench::print_header("Table IV",
                       "CREMA-D dataset, loudspeaker setting (random guess "
                       "16.67%): Samsung Galaxy S10");

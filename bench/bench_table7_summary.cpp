@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "common.h"
+#include "ml/logistic.h"
 
 int main(int argc, char** argv) {
   using namespace emoleak;
@@ -18,23 +19,21 @@ int main(int argc, char** argv) {
                       "(prior work)");
 
   const auto column = [&](audio::DatasetSpec dataset, phone::PhoneProfile phone,
-                          double fraction, bench::Method method) {
+                          double fraction, bench::Cell cell) {
     core::ScenarioConfig sc = core::loudspeaker_scenario(
         std::move(dataset), std::move(phone), bench::kBenchSeed);
     sc.corpus_fraction = opts.fraction(fraction);
-    return bench::Column{
-        sc, {{.method = method, .epochs = opts.quick ? 15 : 40}}};
+    return bench::Column{sc, {std::move(cell)}};
   };
   // Each dataset's best method in the paper: the time-frequency CNN on
   // TESS (OnePlus 7T) and CREMA-D (Galaxy S10), Logistic on SAVEE
-  // (OnePlus 7T).
+  // (OnePlus 7T). A cell with no classifier trains the CNN.
+  const bench::Cell cnn{.epochs = opts.quick ? 15 : 40};
   const std::vector<bench::ColumnResult> results = bench::run_columns({
-      column(audio::tess_spec(), phone::oneplus_7t(), 1.0,
-             bench::Method::kTimefreqCnn),
+      column(audio::tess_spec(), phone::oneplus_7t(), 1.0, cnn),
       column(audio::savee_spec(), phone::oneplus_7t(), 1.0,
-             bench::Method::kLogistic),
-      column(audio::cremad_spec(), phone::galaxy_s10(), 0.6,
-             bench::Method::kTimefreqCnn),
+             {.classifier = std::make_shared<ml::LogisticRegression>()}),
+      column(audio::cremad_spec(), phone::galaxy_s10(), 0.6, cnn),
   });
   const auto measured = [&](std::size_t c) {
     return util::percent(results[c].cells.front().accuracy);

@@ -71,7 +71,8 @@ void write_json(const std::string& path, const std::vector<SweepRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
+  const bench::BenchOptions opts = bench::BenchOptions::parse(
+      argc, argv, bench::BenchOptions::Extra::kJson);
 
   bench::print_header(
       "Tasks", "multi-task attack heads + capture-side mitigation sweep "

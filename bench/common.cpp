@@ -2,13 +2,10 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string_view>
 #include <utility>
 
-#include "ml/ensemble.h"
-#include "ml/lmt.h"
-#include "ml/logistic.h"
-#include "ml/multiclass.h"
 #include "util/parallel.h"
 
 namespace emoleak::bench {
@@ -18,38 +15,28 @@ namespace {
 core::ClassifierResult run_cell(const Cell& cell,
                                 const core::ExtractedData& data,
                                 bool paper_exact_cnn) {
-  const auto classical = [&](const ml::Classifier& prototype) {
+  if (cell.classifier) {
     const std::size_t folds = cell.protocol == Protocol::kTenFold ? 10 : 0;
     core::ClassifierResult r = core::evaluate_classical(
-        prototype, data.features, kBenchSeed, folds);
+        *cell.classifier, data.features, kBenchSeed, folds);
     r.classifier = cell.label;
     return r;
-  };
+  }
   core::CnnRunConfig cnn;
   cnn.train.epochs = cell.epochs;
   if (paper_exact_cnn) cnn.arch = nn::CnnConfig::paper_exact();
-  core::CnnResult r;
-  switch (cell.method) {
-    case Method::kLogistic: return classical(ml::LogisticRegression{});
-    case Method::kMultiClass: return classical(ml::OneVsRestLogistic{});
-    case Method::kLmt: return classical(ml::LogisticModelTree{});
-    case Method::kRandomForest: return classical(ml::RandomForest{});
-    case Method::kRandomSubspace: return classical(ml::RandomSubspace{});
-    case Method::kTimefreqCnn:
-      r = core::evaluate_timefreq_cnn(data.features, cnn);
-      break;
-    case Method::kSpectrogramCnn:
-      r = core::evaluate_spectrogram_cnn(data.spectrograms, data.image_size,
-                                         data.features.y,
-                                         data.features.class_count, cnn);
-      break;
-  }
+  const core::CnnResult r =
+      cell.cnn == Cnn::kTimefreq
+          ? core::evaluate_timefreq_cnn(data.features, cnn)
+          : core::evaluate_spectrogram_cnn(data.spectrograms, data.image_size,
+                                           data.features.y,
+                                           data.features.class_count, cnn);
   return {cell.label, r.accuracy, r.confusion};
 }
 
 }  // namespace
 
-BenchOptions BenchOptions::parse(int argc, char** argv) {
+BenchOptions BenchOptions::parse(int argc, char** argv, Extra extra) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -57,14 +44,15 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
       opts.quick = true;
     } else if (arg == "--paper-exact") {
       opts.paper_exact = true;
-    } else if (arg == "--full") {
+    } else if (arg == "--full" && extra == Extra::kFull) {
       opts.full = true;
-    } else if (arg == "--json" && i + 1 < argc) {
+    } else if (arg == "--json" && extra == Extra::kJson && i + 1 < argc &&
+               !std::string_view{argv[i + 1]}.starts_with("--")) {
       opts.json_path = argv[++i];
     } else {
-      std::cerr << "error: unknown argument or missing value: '" << arg
-                << "'\nusage: [--quick] [--paper-exact] [--full] "
-                   "[--json PATH]\n";
+      std::cerr << "error: unknown argument or missing value: '" << arg;
+      if (arg == "--json" && i + 1 < argc) std::cerr << ' ' << argv[i + 1];
+      std::cerr << "'\n";
       std::exit(2);
     }
   }
@@ -73,36 +61,41 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
 
 std::vector<Cell> loudspeaker_cells(const std::array<double, 5>& paper,
                                     int tf_epochs, int spec_epochs) {
-  return {
-      {"Logistic", Method::kLogistic, paper[0]},
-      {"multiClassClassifier", Method::kMultiClass, paper[1]},
-      {"trees.lmt", Method::kLmt, paper[2]},
-      {"CNN (time-frequency)", Method::kTimefreqCnn, paper[3], tf_epochs},
-      {"CNN (spectrogram)", Method::kSpectrogramCnn, paper[4], spec_epochs},
-  };
+  std::vector<Cell> cells;
+  for (std::unique_ptr<ml::Classifier>& c : core::loudspeaker_classifiers()) {
+    cells.push_back({c->name(), std::move(c), {}, paper[cells.size()]});
+  }
+  cells.push_back({"CNN (time-frequency)", {}, Cnn::kTimefreq, paper[3],
+                   tf_epochs});
+  cells.push_back({"CNN (spectrogram)", {}, Cnn::kSpectrogram, paper[4],
+                   spec_epochs});
+  return cells;
 }
 
 std::vector<Cell> ear_speaker_cells(const std::array<double, 4>& paper,
                                     int tf_epochs) {
-  constexpr Protocol kCv = Protocol::kTenFold;
-  return {
-      {"RandomForest (10-fold CV)", Method::kRandomForest, paper[0], 0, kCv},
-      {"RandomSubSpace (10-fold CV)", Method::kRandomSubspace, paper[1], 0,
-       kCv},
-      {"trees.lmt (10-fold CV)", Method::kLmt, paper[2], 0, kCv},
-      {"CNN (time-frequency)", Method::kTimefreqCnn, paper[3], tf_epochs},
-  };
+  std::vector<Cell> cells;
+  for (std::unique_ptr<ml::Classifier>& c : core::ear_speaker_classifiers()) {
+    cells.push_back({c->name() + " (10-fold CV)", std::move(c), {},
+                     paper[cells.size()], 0, Protocol::kTenFold});
+  }
+  cells.push_back({"CNN (time-frequency)", {}, Cnn::kTimefreq, paper[3],
+                   tf_epochs});
+  return cells;
 }
 
 std::vector<ColumnResult> run_columns(const std::vector<Column>& columns,
                                       bool paper_exact_cnn) {
-  // Both phases fan out here, so the fan-out inside a capture (regions)
-  // and inside a cell (CV folds, forest trees, the CNN's conv split)
-  // runs inline: measured fastest on Tables V and VII (DESIGN.md §5b).
-  const util::Parallelism fan_out;
+  // A region reached from inside a parallel task runs inline
+  // (util/thread_pool.h), so a phase fans out either its own tasks or
+  // the work inside them (regions, CV folds, forest trees, the CNN's
+  // conv split). Captures always fan out. Cells fan out only when every
+  // thread gets at least two: with fewer, the slowest cell would run on
+  // one core while the others idle, so they run one after another and
+  // fan out inside. Measured on every table (DESIGN.md §5b).
   std::vector<ColumnResult> out;
   for (core::ExtractedData& data : util::parallel_map(
-           fan_out, columns.size(),
+           util::Parallelism{}, columns.size(),
            [&](std::size_t c) { return core::capture(columns[c].scenario); })) {
     out.push_back({std::move(data), {}});
   }
@@ -110,8 +103,10 @@ std::vector<ColumnResult> run_columns(const std::vector<Column>& columns,
   for (std::size_t c = 0; c < columns.size(); ++c) {
     for (const Cell& cell : columns[c].cells) cells.emplace_back(c, &cell);
   }
+  const bool fan_out = cells.size() >= 2 * util::Parallelism{}.resolved();
   std::vector<core::ClassifierResult> results = util::parallel_map(
-      fan_out, cells.size(), [&](std::size_t i) {
+      fan_out ? util::Parallelism{} : util::Parallelism::serial_only(),
+      cells.size(), [&](std::size_t i) {
         const auto [c, cell] = cells[i];
         return run_cell(*cell, out[c].data, paper_exact_cnn);
       });

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,17 +22,22 @@ namespace emoleak::bench {
 inline constexpr std::uint64_t kBenchSeed = 43;
 
 /// Parses the bench flags and exits 2, naming the argument, on any
-/// argument it does not know or a `--json` without a path. `--quick`
-/// scales corpora down ~4x for smoke runs; `--paper-exact` switches the
-/// CNNs to the published widths (slow); `--full` runs Table IV on the
-/// whole CREMA-D corpus; `--json PATH` writes bench_tasks' report.
+/// argument it does not know. `--quick` scales corpora down ~4x for
+/// smoke runs; `--paper-exact` switches the CNNs to the published widths
+/// (slow; Table VII ignores it). A bench that acts on `--full` (Table IV
+/// on the whole CREMA-D corpus) or `--json PATH` (bench_tasks' report)
+/// passes it as `extra`; every other bench refuses it, and `--json`
+/// refuses a missing path or one that starts with `--`.
 struct BenchOptions {
+  enum class Extra { kNone, kFull, kJson };
+
   bool quick = false;
   bool paper_exact = false;
   bool full = false;
   std::string json_path;
 
-  [[nodiscard]] static BenchOptions parse(int argc, char** argv);
+  [[nodiscard]] static BenchOptions parse(int argc, char** argv,
+                                          Extra extra = Extra::kNone);
 
   /// Scales a corpus fraction for quick mode.
   [[nodiscard]] double fraction(double full) const {
@@ -39,28 +45,22 @@ struct BenchOptions {
   }
 };
 
-/// The classifiers a paper table reports.
-enum class Method {
-  kLogistic,
-  kMultiClass,  ///< multiClassClassifier (one-vs-rest logistic)
-  kLmt,         ///< trees.lmt
-  kRandomForest,
-  kRandomSubspace,
-  kTimefreqCnn,
-  kSpectrogramCnn,
-};
-
 /// The paper's protocols. The CNNs always train on a stratified 80/20
 /// split; only the classical methods take 10-fold CV.
 enum class Protocol { kHoldout, kTenFold };
+
+/// The CNN a cell trains when it names no classical classifier.
+enum class Cnn { kTimefreq, kSpectrogram };
 
 /// One cell of a paper table: a method evaluated on its column's
 /// scenario.
 struct Cell {
   std::string label{};
-  Method method = Method::kLogistic;
+  /// The classical classifier's prototype; null for a CNN cell.
+  std::shared_ptr<const ml::Classifier> classifier{};
+  Cnn cnn = Cnn::kTimefreq;
   std::optional<double> paper{};  ///< fraction in [0,1]; nullopt = not reported
-  int epochs = 0;  ///< CNN methods only
+  int epochs = 0;  ///< CNN cells only
   Protocol protocol = Protocol::kHoldout;
 };
 
@@ -77,14 +77,14 @@ struct ColumnResult {
   std::vector<core::ClassifierResult> cells;
 };
 
-/// The loudspeaker cells of Tables III-V: Logistic, multiClassClassifier,
-/// trees.lmt (80/20), the time-frequency and the spectrogram CNN, with
-/// the paper's values in that order.
+/// The loudspeaker cells of Tables III-V: core::loudspeaker_classifiers
+/// (80/20), the time-frequency and the spectrogram CNN, with the paper's
+/// values in that order.
 [[nodiscard]] std::vector<Cell> loudspeaker_cells(
     const std::array<double, 5>& paper, int tf_epochs, int spec_epochs);
 
-/// The ear-speaker cells of Table VI: RandomForest, RandomSubSpace,
-/// trees.lmt (10-fold CV, Fig. 6b caption) and the time-frequency CNN.
+/// The ear-speaker cells of Table VI: core::ear_speaker_classifiers
+/// (10-fold CV, Fig. 6b caption) and the time-frequency CNN.
 [[nodiscard]] std::vector<Cell> ear_speaker_cells(
     const std::array<double, 4>& paper, int tf_epochs);
 

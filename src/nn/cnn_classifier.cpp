@@ -33,19 +33,7 @@ void CnnClassifier::fit(const ml::Dataset& data) {
   Tensor x = arch_ == Arch::kTimefreq ? Tensor{{n, 1, dim_, 1}}
                                       : Tensor{{n, side_, side_, 1}};
   if (arch_ == Arch::kTimefreq) scaler_.fit(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    float* dst = x.data() + i * dim_;
-    if (arch_ == Arch::kTimefreq) {
-      const std::vector<double> scaled = scaler_.transform_row(data.x[i]);
-      for (std::size_t j = 0; j < dim_; ++j) {
-        dst[j] = static_cast<float>(scaled[j]);
-      }
-    } else {
-      for (std::size_t j = 0; j < dim_; ++j) {
-        dst[j] = static_cast<float>(data.x[i][j]);
-      }
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) stage_row(data.x[i], x.data() + i * dim_);
   net_ = arch_ == Arch::kTimefreq
              ? build_timefreq_cnn(dim_, classes_, config_)
              : build_spectrogram_cnn(side_, side_, classes_, config_);
@@ -78,18 +66,7 @@ std::vector<double> CnnClassifier::forward_batch(std::span<const double> rows,
     input_.resize({count, side_, side_, 1});
   }
   for (std::size_t i = 0; i < count; ++i) {
-    float* dst = input_.data() + i * dim_;
-    if (arch_ == Arch::kTimefreq) {
-      const std::vector<double> scaled =
-          scaler_.transform_row(rows.subspan(i * dim_, dim_));
-      for (std::size_t j = 0; j < dim_; ++j) {
-        dst[j] = static_cast<float>(scaled[j]);
-      }
-    } else {
-      for (std::size_t j = 0; j < dim_; ++j) {
-        dst[j] = static_cast<float>(rows[i * dim_ + j]);
-      }
-    }
+    stage_row(rows.subspan(i * dim_, dim_), input_.data() + i * dim_);
   }
   // One forward over all rows. Every layer treats rows independently
   // at inference and the GEMM kernels sum k in ascending order per
@@ -106,6 +83,15 @@ std::vector<double> CnnClassifier::forward_batch(std::span<const double> rows,
     std::copy(p.begin(), p.end(), out.begin() + i * classes);
   }
   return out;
+}
+
+void CnnClassifier::stage_row(std::span<const double> row, float* dst) const {
+  if (arch_ == Arch::kTimefreq) {
+    const std::vector<double> scaled = scaler_.transform_row(row);
+    std::copy(scaled.begin(), scaled.end(), dst);
+  } else {
+    std::copy(row.begin(), row.end(), dst);
+  }
 }
 
 int CnnClassifier::predict(std::span<const double> row) const {

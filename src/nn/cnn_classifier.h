@@ -54,6 +54,8 @@ class CnnClassifier final : public ml::Classifier {
   [[nodiscard]] std::vector<double> forward_batch(std::span<const double> rows,
                                                   std::size_t dim,
                                                   std::size_t count) const;
+  /// Writes one input row as the network sees it (timefreq rows scaled).
+  void stage_row(std::span<const double> row, float* dst) const;
 
   Arch arch_;
   std::size_t dim_ = 0;       ///< flattened input width

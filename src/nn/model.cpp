@@ -10,6 +10,20 @@
 
 namespace emoleak::nn {
 
+namespace {
+/// Rows of (N, C) `logits` whose largest logit is at their label.
+std::size_t count_correct(const Tensor& logits, const std::vector<int>& labels) {
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const float* row = &logits.at2(i, 0);
+    if (std::max_element(row, row + logits.dim(1)) - row == labels[i]) {
+      ++correct;
+    }
+  }
+  return correct;
+}
+}  // namespace
+
 double softmax_cross_entropy(const Tensor& logits, const std::vector<int>& labels,
                              Tensor& grad) {
   if (logits.rank() != 2) {
@@ -168,13 +182,7 @@ History Sequential::train(const Tensor& x, const std::vector<int>& labels,
       optimizer.step();
 
       epoch_loss += loss * static_cast<double>(by.size());
-      for (std::size_t i = 0; i < by.size(); ++i) {
-        const float* row = &logits.at2(i, 0);
-        const std::size_t c = logits.dim(1);
-        const auto pred = static_cast<int>(
-            std::max_element(row, row + c) - row);
-        if (pred == by[i]) ++correct;
-      }
+      correct += count_correct(logits, by);
       seen += by.size();
     }
     history.train_loss.push_back(epoch_loss / static_cast<double>(seen));
@@ -194,18 +202,24 @@ History Sequential::train(const Tensor& x, const std::vector<int>& labels,
 
 std::pair<double, double> Sequential::evaluate(const Tensor& x,
                                                const std::vector<int>& labels) {
-  const Tensor logits = forward(x, /*training=*/false);
+  // Forward kEvalRows rows at a time: the layers' buffers stay batch-sized,
+  // and as rows are independent at inference and the GEMMs sum k in
+  // ascending order whatever M is, the logits match one whole forward.
+  constexpr std::size_t kEvalRows = 32;
+  const std::size_t n = x.dim(0);
+  std::vector<std::size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  Tensor logits, part;
+  for (std::size_t at = 0; at < n; at += kEvalRows) {
+    gather(x, std::span{rows}.subspan(at, std::min(kEvalRows, n - at)), part);
+    const Tensor& out = forward_ref(part, /*training=*/false);
+    if (at == 0) logits.resize({n, out.dim(1)});
+    std::copy_n(out.data(), out.size(), logits.data() + at * out.dim(1));
+  }
   Tensor grad;
   const double loss = softmax_cross_entropy(logits, labels, grad);
-  const std::size_t n = logits.dim(0);
-  const std::size_t c = logits.dim(1);
-  std::size_t correct = 0;
-  for (std::size_t b = 0; b < n; ++b) {
-    const float* row = &logits.at2(b, 0);
-    const auto pred = static_cast<int>(std::max_element(row, row + c) - row);
-    if (pred == labels[b]) ++correct;
-  }
-  return {loss, static_cast<double>(correct) / static_cast<double>(n)};
+  const double correct = static_cast<double>(count_correct(logits, labels));
+  return {loss, correct / static_cast<double>(n)};
 }
 
 Adam::Adam(std::vector<Parameter*> params, double learning_rate)

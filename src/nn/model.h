@@ -13,12 +13,6 @@
 
 namespace emoleak::nn {
 
-/// A labelled batch: `x` has leading batch axis, labels in [0, classes).
-struct Batch {
-  Tensor x;
-  std::vector<int> y;
-};
-
 struct TrainConfig {
   int epochs = 30;
   std::size_t batch_size = 32;

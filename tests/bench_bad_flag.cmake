@@ -1,6 +1,8 @@
-# The bench binaries must refuse an argument they do not know, and a
-# `--json` with no path: a nonzero exit and an error message that names
-# the argument. A typo such as `--quik` used to start the full run.
+# The bench binaries must refuse an argument they do not know, a flag
+# another bench acts on (`--full` is Table IV's), and a `--json` with no
+# path or with a flag in its place: a nonzero exit and an error message
+# that names the argument. A typo such as `--quik` used to start the full
+# run.
 # Parsing happens before any capture, so each case exits at once.
 #
 # Invoked by ctest as
@@ -11,7 +13,8 @@ if(NOT DEFINED TABLE7 OR NOT DEFINED TASKS)
   message(FATAL_ERROR "bench_bad_flag: missing -DTABLE7 or -DTASKS")
 endif()
 
-foreach(case "${TABLE7};--quik" "${TASKS};--json" "${TASKS};--quick;extra")
+foreach(case "${TABLE7};--quik" "${TABLE7};--full" "${TASKS};--json"
+             "${TASKS};--json;--quick" "${TASKS};--quick;extra")
   list(GET case 0 bench)
   list(SUBLIST case 1 -1 args)
   list(GET args -1 named)

@@ -1,14 +1,18 @@
 // The paper-table runner (bench/common.h): a cell list run by
 // run_columns must give exactly what a plain serial loop of
 // core::capture and core::evaluate_* gives, whichever level fans out.
+// Its eight cells fan out on a pool of at most four threads; captures
+// always do.
 #include "common.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "ml/ensemble.h"
 #include "ml/logistic.h"
+#include "ml/multiclass.h"
 
 namespace {
 
@@ -16,7 +20,6 @@ using emoleak::bench::Cell;
 using emoleak::bench::Column;
 using emoleak::bench::ColumnResult;
 using emoleak::bench::kBenchSeed;
-using emoleak::bench::Method;
 using emoleak::bench::Protocol;
 using emoleak::core::ClassifierResult;
 using emoleak::core::ExtractedData;
@@ -26,10 +29,12 @@ constexpr int kEpochs = 3;
 std::vector<Column> small_columns() {
   using namespace emoleak;
   const std::vector<Cell> cells = {
-      {"Logistic", Method::kLogistic, 0.95},
-      {"RandomForest (10-fold CV)", Method::kRandomForest, 0.60, 0,
-       Protocol::kTenFold},
-      {"CNN (time-frequency)", Method::kTimefreqCnn, std::nullopt, kEpochs},
+      {"Logistic", std::make_shared<ml::LogisticRegression>(), {}, 0.95},
+      {"RandomForest (10-fold CV)", std::make_shared<ml::RandomForest>(), {},
+       0.60, 0, Protocol::kTenFold},
+      {"CNN (time-frequency)", nullptr, bench::Cnn::kTimefreq, std::nullopt,
+       kEpochs},
+      {"multiClassClassifier", std::make_shared<ml::OneVsRestLogistic>()},
   };
   core::ScenarioConfig loud = core::loudspeaker_scenario(
       audio::tess_spec(), phone::oneplus_7t(), kBenchSeed);
@@ -54,6 +59,8 @@ std::vector<ClassifierResult> direct(const Column& column) {
                                /*cv_folds=*/10,
                                util::Parallelism::serial_only()),
       ClassifierResult{"", tf.accuracy, tf.confusion},
+      core::evaluate_classical(ml::OneVsRestLogistic{}, data.features,
+                               kBenchSeed),
   };
 }
 
@@ -87,20 +94,24 @@ TEST(BenchRunnerTest, CellsEqualSerialCaptureAndEvaluate) {
 }
 
 TEST(BenchRunnerTest, ParseAcceptsEveryBenchFlag) {
+  using emoleak::bench::BenchOptions;
   char prog[] = "bench";
   char quick[] = "--quick";
   char exact[] = "--paper-exact";
   char full[] = "--full";
   char json[] = "--json";
   char path[] = "out.json";
-  char* argv[] = {prog, quick, exact, full, json, path};
-  const emoleak::bench::BenchOptions opts =
-      emoleak::bench::BenchOptions::parse(6, argv);
+  char* with_full[] = {prog, quick, exact, full};
+  const BenchOptions opts =
+      BenchOptions::parse(4, with_full, BenchOptions::Extra::kFull);
   EXPECT_TRUE(opts.quick);
   EXPECT_TRUE(opts.paper_exact);
   EXPECT_TRUE(opts.full);
-  EXPECT_EQ(opts.json_path, "out.json");
   EXPECT_DOUBLE_EQ(opts.fraction(0.6), 0.15);
+  char* with_json[] = {prog, json, path};
+  EXPECT_EQ(BenchOptions::parse(3, with_json, BenchOptions::Extra::kJson)
+                .json_path,
+            "out.json");
 }
 
 }  // namespace
